@@ -10,6 +10,20 @@ The short path through the library:
     >>> ctx = OrderContext(LinearForm.order(1))
     >>> compute_standard_basis(ctx, [x, D]).staircase
     ((0, 0),)
+
+Every operator carries its scalar field, rationals unless told otherwise;
+over a prime field, hand the field to the parser (or the constructors):
+
+    >>> from weylstd import PrimeField, parse_operator
+    >>> gens = [parse_operator(s, 1, PrimeField(7)) for s in ("x1^3", "x1*D1 + 9")]
+    >>> gens[1]
+    <WeylOperator n=1: x1*D1 + 2>
+    >>> compute_standard_basis(ctx, gens).staircase
+    ((1, 1), (2, 0))
+    >>> gens[0] + x
+    Traceback (most recent call last):
+    ...
+    ValueError: field mismatch: PrimeField(7) and RationalField()
 """
 
 from .errors import (
@@ -27,8 +41,6 @@ from .orders import (
     LinearForm,
     OrderContext,
     TieBreak,
-    compare_graded,
-    compare_weighted,
     is_graded_commutative,
     leading_term,
     principal_symbol,
@@ -98,8 +110,6 @@ __all__ = [
     "WeylstdError",
     "algebra_fuzz",
     "buchberger",
-    "compare_graded",
-    "compare_weighted",
     "compute_standard_basis",
     "dehomogenize",
     "divide",

@@ -6,7 +6,9 @@ comments).  The weight configuration comes from ``--config``; without
 one the order filtration on a single variable pair is assumed.
 
 Exit codes: 0 success, 2 parse or configuration error, 3 degree cap
-reached, 4 internal invariant violation (including verify failures).
+reached, 4 internal invariant violation (including verify failures) or
+any other unexpected internal error, which is reported in one line
+rather than as a traceback.
 """
 
 from __future__ import annotations
@@ -60,6 +62,9 @@ def main(argv=None) -> int:
     except ValueError as e:
         _emit_error(output or "text", "parse-error", str(e))
         return 2
+    except Exception as e:  # the last boundary before the user
+        _emit_error(output or "text", "internal-error", f"internal error: {type(e).__name__}: {e}")
+        return 4
 
 
 def _build_parser():

@@ -76,7 +76,7 @@ def divide(ctx, h: HomogOperator, divisors) -> DivisionResult:
         quot_terms[i][offset] = factor if acc is None else acc + factor
         # subtract factor * monomial(offset) * divisor; the m term cancels
         # exactly and everything else the product contributes is smaller
-        piece = HomogOperator.monomial(n, offset, factor) * divisors[i]
+        piece = HomogOperator.monomial(n, offset, factor, h.field) * divisors[i]
         for key, coeff in piece.terms.items():
             cur = work.get(key, 0)
             s = cur - coeff
@@ -85,8 +85,8 @@ def divide(ctx, h: HomogOperator, divisors) -> DivisionResult:
             else:
                 work[key] = s
 
-    quotients = tuple(HomogOperator(n, t) for t in quot_terms)
-    remainder = HomogOperator(n, rem_terms)
+    quotients = tuple(HomogOperator(n, t, h.field) for t in quot_terms)
+    remainder = HomogOperator(n, rem_terms, h.field)
     _check_division(ctx, h, divisors, partition, quotients, remainder)
     return DivisionResult(quotients, remainder)
 

@@ -124,7 +124,7 @@ class _Parser:
                 raise ParseError(
                     f"division by zero in coefficient {numer}/{denom}", line, col
                 ) from None
-            return WeylOperator.constant(self.n, c)
+            return WeylOperator.constant(self.n, c, self.field)
         if kind == "SYM":
             self.take()
             return self.symbol(value, line, col)
@@ -147,10 +147,9 @@ class _Parser:
             raise ParseError(
                 f"symbol {name!r} is out of range for {self.n} variable(s)", line, col
             )
-        one = self.field.one()
         if head == "x":
-            return WeylOperator.x(self.n, index, one)
-        return WeylOperator.d(self.n, index, one)
+            return WeylOperator.x(self.n, index, field=self.field)
+        return WeylOperator.d(self.n, index, field=self.field)
 
 
 def parse_operator(text, n, field=QQ) -> WeylOperator:

@@ -8,7 +8,7 @@ all terms.  Both maps are exact on term dicts, no arithmetic involved.
 
 from __future__ import annotations
 
-from .weyl import HomogOperator, WeylOperator
+from .weyl import HomogOperator, WeylOperator, t_to_one
 
 
 def homogenize(op: WeylOperator) -> HomogOperator:
@@ -17,22 +17,13 @@ def homogenize(op: WeylOperator) -> HomogOperator:
     if op.is_zero():
         raise ValueError("cannot homogenize the zero operator")
     d = op.total_degree()
-    return HomogOperator(op.n, {(d - sum(m),) + m: c for m, c in op.terms.items()})
+    return HomogOperator(op.n, {(d - sum(m),) + m: c for m, c in op.terms.items()}, op.field)
 
 
 def dehomogenize(h: HomogOperator) -> WeylOperator:
     """Set t = 1.  Terms that differed only in their t power merge, so the
     result can have fewer terms, and is zero only if they all cancel."""
-    out = {}
-    for m, c in h.terms.items():
-        key = m[1:]
-        acc = out.get(key)
-        s = c if acc is None else acc + c
-        if s == 0:
-            out.pop(key, None)
-        else:
-            out[key] = s
-    return WeylOperator(h.n, out)
+    return WeylOperator(h.n, t_to_one(h.terms), h.field)
 
 
 def graded_degree(h: HomogOperator) -> int:

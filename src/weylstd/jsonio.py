@@ -61,8 +61,8 @@ def _read_terms(data, n, field, homog):
 
 
 def weyl_from_obj(data, n, field=QQ) -> WeylOperator:
-    return WeylOperator(n, _read_terms(data, n, field, homog=False))
+    return WeylOperator(n, _read_terms(data, n, field, homog=False), field)
 
 
 def homog_from_obj(data, n, field=QQ) -> HomogOperator:
-    return HomogOperator(n, _read_terms(data, n, field, homog=True))
+    return HomogOperator(n, _read_terms(data, n, field, homog=True), field)

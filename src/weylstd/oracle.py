@@ -74,7 +74,7 @@ def truncation_witness(ctx, ops, degree_bound, max_rows=50_000) -> TruncationWit
 
     pivots = {}
     for m, g in jobs:
-        row = dict((HomogOperator.monomial(n, m) * g).terms)
+        row = dict((HomogOperator.monomial(n, m, field=g.field) * g).terms)
         while row:
             lead = max(row, key=ctx.graded_key)
             hit = pivots.get(lead)
@@ -148,7 +148,7 @@ def random_weyl(rng, n, terms=3, degree=3, coeff=5, fld=QQ):
     for _ in range(rng.randint(0, terms)):
         m = _random_exponent(rng, 2 * n, degree)
         out[m] = fld.from_int(rng.randint(-coeff, coeff))
-    return WeylOperator(n, out)
+    return WeylOperator(n, out, fld)
 
 
 def random_homog(rng, n, terms=3, degree=3, coeff=5, fld=QQ):
@@ -157,7 +157,7 @@ def random_homog(rng, n, terms=3, degree=3, coeff=5, fld=QQ):
     for _ in range(rng.randint(0, terms)):
         m = _random_exponent(rng, 2 * n + 1, degree)
         out[m] = fld.from_int(rng.randint(-coeff, coeff))
-    return HomogOperator(n, out)
+    return HomogOperator(n, out, fld)
 
 
 def random_homogeneous(rng, n, degree, terms=3, coeff=5, fld=QQ):
@@ -166,7 +166,7 @@ def random_homogeneous(rng, n, degree, terms=3, coeff=5, fld=QQ):
     for _ in range(rng.randint(1, terms)):
         m = _random_split(rng, 2 * n + 1, degree)
         out[m] = fld.from_int(rng.randint(-coeff, coeff))
-    return HomogOperator(n, out)
+    return HomogOperator(n, out, fld)
 
 
 def random_polynomial(rng, n, terms=3, degree=3, coeff=5):

@@ -149,16 +149,6 @@ class OrderContext:
         return (sum(m),) + self.weighted_key(m[1:])
 
 
-def compare_weighted(ctx, m1, m2):
-    k1, k2 = ctx.weighted_key(m1), ctx.weighted_key(m2)
-    return (k1 > k2) - (k1 < k2)
-
-
-def compare_graded(ctx, m1, m2):
-    k1, k2 = ctx.graded_key(m1), ctx.graded_key(m2)
-    return (k1 > k2) - (k1 < k2)
-
-
 LeadingTerm = namedtuple("LeadingTerm", ["exponent", "coefficient"])
 
 
@@ -181,7 +171,7 @@ def principal_symbol(ctx, op: WeylOperator) -> WeylOperator:
         raise ValueError("the zero operator has no principal symbol")
     top = ctx.form.weight(op)
     keep = {m: c for m, c in op.terms.items() if ctx.form.value(m) == top}
-    return WeylOperator(op.n, keep)
+    return WeylOperator(op.n, keep, op.field)
 
 
 def is_graded_commutative(form: LinearForm) -> bool:

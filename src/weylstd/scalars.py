@@ -148,7 +148,10 @@ class PrimeField:
         if not _is_prime(p):
             raise ConfigError(f"{p} is not prime")
         self.p = p
-        self.name = f"fp({p})"
+
+    @property
+    def name(self):
+        return f"fp({self.p})"
 
     def one(self):
         return FpElement(1, self.p)
@@ -181,3 +184,15 @@ class PrimeField:
 
 
 QQ = RationalField()
+
+
+def field_of(coefficients):
+    """The field of a coefficient collection: F_p for the first
+    ``FpElement`` among them, QQ when there is none."""
+    for c in coefficients:
+        if isinstance(c, FpElement):
+            # the modulus was checked when the element's field was built
+            fld = object.__new__(PrimeField)
+            fld.p = c.p
+            return fld
+    return QQ

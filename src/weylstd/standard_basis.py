@@ -28,6 +28,7 @@ from .errors import DegreeCapExceeded, InvariantViolation
 from .division import divide
 from .homogenize import dehomogenize, graded_degree, homogenize, is_homogeneous, project_exponent
 from .orders import leading_term, principal_symbol
+from .scalars import QQ
 from .weyl import HomogOperator, vec_leq, vec_max, vec_sub
 
 DEFAULT_DEGREE_CAP = 64
@@ -41,8 +42,8 @@ def semisyzygy(ctx, h1: HomogOperator, h2: HomogOperator) -> HomogOperator:
     lt1 = leading_term(ctx, h1)
     lt2 = leading_term(ctx, h2)
     lcm = vec_max(lt1.exponent, lt2.exponent)
-    left = HomogOperator.monomial(h1.n, vec_sub(lcm, lt1.exponent), lt2.coefficient) * h1
-    right = HomogOperator.monomial(h2.n, vec_sub(lcm, lt2.exponent), lt1.coefficient) * h2
+    left = HomogOperator.monomial(h1.n, vec_sub(lcm, lt1.exponent), lt2.coefficient, h1.field) * h1
+    right = HomogOperator.monomial(h2.n, vec_sub(lcm, lt2.exponent), lt1.coefficient, h2.field) * h2
     s = left - right
     if not s.is_zero() and ctx.graded_key(leading_term(ctx, s).exponent) >= ctx.graded_key(lcm):
         raise InvariantViolation("semisyzygy failed to cancel the leading terms")
@@ -80,12 +81,13 @@ def buchberger(ctx, gens, degree_cap=DEFAULT_DEGREE_CAP) -> CompletionResult:
             raise ValueError("generators must be homogeneous")
 
     n = gens[0].n if gens else 1
+    field = gens[0].field if gens else QQ
     basis = []
     rows = []  # rows[i][j]: cofactor of gens[j] in basis[i]
     for j, g in enumerate(gens):
         c = leading_term(ctx, g).coefficient
         basis.append(g.scale(1 / c))
-        rows.append({j: HomogOperator.constant(n, 1 / c)})
+        rows.append({j: HomogOperator.constant(n, 1 / c, field)})
 
     max_degree = max((graded_degree(g) for g in gens), default=0)
     pairs = []
@@ -108,9 +110,8 @@ def buchberger(ctx, gens, degree_cap=DEFAULT_DEGREE_CAP) -> CompletionResult:
         lt_j = leading_term(ctx, basis[j])
         lcm = vec_max(lt_i.exponent, lt_j.exponent)
         s_row = _combine_rows(
-            n,
-            (HomogOperator.monomial(n, vec_sub(lcm, lt_i.exponent), lt_j.coefficient), rows[i]),
-            (HomogOperator.monomial(n, vec_sub(lcm, lt_j.exponent), -lt_i.coefficient), rows[j]),
+            (HomogOperator.monomial(n, vec_sub(lcm, lt_i.exponent), lt_j.coefficient, field), rows[i]),
+            (HomogOperator.monomial(n, vec_sub(lcm, lt_j.exponent), -lt_i.coefficient, field), rows[j]),
         )
         if s.is_zero():
             zeros += 1
@@ -123,7 +124,7 @@ def buchberger(ctx, gens, degree_cap=DEFAULT_DEGREE_CAP) -> CompletionResult:
 
         for q, row in zip(res.quotients, rows):
             if not q.is_zero():
-                s_row = _combine_rows(n, (HomogOperator.constant(n, 1), s_row), (-q, row))
+                s_row = _combine_rows((HomogOperator.constant(n, 1, field), s_row), (-q, row))
         c = leading_term(ctx, res.remainder).coefficient
         basis.append(res.remainder.scale(1 / c))
         rows.append(_scale_row(s_row, 1 / c))
@@ -146,7 +147,7 @@ def _push_pair(ctx, pairs, basis, i, j, counter):
     return counter + 1
 
 
-def _combine_rows(n, *scaled_rows):
+def _combine_rows(*scaled_rows):
     """Sum of factor * row over (factor, row) pairs, as a sparse dict."""
     out = {}
     for factor, row in scaled_rows:
@@ -165,14 +166,16 @@ def _scale_row(row, factor):
     return {j: c.scale(factor) for j, c in row.items()}
 
 
-def _row_to_tuple(row, count, n):
-    return tuple(row.get(j, HomogOperator.zero(n)) for j in range(count))
+def _row_to_tuple(row, count, n, field):
+    return tuple(row.get(j, HomogOperator.zero(n, field)) for j in range(count))
 
 
 def _interreduce(ctx, basis, rows, gen_count):
     """Drop elements with dominated leads, then reduce every tail once.
     With the leads minimal and fixed this yields the reduced basis."""
-    n = basis[0].n if basis else 1
+    if not basis:
+        return [], []
+    n, field = basis[0].n, basis[0].field
     order = sorted(range(len(basis)), key=lambda i: ctx.graded_key(leading_term(ctx, basis[i]).exponent))
     kept = []
     for i in order:
@@ -194,11 +197,11 @@ def _interreduce(ctx, basis, rows, gen_count):
         other_rows = out_rows[:idx] + out_rows[idx + 1 :]
         for q, qrow in zip(res.quotients, other_rows):
             if not q.is_zero():
-                row = _combine_rows(n, (HomogOperator.constant(n, 1), row), (-q, qrow))
+                row = _combine_rows((HomogOperator.constant(n, 1, field), row), (-q, qrow))
         c = leading_term(ctx, res.remainder).coefficient
         out[idx] = res.remainder.scale(1 / c)
         out_rows[idx] = _scale_row(row, 1 / c)
-    return out, [_row_to_tuple(r, gen_count, n) for r in out_rows]
+    return out, [_row_to_tuple(r, gen_count, n, field) for r in out_rows]
 
 
 def _check_completion(ctx, gens, result):
@@ -212,7 +215,7 @@ def _check_completion(ctx, gens, result):
         if not divide(ctx, g, basis).remainder.is_zero():
             raise InvariantViolation("an input generator does not reduce to zero")
     for b, row in zip(basis, result.cofactors):
-        total = HomogOperator.zero(b.n)
+        total = HomogOperator.zero(b.n, b.field)
         for c, g in zip(row, gens):
             total = total + c * g
         if total != b:

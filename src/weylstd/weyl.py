@@ -1,28 +1,30 @@
 """Sparse exact arithmetic for polynomial differential operators.
 
-Two algebras live here.  ``WeylOperator`` is an element of the algebra
-generated by x_1..x_n and D_1..D_n with D_i x_i = x_i D_i + 1, stored in
-normal order x^alpha D^beta.  ``HomogOperator`` is an element of its
-graded companion with an extra central variable t and the relation
-D_i x_i = x_i D_i + t^2; the graded degree of t^k x^alpha D^beta is
-k + |alpha| + |beta|.
+``HomogOperator`` is an element of the graded algebra with a central
+variable t and D_i x_i = x_i D_i + t^2, stored in normal order
+t^k x^alpha D^beta of graded degree k + |alpha| + |beta|.
+``WeylOperator`` is an element of the plain algebra, where
+D_i x_i = x_i D_i + 1: its image at t = 1.  So there is one Leibniz
+kernel, ``_graded_product``; the plain product lifts both factors with
+k = 0, multiplies there and sets t = 1.  ``Polynomial`` carries the
+standard action (D_i = d/dx_i, x_i = multiplication), an independent
+oracle for the noncommutative product.
 
-Exponent keys are flat integer tuples: ``(a_1..a_n, b_1..b_n)`` for the
-plain algebra and ``(k, a_1..a_n, b_1..b_n)`` for the graded one.  Term
-maps never hold zero coefficients, so equality of operators is equality
-of their term maps.  All operators are immutable values: every operation
-returns a fresh object and nothing mutates ``terms`` after construction.
-
-``Polynomial`` carries the standard action (D_i = d/dx_i, x_i =
-multiplication) used as an independent correctness oracle for the
-noncommutative product.
+All three share one sparse term-map core, ``_TermMap``, keyed by flat
+exponent tuples: ``(a, b)`` plain, ``(k, a, b)`` graded, ``(a,)`` for
+polynomials.  Term maps never hold zero coefficients, and values are
+immutable.  Each value carries its scalar field in ``field``, taken
+from the coefficients when not given (F_p for an ``FpElement``, QQ
+otherwise).  Integer coefficients are coerced into it, derived values
+inherit it, and mixing fields raises ``ValueError``, as mixing n does.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product as iter_product
 from math import comb, factorial, perm
+
+from .scalars import field_of
 
 NEG_INF = float("-inf")
 
@@ -45,54 +47,98 @@ def vec_max(u, v):
     return tuple(max(a, b) for a, b in zip(u, v))
 
 
-def _clean_terms(terms, width, kind):
+def _graded_product(n, terms1, terms2):
+    """Leibniz product of two graded term maps: the normal-ordered term
+    map of their product, where each contraction of D_i against x_i
+    costs a factor t^2."""
     out = {}
-    for key, coeff in terms.items():
-        key = tuple(key)
-        if len(key) != width or any((not isinstance(e, int)) or e < 0 for e in key):
-            raise ValueError(f"bad {kind} exponent {key!r}: expected {width} naturals")
-        if isinstance(coeff, int):
-            coeff = Fraction(coeff)
-        if coeff == 0:
-            continue
-        out[key] = coeff
+    for key1, c1 in terms1.items():
+        k1, alpha1, beta1 = key1[0], key1[1 : n + 1], key1[n + 1 :]
+        for key2, c2 in terms2.items():
+            k2, gamma2, delta2 = key2[0], key2[1 : n + 1], key2[n + 1 :]
+            c = c1 * c2
+            for nu in iter_product(*(range(min(b, g) + 1) for b, g in zip(beta1, gamma2))):
+                w = 1
+                for b, g, v in zip(beta1, gamma2, nu):
+                    w *= comb(b, v) * comb(g, v) * factorial(v)
+                key = (
+                    (k1 + k2 + 2 * sum(nu),)
+                    + vec_sub(vec_add(alpha1, gamma2), nu)
+                    + vec_add(vec_sub(beta1, nu), delta2)
+                )
+                acc = out.get(key)
+                s = w * c if acc is None else acc + w * c
+                if s == 0:
+                    out.pop(key, None)
+                else:
+                    out[key] = s
     return out
 
 
-class WeylOperator:
-    """Normal-ordered differential operator sum(c_{a,b} x^a D^b)."""
+def t_to_one(terms):
+    """A graded term map at t = 1: keys that differ only in their t power merge."""
+    out = {}
+    for m, c in terms.items():
+        key = m[1:]
+        acc = out.get(key)
+        s = c if acc is None else acc + c
+        if s == 0:
+            out.pop(key, None)
+        else:
+            out[key] = s
+    return out
 
-    __slots__ = ("n", "terms")
 
-    def __init__(self, n: int, terms=None):
+class _TermMap:
+    """Sparse map from exponent keys of a fixed width to nonzero scalars
+    of one field; the arithmetic shared by every value class here."""
+
+    __slots__ = ("n", "terms", "field")
+
+    def __init__(self, n: int, terms=None, field=None):
         if n < 1:
             raise ValueError("need at least one variable")
+        terms = dict(terms or {})
+        if field is None:
+            field = field_of(terms.values())
+        width = self._width(n)
+        out = {}
+        for key, coeff in terms.items():
+            key = tuple(key)
+            if len(key) != width or any((not isinstance(e, int)) or e < 0 for e in key):
+                raise ValueError(
+                    f"bad {type(self).__name__} exponent {key!r}: expected {width} naturals"
+                )
+            if isinstance(coeff, int):
+                coeff = field.from_int(coeff)
+            if coeff == 0:
+                continue
+            out[key] = coeff
         self.n = n
-        self.terms = _clean_terms(dict(terms or {}), 2 * n, "operator")
+        self.terms = out
+        self.field = field
 
     @classmethod
-    def zero(cls, n):
-        return cls(n, {})
+    def _width(cls, n):
+        return cls._SHAPE[0] * n + cls._SHAPE[1]
 
     @classmethod
-    def constant(cls, n, c):
-        return cls(n, {(0,) * (2 * n): c})
+    def zero(cls, n, field=None):
+        return cls(n, {}, field)
 
     @classmethod
-    def x(cls, n, i, coeff=1):
-        """The generator x_i (1-based i)."""
-        key = tuple(1 if j == i - 1 else 0 for j in range(2 * n))
-        return cls(n, {key: coeff})
+    def constant(cls, n, c, field=None):
+        return cls(n, {(0,) * cls._width(n): c}, field)
 
     @classmethod
-    def d(cls, n, i, coeff=1):
-        """The generator D_i (1-based i)."""
-        key = tuple(1 if j == n + i - 1 else 0 for j in range(2 * n))
-        return cls(n, {key: coeff})
+    def monomial(cls, n, key, coeff=1, field=None):
+        return cls(n, {tuple(key): coeff}, field)
 
     @classmethod
-    def monomial(cls, n, key, coeff=1):
-        return cls(n, {tuple(key): coeff})
+    def _generator(cls, n, position, coeff, field, power=1):
+        key = [0] * cls._width(n)
+        key[position] = power
+        return cls.monomial(n, key, coeff, field)
 
     def is_zero(self):
         return not self.terms
@@ -100,21 +146,14 @@ class WeylOperator:
     def _same_algebra(self, other):
         if self.n != other.n:
             raise ValueError("variable count mismatch")
-
-    def support(self):
-        """The Newton diagram: set of exponent keys with nonzero coefficient."""
-        return set(self.terms)
-
-    def total_degree(self):
-        """Max of |alpha|+|beta| over the support; -inf for the zero operator."""
-        if not self.terms:
-            return NEG_INF
-        return max(sum(key) for key in self.terms)
+        if self.field is not other.field and self.field != other.field:
+            raise ValueError(f"field mismatch: {self.field!r} and {other.field!r}")
 
     def __eq__(self, other):
         return (
-            isinstance(other, WeylOperator)
+            type(other) is type(self)
             and self.n == other.n
+            and self.field == other.field
             and self.terms == other.terms
         )
 
@@ -122,7 +161,7 @@ class WeylOperator:
         return hash((self.n, frozenset(self.terms.items())))
 
     def __add__(self, other):
-        if not isinstance(other, WeylOperator):
+        if type(other) is not type(self):
             return NotImplemented
         self._same_algebra(other)
         out = dict(self.terms)
@@ -133,47 +172,18 @@ class WeylOperator:
                 out.pop(key, None)
             else:
                 out[key] = s
-        return WeylOperator(self.n, out)
+        return type(self)(self.n, out, self.field)
 
     def __neg__(self):
-        return WeylOperator(self.n, {k: -c for k, c in self.terms.items()})
+        return type(self)(self.n, {k: -c for k, c in self.terms.items()}, self.field)
 
     def __sub__(self, other):
-        if not isinstance(other, WeylOperator):
-            return NotImplemented
         return self + (-other)
 
     def scale(self, c):
         if c == 0:
-            return WeylOperator.zero(self.n)
-        return WeylOperator(self.n, {k: c * v for k, v in self.terms.items()})
-
-    def __mul__(self, other):
-        if not isinstance(other, WeylOperator):
-            return self.scale(other)
-        self._same_algebra(other)
-        n = self.n
-        out = {}
-        for key1, c1 in self.terms.items():
-            alpha1, beta1 = key1[:n], key1[n:]
-            for key2, c2 in other.terms.items():
-                gamma2, delta2 = key2[:n], key2[n:]
-                c = c1 * c2
-                for nu in iter_product(*(range(min(b, g) + 1) for b, g in zip(beta1, gamma2))):
-                    w = 1
-                    for b, g, v in zip(beta1, gamma2, nu):
-                        w *= comb(b, v) * comb(g, v) * factorial(v)
-                    key = (
-                        vec_sub(vec_add(alpha1, gamma2), nu)
-                        + vec_add(vec_sub(beta1, nu), delta2)
-                    )
-                    acc = out.get(key)
-                    s = w * c if acc is None else acc + w * c
-                    if s == 0:
-                        out.pop(key, None)
-                    else:
-                        out[key] = s
-        return WeylOperator(n, out)
+            return type(self).zero(self.n, self.field)
+        return type(self)(self.n, {k: c * v for k, v in self.terms.items()}, self.field)
 
     def __rmul__(self, other):
         # only scalars reach here; scalar multiplication is central
@@ -183,20 +193,52 @@ class WeylOperator:
         if not isinstance(k, int) or k < 0:
             raise ValueError("operator powers must be natural numbers")
         if k == 0:
-            one = Fraction(1)
-            for c in self.terms.values():
-                one = c / c
-                break
-            return WeylOperator.constant(self.n, one)
+            return type(self).constant(self.n, self.field.one(), self.field)
         acc = self
         for _ in range(k - 1):
             acc = acc * self
         return acc
 
+    def __str__(self):
+        return format_terms(self.terms, self.n, homog=False)
+
+    def __repr__(self):
+        return f"<{type(self).__name__} n={self.n}: {self}>"
+
+
+class WeylOperator(_TermMap):
+    """Normal-ordered differential operator sum(c_{a,b} x^a D^b)."""
+
+    __slots__ = ()
+    _SHAPE = (2, 0)  # key width 2 * n
+
+    @classmethod
+    def x(cls, n, i, coeff=1, field=None):
+        """The generator x_i (1-based i)."""
+        return cls._generator(n, i - 1, coeff, field)
+
+    @classmethod
+    def d(cls, n, i, coeff=1, field=None):
+        """The generator D_i (1-based i)."""
+        return cls._generator(n, n + i - 1, coeff, field)
+
+    def total_degree(self):
+        """Max of |alpha|+|beta| over the support; -inf for the zero operator."""
+        if not self.terms:
+            return NEG_INF
+        return max(sum(key) for key in self.terms)
+
+    def __mul__(self, other):
+        if not isinstance(other, WeylOperator):
+            return self.scale(other)
+        self._same_algebra(other)
+        lifted = [{(0,) + key: c for key, c in op.terms.items()} for op in (self, other)]
+        graded = _graded_product(self.n, *lifted)
+        return WeylOperator(self.n, t_to_one(graded), self.field)
+
     def apply(self, f: "Polynomial") -> "Polynomial":
         """Act on a polynomial: D_i differentiates, x_i multiplies."""
-        if self.n != f.n:
-            raise ValueError("variable count mismatch")
+        self._same_algebra(f)
         n = self.n
         out = {}
         for key, c in self.terms.items():
@@ -214,240 +256,75 @@ class WeylOperator:
                     out.pop(target, None)
                 else:
                     out[target] = s
-        return Polynomial(n, out)
-
-    def __str__(self):
-        return format_terms(self.terms, self.n, homog=False)
-
-    def __repr__(self):
-        return f"<WeylOperator n={self.n}: {self}>"
+        return Polynomial(n, out, self.field)
 
 
-class HomogOperator:
+class HomogOperator(_TermMap):
     """Element of the graded algebra with central t and D_i x_i = x_i D_i + t^2."""
 
-    __slots__ = ("n", "terms")
-
-    def __init__(self, n: int, terms=None):
-        if n < 1:
-            raise ValueError("need at least one variable")
-        self.n = n
-        self.terms = _clean_terms(dict(terms or {}), 2 * n + 1, "graded operator")
+    __slots__ = ()
+    _SHAPE = (2, 1)  # key width 2 * n + 1
 
     @classmethod
-    def zero(cls, n):
-        return cls(n, {})
+    def t(cls, n, k=1, coeff=1, field=None):
+        return cls._generator(n, 0, coeff, field, power=k)
 
     @classmethod
-    def constant(cls, n, c):
-        return cls(n, {(0,) * (2 * n + 1): c})
+    def x(cls, n, i, coeff=1, field=None):
+        return cls._generator(n, i, coeff, field)
 
     @classmethod
-    def t(cls, n, k=1, coeff=1):
-        return cls(n, {(k,) + (0,) * (2 * n): coeff})
-
-    @classmethod
-    def x(cls, n, i, coeff=1):
-        key = tuple(1 if j == i else 0 for j in range(2 * n + 1))
-        return cls(n, {key: coeff})
-
-    @classmethod
-    def d(cls, n, i, coeff=1):
-        key = tuple(1 if j == n + i else 0 for j in range(2 * n + 1))
-        return cls(n, {key: coeff})
-
-    @classmethod
-    def monomial(cls, n, key, coeff=1):
-        return cls(n, {tuple(key): coeff})
-
-    def is_zero(self):
-        return not self.terms
-
-    def _same_algebra(self, other):
-        if self.n != other.n:
-            raise ValueError("variable count mismatch")
-
-    def support(self):
-        return set(self.terms)
+    def d(cls, n, i, coeff=1, field=None):
+        return cls._generator(n, n + i, coeff, field)
 
     def t_shift(self, j):
         """Multiply by t^j (t is central, so this just raises every k)."""
         if j < 0:
             raise ValueError("t powers are natural")
-        return HomogOperator(self.n, {(k[0] + j,) + k[1:]: c for k, c in self.terms.items()})
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, HomogOperator)
-            and self.n == other.n
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
-
-    def __add__(self, other):
-        if not isinstance(other, HomogOperator):
-            return NotImplemented
-        self._same_algebra(other)
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            acc = out.get(key)
-            s = coeff if acc is None else acc + coeff
-            if s == 0:
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return HomogOperator(self.n, out)
-
-    def __neg__(self):
-        return HomogOperator(self.n, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, HomogOperator):
-            return NotImplemented
-        return self + (-other)
-
-    def scale(self, c):
-        if c == 0:
-            return HomogOperator.zero(self.n)
-        return HomogOperator(self.n, {k: c * v for k, v in self.terms.items()})
+        shifted = {(k[0] + j,) + k[1:]: c for k, c in self.terms.items()}
+        return HomogOperator(self.n, shifted, self.field)
 
     def __mul__(self, other):
         if not isinstance(other, HomogOperator):
             return self.scale(other)
         self._same_algebra(other)
-        n = self.n
-        out = {}
-        for key1, c1 in self.terms.items():
-            k1, alpha1, beta1 = key1[0], key1[1 : n + 1], key1[n + 1 :]
-            for key2, c2 in other.terms.items():
-                k2, gamma2, delta2 = key2[0], key2[1 : n + 1], key2[n + 1 :]
-                c = c1 * c2
-                for nu in iter_product(*(range(min(b, g) + 1) for b, g in zip(beta1, gamma2))):
-                    w = 1
-                    for b, g, v in zip(beta1, gamma2, nu):
-                        w *= comb(b, v) * comb(g, v) * factorial(v)
-                    key = (
-                        (k1 + k2 + 2 * sum(nu),)
-                        + vec_sub(vec_add(alpha1, gamma2), nu)
-                        + vec_add(vec_sub(beta1, nu), delta2)
-                    )
-                    acc = out.get(key)
-                    s = w * c if acc is None else acc + w * c
-                    if s == 0:
-                        out.pop(key, None)
-                    else:
-                        out[key] = s
-        return HomogOperator(n, out)
-
-    def __rmul__(self, other):
-        return self.scale(other)
-
-    def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("operator powers must be natural numbers")
-        if k == 0:
-            one = Fraction(1)
-            for c in self.terms.values():
-                one = c / c
-                break
-            return HomogOperator.constant(self.n, one)
-        acc = self
-        for _ in range(k - 1):
-            acc = acc * self
-        return acc
+        return HomogOperator(self.n, _graded_product(self.n, self.terms, other.terms), self.field)
 
     def __str__(self):
         return format_terms(self.terms, self.n, homog=True)
 
-    def __repr__(self):
-        return f"<HomogOperator n={self.n}: {self}>"
 
-
-class Polynomial:
+class Polynomial(_TermMap):
     """Sparse polynomial in x_1..x_n; the carrier of the operator action."""
 
-    __slots__ = ("n", "terms")
-
-    def __init__(self, n: int, terms=None):
-        if n < 1:
-            raise ValueError("need at least one variable")
-        self.n = n
-        self.terms = _clean_terms(dict(terms or {}), n, "polynomial")
+    __slots__ = ()
+    _SHAPE = (1, 0)  # key width n
 
     @classmethod
-    def zero(cls, n):
-        return cls(n, {})
-
-    @classmethod
-    def constant(cls, n, c):
-        return cls(n, {(0,) * n: c})
-
-    @classmethod
-    def x(cls, n, i, power=1, coeff=1):
-        key = tuple(power if j == i - 1 else 0 for j in range(n))
-        return cls(n, {key: coeff})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Polynomial)
-            and self.n == other.n
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
-
-    def __add__(self, other):
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        if self.n != other.n:
-            raise ValueError("variable count mismatch")
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            acc = out.get(key)
-            s = coeff if acc is None else acc + coeff
-            if s == 0:
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return Polynomial(self.n, out)
-
-    def __neg__(self):
-        return Polynomial(self.n, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self + (-other)
-
-    def scale(self, c):
-        if c == 0:
-            return Polynomial.zero(self.n)
-        return Polynomial(self.n, {k: c * v for k, v in self.terms.items()})
-
-    def __str__(self):
-        parts = []
-        for key in sorted(self.terms, key=lambda k: (sum(k), k), reverse=True):
-            factors = [f"x{i + 1}" + (f"^{e}" if e > 1 else "") for i, e in enumerate(key) if e]
-            body = "*".join(factors)
-            parts.append((str(self.terms[key]), body))
-        return _join_parts(parts)
-
-    def __repr__(self):
-        return f"<Polynomial n={self.n}: {self}>"
+    def x(cls, n, i, power=1, coeff=1, field=None):
+        return cls._generator(n, i - 1, coeff, field, power)
 
 
-def _join_parts(parts):
-    """Join (coefficient-string, monomial-body) pairs into an expression."""
-    if not parts:
-        return "0"
+def format_terms(terms, n, homog, sort_key=None):
+    """Render a term map in expression syntax, largest term first.
+
+    ``sort_key`` maps an exponent key to a sortable value; the default is
+    degree-then-lex, which is deterministic but ignores any weight order.
+    A polynomial key prints as a plain key with an empty D part.
+    """
+    if sort_key is None:
+        sort_key = lambda key: (sum(key), key)
     chunks = []
-    for coeff, body in parts:
+    for key in sorted(terms, key=sort_key, reverse=True):
+        if homog:
+            k, alpha, beta = key[0], key[1 : n + 1], key[n + 1 :]
+        else:
+            k, alpha, beta = 0, key[:n], key[n:]
+        powers = [("t", k)]
+        powers += [(f"x{i + 1}", e) for i, e in enumerate(alpha)]
+        powers += [(f"D{i + 1}", e) for i, e in enumerate(beta)]
+        body = "*".join(name + (f"^{e}" if e > 1 else "") for name, e in powers if e)
+        coeff = str(terms[key])
         neg = coeff.startswith("-")
         mag = coeff[1:] if neg else coeff
         if body and mag == "1":
@@ -456,35 +333,8 @@ def _join_parts(parts):
             text = f"{mag}*{body}"
         else:
             text = mag
-        if not chunks:
-            chunks.append(("-" if neg else "") + text)
-        else:
+        if chunks:
             chunks.append(("- " if neg else "+ ") + text)
-    return " ".join(chunks)
-
-
-def format_terms(terms, n, homog, sort_key=None):
-    """Render a term map in expression syntax, largest term first.
-
-    ``sort_key`` maps an exponent key to a sortable value; the default is
-    degree-then-lex, which is deterministic but ignores any weight order.
-    """
-    if sort_key is None:
-        sort_key = lambda key: (sum(key), key)
-    parts = []
-    for key in sorted(terms, key=sort_key, reverse=True):
-        if homog:
-            k, alpha, beta = key[0], key[1 : n + 1], key[n + 1 :]
         else:
-            k, alpha, beta = 0, key[:n], key[n:]
-        factors = []
-        if k:
-            factors.append("t" + (f"^{k}" if k > 1 else ""))
-        for i, e in enumerate(alpha):
-            if e:
-                factors.append(f"x{i + 1}" + (f"^{e}" if e > 1 else ""))
-        for i, e in enumerate(beta):
-            if e:
-                factors.append(f"D{i + 1}" + (f"^{e}" if e > 1 else ""))
-        parts.append((str(terms[key]), "*".join(factors)))
-    return _join_parts(parts)
+            chunks.append(("-" if neg else "") + text)
+    return " ".join(chunks) if chunks else "0"

@@ -22,6 +22,13 @@ def vform_cfg(tmp_path):
     return str(path)
 
 
+@pytest.fixture(params=[7, 5])
+def fp_cfg(tmp_path, request):
+    path = tmp_path / "fp.cfg"
+    path.write_text(f'n = 1\nfield = "fp({request.param})"\n')
+    return str(path)
+
+
 def _run(capsys, *argv):
     status = main(list(argv))
     captured = capsys.readouterr()
@@ -172,6 +179,23 @@ def test_invariant_violation_exit_code(capsys, order_cfg, monkeypatch):
     assert "forced" in err
 
 
+def test_unexpected_error_exit_code(capsys, order_cfg, monkeypatch):
+    import weylstd.cli as cli
+
+    def boom(*args, **kwargs):
+        raise TypeError("forced for the test")
+
+    monkeypatch.setattr(cli, "compute_standard_basis", boom)
+    status, out, err = _run(capsys, "--config", order_cfg, "std-basis", "x1")
+    assert status == 4
+    assert out == ""
+    assert err.count("\n") == 1 and "TypeError: forced" in err
+    status, out, err = _run(capsys, "--config", order_cfg, "--output", "json", "std-basis", "x1")
+    assert status == 4
+    assert err == ""
+    assert json.loads(out)["error"]["code"] == "internal-error"
+
+
 def test_usage_error(capsys, order_cfg):
     status, _, err = _run(capsys, "--config", order_cfg, "divide", "x1")
     assert status == 2
@@ -184,6 +208,18 @@ def test_verify_ok(capsys, order_cfg):
     status, out, _ = _run(capsys, "--config", order_cfg, "verify")
     assert status == 0
     assert "verify: ok" in out
+
+
+def test_verify_over_prime_field(capsys, fp_cfg):
+    status, out, _ = _run(capsys, "--config", fp_cfg, "verify")
+    assert status == 0
+    assert "verify: ok" in out
+
+
+def test_mul_zero_power_over_prime_field(capsys, fp_cfg):
+    status, out, _ = _run(capsys, "--config", fp_cfg, "mul", "(0*x1)^0", "x1")
+    assert status == 0
+    assert out.strip() == "x1"
 
 
 def test_verify_json(capsys, order_cfg):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from weylstd import (
+    FpElement,
     LinearForm,
     OrderContext,
     ParseError,
@@ -82,6 +83,14 @@ def test_prime_field_coefficients():
     assert format_operator(op) == "3*x1 + 2"
     with pytest.raises(ParseError):
         parse_operator("1/5", 1, field)
+
+
+def test_zero_power_keeps_the_field():
+    field = PrimeField(7)
+    op = parse_operator("(0*x1)^0", 1, field)
+    assert op.field == field
+    assert op.terms == {(0, 0): field.one()}
+    assert all(isinstance(c, FpElement) for c in op.terms.values())
 
 
 def test_print_parse_round_trip_randomized():

@@ -9,8 +9,6 @@ from weylstd import (
     OrderContext,
     TieBreak,
     WeylOperator,
-    compare_graded,
-    compare_weighted,
     is_graded_commutative,
     leading_term,
     principal_symbol,
@@ -84,12 +82,10 @@ def test_keys_are_injective_and_translation_invariant():
         v = tuple(rng.randint(0, 4) for _ in range(2 * n))
         w = tuple(rng.randint(0, 4) for _ in range(2 * n))
         assert (ctx.weighted_key(u) == ctx.weighted_key(v)) == (u == v)
-        shifted = compare_weighted(
-            ctx,
-            tuple(a + s for a, s in zip(u, w)),
-            tuple(a + s for a, s in zip(v, w)),
-        )
-        assert compare_weighted(ctx, u, v) == shifted
+        shifted_u = ctx.weighted_key(tuple(a + s for a, s in zip(u, w)))
+        shifted_v = ctx.weighted_key(tuple(a + s for a, s in zip(v, w)))
+        assert (ctx.weighted_key(u) < ctx.weighted_key(v)) == (shifted_u < shifted_v)
+        assert (ctx.weighted_key(u) == ctx.weighted_key(v)) == (shifted_u == shifted_v)
 
 
 def test_graded_key_is_a_well_order_on_bounded_degree():
@@ -170,9 +166,9 @@ def test_graded_commutativity_predicate():
 
 def test_compare_graded_consistency():
     ctx = OrderContext(LinearForm.order(1))
-    assert compare_graded(ctx, (0, 0, 0), (1, 0, 0)) == -1
-    assert compare_graded(ctx, (1, 0, 0), (1, 0, 0)) == 0
-    assert compare_graded(ctx, (0, 0, 1), (2, 0, 0)) == -1  # degree decides first
+    assert ctx.graded_key((0, 0, 0)) < ctx.graded_key((1, 0, 0))
+    assert ctx.graded_key((1, 0, 0)) < ctx.graded_key((0, 1, 0))  # then weight and tiebreak
+    assert ctx.graded_key((0, 0, 1)) < ctx.graded_key((2, 0, 0))  # degree decides first
 
 
 def test_context_validates_tiebreak_width():

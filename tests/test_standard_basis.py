@@ -11,12 +11,15 @@ from weylstd import (
     LinearForm,
     OrderContext,
     PrimeField,
+    QQ,
     WeylOperator,
     buchberger,
     compute_standard_basis,
     homogenize,
     leading_term,
     minimal_staircase,
+    oracle_pipeline_agree,
+    parse_operator,
     reduces_to_zero,
     semisyzygy,
 )
@@ -160,6 +163,22 @@ def test_prime_field_run():
     assert set(report.staircase) == {(2, 0), (1, 1)}
     for g in report.delta_basis:
         assert all(isinstance(c, FpElement) for c in g.terms.values())
+
+
+# GKZ system H_A(beta) for A = [[1,1,1],[0,1,2]], beta = (3/5, 7/11)
+GKZ3 = ("D1*D3 - D2^2", "x1*D1 + x2*D2 + x3*D3 - 3/5", "x2*D2 + 2*x3*D3 - 7/11")
+
+
+@pytest.mark.parametrize("p", [32003, 7])
+def test_gkz_system_over_prime_field(p):
+    field = PrimeField(p)
+    ctx = _ctx(3)
+    ops = [parse_operator(text, 3, field) for text in GKZ3]
+    report = compute_standard_basis(ctx, ops)
+    rational = compute_standard_basis(ctx, [parse_operator(text, 3, QQ) for text in GKZ3])
+    assert report.staircase == rational.staircase
+    assert all(g.field == field for g in report.homog_basis + report.delta_basis)
+    assert oracle_pipeline_agree(ctx, ops, report, degree_bound=6).ok
 
 
 def test_dehomogenized_basis_keeps_leads():

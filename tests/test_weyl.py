@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from weylstd import HomogOperator, Polynomial, WeylOperator
+from weylstd import QQ, FpElement, HomogOperator, Polynomial, PrimeField, WeylOperator
 from weylstd.oracle import random_polynomial, random_weyl
 
 
@@ -155,6 +155,35 @@ def test_mixed_variable_count_rejected():
         WeylOperator.x(1, 1) + WeylOperator.x(2, 1)
     with pytest.raises(ValueError):
         WeylOperator.x(2, 1).apply(Polynomial.x(1, 1))
+
+
+def test_operators_carry_their_field():
+    f7 = PrimeField(7)
+    # taken from the coefficients, with int coefficients coerced into it
+    op = WeylOperator(1, {(1, 0): FpElement(3, 7), (0, 0): 9})
+    assert op.field == f7
+    assert op.terms[(0, 0)] == FpElement(2, 7)
+    assert WeylOperator(1, {(1, 0): 2}).field == QQ
+    # inherited by derived values, including empty ones and unit powers
+    zero = op - op
+    assert zero.is_zero() and zero.field == f7
+    assert zero**0 == WeylOperator.constant(1, 1, f7)
+    assert (op * op).field == f7
+    assert HomogOperator.t(1, field=f7).t_shift(1).field == f7
+    assert op.apply(Polynomial.x(1, 1, field=f7)).field == f7
+
+
+def test_mixed_fields_rejected():
+    f7 = PrimeField(7)
+    with pytest.raises(ValueError, match="field"):
+        WeylOperator.x(1, 1) + WeylOperator.d(1, 1, field=f7)
+    with pytest.raises(ValueError, match="field"):
+        WeylOperator.x(1, 1) * WeylOperator.x(1, 1, field=f7)
+    with pytest.raises(ValueError, match="field"):
+        HomogOperator.zero(1) - HomogOperator.t(1, field=f7)
+    with pytest.raises(ValueError, match="field"):
+        WeylOperator.d(1, 1, field=f7).apply(Polynomial.x(1, 1))
+    assert WeylOperator.zero(1) != WeylOperator.zero(1, f7)
 
 
 def test_repr_is_deterministic():
