@@ -23,7 +23,7 @@ def homogenize(op: WeylOperator) -> HomogOperator:
 def dehomogenize(h: HomogOperator) -> WeylOperator:
     """Set t = 1.  Terms that differed only in their t power merge, so the
     result can have fewer terms, and is zero only if they all cancel."""
-    return WeylOperator(h.n, t_to_one(h.terms), h.field)
+    return WeylOperator._trusted(h.n, t_to_one(h.terms), h.field)
 
 
 def graded_degree(h: HomogOperator) -> int:

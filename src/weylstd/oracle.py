@@ -293,8 +293,22 @@ def _fuzz_products(rng, rep, table, n, sizes):
         ok = not prod.is_zero() and graded_degree(prod) == d1 + d2
         _note(rep, ok, "graded degrees add", g1, g2)
 
-    for op in (a, b, ha, hb):
+    # The arithmetic builds its results without re-validating them, so the
+    # derived values are checked here as well as the random inputs.
+    derived = [a + b, a - b, -a, a.scale(Fraction(-3, 2)), a.scale(0), mul(a, b)]
+    derived += [ha + hb, ha - hb, -ha, ha.scale(Fraction(2, 3)), hmul(ha, hb), prod]
+    derived += [ha.t_shift(2), dehomogenize(ha)]
+    for op in [a, b, ha, hb] + derived:
         _note(rep, all(coeff != 0 for coeff in op.terms.values()), "no stored zeros", op)
+        _note(rep, _keys_well_formed(op), "keys are naturals of the right width", op)
+
+
+def _keys_well_formed(op):
+    width = op._width(op.n)
+    return all(
+        type(key) is tuple and len(key) == width and all(type(e) is int and e >= 0 for e in key)
+        for key in op.terms
+    )
 
 
 def _fuzz_homogenization(rng, rep, table, n, sizes):

@@ -154,14 +154,23 @@ LeadingTerm = namedtuple("LeadingTerm", ["exponent", "coefficient"])
 
 def leading_term(ctx, op):
     """Largest term of ``op``: weighted order for plain operators, graded
-    order for graded ones.  Raises on zero, which has no leading exponent."""
+    order for graded ones.  Raises on zero, which has no leading exponent.
+
+    Operators are immutable, so the answer is kept on ``op`` together with
+    the context it was found for, and reused while the same context (by
+    identity) asks again."""
+    memo = op._lead
+    if memo is not None and memo[0] is ctx:
+        return memo[1]
     if op.is_zero():
         raise ValueError("the zero operator has no leading term")
     if isinstance(op, HomogOperator):
         m = max(op.terms, key=ctx.graded_key)
     else:
         m = max(op.terms, key=ctx.weighted_key)
-    return LeadingTerm(m, op.terms[m])
+    lead = LeadingTerm(m, op.terms[m])
+    op._lead = (ctx, lead)
+    return lead
 
 
 def principal_symbol(ctx, op: WeylOperator) -> WeylOperator:

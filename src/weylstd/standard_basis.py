@@ -34,17 +34,25 @@ from .weyl import HomogOperator, vec_leq, vec_max, vec_sub
 DEFAULT_DEGREE_CAP = 64
 
 
-def semisyzygy(ctx, h1: HomogOperator, h2: HomogOperator) -> HomogOperator:
-    """The cancelling combination of two elements at their lcm exponent:
-    cross-scale each by the other's leading coefficient, shift each by a
-    monomial to land on the componentwise max of the leading exponents,
-    and subtract.  The result is zero or has strictly smaller lead."""
+def _pair_factors(ctx, h1: HomogOperator, h2: HomogOperator):
+    """The lcm of the two leading exponents and the monomials that lift
+    each element onto it, each carrying the other's leading coefficient:
+    ``(lcm, f1, f2)`` with f1*h1 and f2*h2 sharing their leading term."""
     lt1 = leading_term(ctx, h1)
     lt2 = leading_term(ctx, h2)
     lcm = vec_max(lt1.exponent, lt2.exponent)
-    left = HomogOperator.monomial(h1.n, vec_sub(lcm, lt1.exponent), lt2.coefficient, h1.field) * h1
-    right = HomogOperator.monomial(h2.n, vec_sub(lcm, lt2.exponent), lt1.coefficient, h2.field) * h2
-    s = left - right
+    f1 = HomogOperator.monomial(h1.n, vec_sub(lcm, lt1.exponent), lt2.coefficient, h1.field)
+    f2 = HomogOperator.monomial(h2.n, vec_sub(lcm, lt2.exponent), lt1.coefficient, h2.field)
+    return lcm, f1, f2
+
+
+def semisyzygy(ctx, h1: HomogOperator, h2: HomogOperator, factors=None) -> HomogOperator:
+    """The cancelling combination f1*h1 - f2*h2 of two elements at their
+    lcm exponent, from ``_pair_factors`` (pass its result as ``factors``
+    when the caller already has it).  The result is zero or has strictly
+    smaller lead."""
+    lcm, f1, f2 = factors or _pair_factors(ctx, h1, h2)
+    s = f1 * h1 - f2 * h2
     if not s.is_zero() and ctx.graded_key(leading_term(ctx, s).exponent) >= ctx.graded_key(lcm):
         raise InvariantViolation("semisyzygy failed to cancel the leading terms")
     return s
@@ -105,14 +113,10 @@ def buchberger(ctx, gens, degree_cap=DEFAULT_DEGREE_CAP) -> CompletionResult:
         max_degree = max(max_degree, degree)
         processed += 1
 
-        s = semisyzygy(ctx, basis[i], basis[j])
-        lt_i = leading_term(ctx, basis[i])
-        lt_j = leading_term(ctx, basis[j])
-        lcm = vec_max(lt_i.exponent, lt_j.exponent)
-        s_row = _combine_rows(
-            (HomogOperator.monomial(n, vec_sub(lcm, lt_i.exponent), lt_j.coefficient, field), rows[i]),
-            (HomogOperator.monomial(n, vec_sub(lcm, lt_j.exponent), -lt_i.coefficient, field), rows[j]),
-        )
+        factors = _pair_factors(ctx, basis[i], basis[j])
+        s = semisyzygy(ctx, basis[i], basis[j], factors)
+        _, f_i, f_j = factors
+        s_row = _combine_rows((f_i, rows[i]), (-f_j, rows[j]))
         if s.is_zero():
             zeros += 1
             continue

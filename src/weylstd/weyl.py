@@ -13,9 +13,10 @@ oracle for the noncommutative product.
 All three share one sparse term-map core, ``_TermMap``, keyed by flat
 exponent tuples: ``(a, b)`` plain, ``(k, a, b)`` graded, ``(a,)`` for
 polynomials.  Term maps never hold zero coefficients, and values are
-immutable.  Each value carries its scalar field in ``field``, taken
-from the coefficients when not given (F_p for an ``FpElement``, QQ
-otherwise).  Integer coefficients are coerced into it, derived values
+immutable.  The public constructor checks every key; values the
+arithmetic builds itself skip that check (``_TermMap._trusted``).
+Each value carries its scalar field in ``field``, taken from the
+coefficients when not given (F_p for an ``FpElement``, QQ otherwise).  Integer coefficients are coerced into it, derived values
 inherit it, and mixing fields raises ``ValueError``, as mixing n does.
 """
 
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 from itertools import product as iter_product
 from math import comb, factorial, perm
+from operator import add, le, sub
 
 from .scalars import field_of
 
@@ -30,49 +32,62 @@ NEG_INF = float("-inf")
 
 
 def vec_add(u, v):
-    return tuple(a + b for a, b in zip(u, v))
+    return tuple(map(add, u, v))
 
 
 def vec_sub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
+    return tuple(map(sub, u, v))
 
 
 def vec_leq(u, v):
     """Componentwise <= (the divisibility order on exponents)."""
-    return all(a <= b for a, b in zip(u, v))
+    return all(map(le, u, v))
 
 
 def vec_max(u, v):
     """Componentwise max: the lcm exponent of two monomials."""
-    return tuple(max(a, b) for a, b in zip(u, v))
+    return tuple(map(max, u, v))
 
 
 def _graded_product(n, terms1, terms2):
     """Leibniz product of two graded term maps: the normal-ordered term
     map of their product, where each contraction of D_i against x_i
     costs a factor t^2."""
+    right = [(key[0], key[1 : n + 1], key[n + 1 :], c) for key, c in terms2.items()]
     out = {}
     for key1, c1 in terms1.items():
         k1, alpha1, beta1 = key1[0], key1[1 : n + 1], key1[n + 1 :]
-        for key2, c2 in terms2.items():
-            k2, gamma2, delta2 = key2[0], key2[1 : n + 1], key2[n + 1 :]
+        for k2, gamma2, delta2, c2 in right:
             c = c1 * c2
-            for nu in iter_product(*(range(min(b, g) + 1) for b, g in zip(beta1, gamma2))):
-                w = 1
-                for b, g, v in zip(beta1, gamma2, nu):
-                    w *= comb(b, v) * comb(g, v) * factorial(v)
-                key = (
-                    (k1 + k2 + 2 * sum(nu),)
-                    + vec_sub(vec_add(alpha1, gamma2), nu)
-                    + vec_add(vec_sub(beta1, nu), delta2)
-                )
+            if any(map(min, beta1, gamma2)):
+                terms = _contractions(k1 + k2, alpha1, beta1, gamma2, delta2)
+            else:  # no D_i of the left term meets an x_i of the right one
+                terms = (((k1 + k2,) + vec_add(alpha1, gamma2) + vec_add(beta1, delta2), 1),)
+            for key, w in terms:
+                wc = c if w == 1 else w * c
                 acc = out.get(key)
-                s = w * c if acc is None else acc + w * c
+                s = wc if acc is None else acc + wc
                 if s == 0:
                     out.pop(key, None)
                 else:
                     out[key] = s
     return out
+
+
+def _contractions(k, alpha1, beta1, gamma2, delta2):
+    """The (key, weight) terms of t^k x^alpha1 D^beta1 * x^gamma2 D^delta2:
+    one per choice nu of how many D_i meet an x_i, weighted by the number
+    of ways to pair them."""
+    for nu in iter_product(*(range(min(b, g) + 1) for b, g in zip(beta1, gamma2))):
+        w = 1
+        for b, g, v in zip(beta1, gamma2, nu):
+            w *= comb(b, v) * comb(g, v) * factorial(v)
+        key = (
+            (k + 2 * sum(nu),)
+            + vec_sub(vec_add(alpha1, gamma2), nu)
+            + vec_add(vec_sub(beta1, nu), delta2)
+        )
+        yield key, w
 
 
 def t_to_one(terms):
@@ -91,9 +106,13 @@ def t_to_one(terms):
 
 class _TermMap:
     """Sparse map from exponent keys of a fixed width to nonzero scalars
-    of one field; the arithmetic shared by every value class here."""
+    of one field; the arithmetic shared by every value class here.
 
-    __slots__ = ("n", "terms", "field")
+    ``_lead`` caches the leading term for the last order context that
+    asked for it; ``orders.leading_term`` owns it.
+    """
+
+    __slots__ = ("n", "terms", "field", "_lead")
 
     def __init__(self, n: int, terms=None, field=None):
         if n < 1:
@@ -117,6 +136,21 @@ class _TermMap:
         self.n = n
         self.terms = out
         self.field = field
+        self._lead = None
+
+    @classmethod
+    def _trusted(cls, n, terms, field):
+        """Wrap a term map the arithmetic built itself, without the checks
+        of ``__init__``: every key must already be a tuple of ``_width(n)``
+        naturals and every coefficient a nonzero element of ``field``.
+        The randomized suite (``oracle.algebra_fuzz``) checks that the
+        arithmetic keeps to this."""
+        self = object.__new__(cls)
+        self.n = n
+        self.terms = terms
+        self.field = field
+        self._lead = None
+        return self
 
     @classmethod
     def _width(cls, n):
@@ -172,18 +206,20 @@ class _TermMap:
                 out.pop(key, None)
             else:
                 out[key] = s
-        return type(self)(self.n, out, self.field)
+        return type(self)._trusted(self.n, out, self.field)
 
     def __neg__(self):
-        return type(self)(self.n, {k: -c for k, c in self.terms.items()}, self.field)
+        return type(self)._trusted(self.n, {k: -c for k, c in self.terms.items()}, self.field)
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, c):
+        if isinstance(c, int):
+            c = self.field.from_int(c)
         if c == 0:
             return type(self).zero(self.n, self.field)
-        return type(self)(self.n, {k: c * v for k, v in self.terms.items()}, self.field)
+        return type(self)._trusted(self.n, {k: c * v for k, v in self.terms.items()}, self.field)
 
     def __rmul__(self, other):
         # only scalars reach here; scalar multiplication is central
@@ -234,7 +270,7 @@ class WeylOperator(_TermMap):
         self._same_algebra(other)
         lifted = [{(0,) + key: c for key, c in op.terms.items()} for op in (self, other)]
         graded = _graded_product(self.n, *lifted)
-        return WeylOperator(self.n, t_to_one(graded), self.field)
+        return WeylOperator._trusted(self.n, t_to_one(graded), self.field)
 
     def apply(self, f: "Polynomial") -> "Polynomial":
         """Act on a polynomial: D_i differentiates, x_i multiplies."""
@@ -282,13 +318,14 @@ class HomogOperator(_TermMap):
         if j < 0:
             raise ValueError("t powers are natural")
         shifted = {(k[0] + j,) + k[1:]: c for k, c in self.terms.items()}
-        return HomogOperator(self.n, shifted, self.field)
+        return HomogOperator._trusted(self.n, shifted, self.field)
 
     def __mul__(self, other):
         if not isinstance(other, HomogOperator):
             return self.scale(other)
         self._same_algebra(other)
-        return HomogOperator(self.n, _graded_product(self.n, self.terms, other.terms), self.field)
+        product = _graded_product(self.n, self.terms, other.terms)
+        return HomogOperator._trusted(self.n, product, self.field)
 
     def __str__(self):
         return format_terms(self.terms, self.n, homog=True)

@@ -125,3 +125,32 @@ def test_invariant_violation_is_loud(monkeypatch):
     divide(ctx, homogenize(WeylOperator.x(1, 1)), [homogenize(WeylOperator.d(1, 1))])
     assert called.get("yes")
     assert issubclass(InvariantViolation, Exception)
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        # the quotient records a coefficient the subtraction did not use
+        ("quotient", "reconstruction"),
+        # the subtracted multiple does not cancel the term being eliminated
+        ("piece", "did not cancel"),
+    ],
+)
+def test_injected_elimination_fault_is_caught(monkeypatch, fault, message):
+    import weylstd.division as division
+
+    original = division._eliminate
+
+    def faulty(quotient, m, c, lead, divisor, field):
+        piece = original(quotient, m, c, lead, divisor, field)
+        if fault == "quotient":
+            offset = next(iter(quotient))
+            quotient[offset] = quotient[offset] + 1
+            return piece
+        return piece.scale(2)
+
+    monkeypatch.setattr(division, "_eliminate", faulty)
+    ctx = _ctx()
+    xh, Dh = homogenize(WeylOperator.x(1, 1)), homogenize(WeylOperator.d(1, 1))
+    with pytest.raises(InvariantViolation, match=message):
+        divide(ctx, Dh * xh, [Dh])

@@ -1,6 +1,7 @@
 """Brute-force witness and randomized self-checks."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -125,6 +126,33 @@ def test_fuzz_catches_broken_action():
         ops={"apply": lambda op, f: op.apply(f).scale(2)},
     )
     assert not bad.ok
+
+
+@pytest.mark.parametrize(
+    "corrupt, label",
+    [
+        (lambda m, c: (m, c - c), "no stored zeros"),
+        (lambda m, c: ((m[0] + m[1] + 1, -1) + m[2:], c), "keys are naturals of the right width"),
+        (lambda m, c: (m + (0,), c), "keys are naturals of the right width"),
+    ],
+    ids=["stored-zero", "negative-exponent", "wrong-width"],
+)
+def test_fuzz_catches_malformed_products(corrupt, label):
+    # products are built without re-validation, so the fuzz must notice a
+    # malformed one; each corruption keeps the graded degree of the term
+    from weylstd import HomogOperator
+
+    def bad_mul(a, b):
+        good = a * b
+        terms = dict(good.terms)
+        if terms:
+            m = next(iter(terms))
+            key, coeff = corrupt(m, terms.pop(m))
+            terms[key] = coeff
+        return HomogOperator._trusted(a.n, terms, good.field)
+
+    bad = algebra_fuzz(seed=3, sizes=FuzzSizes(trials=5), ops={"homog_mul": bad_mul})
+    assert label in {f[0] for f in bad.failures}
 
 
 def test_fuzz_is_reproducible():

@@ -5,12 +5,17 @@ import random
 import pytest
 
 from weylstd import (
+    QQ,
+    HomogOperator,
     LinearForm,
     OrderContext,
+    PrimeField,
     TieBreak,
     WeylOperator,
+    homogenize,
     is_graded_commutative,
     leading_term,
+    parse_operator,
     principal_symbol,
 )
 from weylstd.oracle import random_linear_form, random_tiebreak, random_weyl
@@ -127,6 +132,37 @@ def test_leading_term_dispatch():
         leading_term(ctx, WeylOperator.zero(1))
     with pytest.raises(ValueError):
         leading_term(ctx, HomogOperator.zero(1))
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["QQ", "F7"])
+@pytest.mark.parametrize(
+    "text, ctx_a, ctx_b",
+    [
+        # x1^3*D1^2 leads under the order form, D1 under the hyperplane form
+        ("x1^3*D1^2 + D1", OrderContext(LinearForm.order(1)), OrderContext(LinearForm.v_form(1))),
+        # zero weights: lex puts D1 above x1^5, degrevlex the other way round
+        (
+            "x1^5 + D1",
+            OrderContext(LinearForm((0,), (0,)), TieBreak("lex", (0, 1))),
+            OrderContext(LinearForm((0,), (0,)), TieBreak("degrevlex", (0, 1))),
+        ),
+    ],
+    ids=["order-v_form", "lex-degrevlex"],
+)
+def test_leading_term_memo_is_per_context(field, text, ctx_a, ctx_b):
+    op = parse_operator(text, 1, field)
+    hop = homogenize(op)
+
+    def fresh(ctx, target):
+        key = ctx.graded_key if isinstance(target, HomogOperator) else ctx.weighted_key
+        m = max(target.terms, key=key)
+        return (m, target.terms[m])
+
+    for target in (op, hop):
+        assert fresh(ctx_a, target) != fresh(ctx_b, target)
+    for ctx in (ctx_a, ctx_b, ctx_a, ctx_a, ctx_b, ctx_b, ctx_a):
+        for target in (op, hop):
+            assert tuple(leading_term(ctx, target)) == fresh(ctx, target)
 
 
 def test_principal_symbol_examples():

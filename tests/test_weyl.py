@@ -171,6 +171,9 @@ def test_operators_carry_their_field():
     assert (op * op).field == f7
     assert HomogOperator.t(1, field=f7).t_shift(1).field == f7
     assert op.apply(Polynomial.x(1, 1, field=f7)).field == f7
+    # an int scalar is read in the field, so a multiple of p scales to zero
+    assert op.scale(14).is_zero() and (7 * op).is_zero() and (7 * op).field == f7
+    assert op.scale(8) == op
 
 
 def test_mixed_fields_rejected():
