@@ -12,10 +12,9 @@ Every call re-checks its own output (reconstruction plus the support
 conditions), which turns any bug here into a loud ``InvariantViolation``
 instead of a silently wrong basis downstream.  The check is not cheap.
 On the GKZ system with A = [[1,1,1,1],[0,1,3,4]] under the order form
-(the benchmark's ``gkz-complete`` op, two traced runs on a 2-vCPU VM)
-it took 1.1-1.2 s, its own products included, against 0.7-0.8 s spent
-in the division loops themselves: about a third of the 3.2-3.4 s
-completion.
+(the benchmark's ``gkz-complete`` op, three traced runs on a 2-vCPU VM)
+it took 36-37% of the traced time, its own products included, against
+20% spent in the division loops themselves.
 """
 
 from __future__ import annotations

@@ -46,12 +46,15 @@ def _pair_factors(ctx, h1: HomogOperator, h2: HomogOperator):
     return lcm, f1, f2
 
 
-def semisyzygy(ctx, h1: HomogOperator, h2: HomogOperator, factors=None) -> HomogOperator:
+def semisyzygy(ctx, h1: HomogOperator, h2: HomogOperator) -> HomogOperator:
     """The cancelling combination f1*h1 - f2*h2 of two elements at their
-    lcm exponent, from ``_pair_factors`` (pass its result as ``factors``
-    when the caller already has it).  The result is zero or has strictly
-    smaller lead."""
-    lcm, f1, f2 = factors or _pair_factors(ctx, h1, h2)
+    lcm exponent; zero or with strictly smaller lead."""
+    return _cancel_leads(ctx, h1, h2, *_pair_factors(ctx, h1, h2))
+
+
+def _cancel_leads(ctx, h1, h2, lcm, f1, f2):
+    """f1*h1 - f2*h2 for the ``_pair_factors`` of (h1, h2), checked to
+    fall below the lcm."""
     s = f1 * h1 - f2 * h2
     if not s.is_zero() and ctx.graded_key(leading_term(ctx, s).exponent) >= ctx.graded_key(lcm):
         raise InvariantViolation("semisyzygy failed to cancel the leading terms")
@@ -113,9 +116,8 @@ def buchberger(ctx, gens, degree_cap=DEFAULT_DEGREE_CAP) -> CompletionResult:
         max_degree = max(max_degree, degree)
         processed += 1
 
-        factors = _pair_factors(ctx, basis[i], basis[j])
-        s = semisyzygy(ctx, basis[i], basis[j], factors)
-        _, f_i, f_j = factors
+        lcm, f_i, f_j = _pair_factors(ctx, basis[i], basis[j])
+        s = _cancel_leads(ctx, basis[i], basis[j], lcm, f_i, f_j)
         s_row = _combine_rows((f_i, rows[i]), (-f_j, rows[j]))
         if s.is_zero():
             zeros += 1

@@ -16,8 +16,9 @@ polynomials.  Term maps never hold zero coefficients, and values are
 immutable.  The public constructor checks every key; values the
 arithmetic builds itself skip that check (``_TermMap._trusted``).
 Each value carries its scalar field in ``field``, taken from the
-coefficients when not given (F_p for an ``FpElement``, QQ otherwise).  Integer coefficients are coerced into it, derived values
-inherit it, and mixing fields raises ``ValueError``, as mixing n does.
+coefficients when not given (F_p for an ``FpElement``, QQ otherwise).
+Integer coefficients are coerced into it, derived values inherit it,
+and mixing fields raises ``ValueError``, as mixing n does.
 """
 
 from __future__ import annotations
@@ -59,11 +60,15 @@ def _graded_product(n, terms1, terms2):
         k1, alpha1, beta1 = key1[0], key1[1 : n + 1], key1[n + 1 :]
         for k2, gamma2, delta2, c2 in right:
             c = c1 * c2
-            if any(map(min, beta1, gamma2)):
-                terms = _contractions(k1 + k2, alpha1, beta1, gamma2, delta2)
-            else:  # no D_i of the left term meets an x_i of the right one
-                terms = (((k1 + k2,) + vec_add(alpha1, gamma2) + vec_add(beta1, delta2), 1),)
-            for key, w in terms:
+            for nu in iter_product(*(range(min(b, g) + 1) for b, g in zip(beta1, gamma2))):
+                w = 1
+                for b, g, v in zip(beta1, gamma2, nu):
+                    w *= comb(b, v) * comb(g, v) * factorial(v)
+                key = (
+                    (k1 + k2 + 2 * sum(nu),)
+                    + vec_sub(vec_add(alpha1, gamma2), nu)
+                    + vec_add(vec_sub(beta1, nu), delta2)
+                )
                 wc = c if w == 1 else w * c
                 acc = out.get(key)
                 s = wc if acc is None else acc + wc
@@ -72,22 +77,6 @@ def _graded_product(n, terms1, terms2):
                 else:
                     out[key] = s
     return out
-
-
-def _contractions(k, alpha1, beta1, gamma2, delta2):
-    """The (key, weight) terms of t^k x^alpha1 D^beta1 * x^gamma2 D^delta2:
-    one per choice nu of how many D_i meet an x_i, weighted by the number
-    of ways to pair them."""
-    for nu in iter_product(*(range(min(b, g) + 1) for b, g in zip(beta1, gamma2))):
-        w = 1
-        for b, g, v in zip(beta1, gamma2, nu):
-            w *= comb(b, v) * comb(g, v) * factorial(v)
-        key = (
-            (k + 2 * sum(nu),)
-            + vec_sub(vec_add(alpha1, gamma2), nu)
-            + vec_add(vec_sub(beta1, nu), delta2)
-        )
-        yield key, w
 
 
 def t_to_one(terms):
