@@ -17,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 from .config import RunConfig, load_config
 from .division import divide
@@ -49,12 +50,12 @@ def main(argv=None) -> int:
     try:
         config_path = getattr(args, "config", None)
         cfg = load_config(config_path) if config_path else RunConfig.default()
-        if output is None:
-            output = cfg.output
-        cap = getattr(args, "degree_cap", None)
-        if cap is None:
-            cap = cfg.degree_cap
-        return _dispatch(args, cfg, output, cap)
+        output = output or cfg.output
+        # flags override the file through the dataclass, so they are
+        # validated exactly as the file's own values are
+        flags = {key: getattr(args, key) for key in ("output", "degree_cap") if hasattr(args, key)}
+        cfg = replace(cfg, **flags)
+        return _dispatch(args, cfg)
     except tuple(_ERROR_CODES) as e:
         code, status = _ERROR_CODES[type(e)]
         _emit_error(output or "text", code, str(e))
@@ -105,15 +106,15 @@ def _build_parser():
     return parser
 
 
-def _dispatch(args, cfg, output, cap):
+def _dispatch(args, cfg):
     ctx = cfg.order_context()
     fld = cfg.scalar_field()
     if args.command == "verify":
-        return _run_verify(getattr(args, "seed", 0), cfg, ctx, fld, output)
+        return _run_verify(getattr(args, "seed", 0), cfg, ctx, fld)
 
     ops = _read_operands(args.operands, cfg.n, fld)
-    doc, text = _run_command(args.command, ops, ctx, cap)
-    if output == "json":
+    doc, text = _run_command(args.command, ops, ctx, cfg.degree_cap)
+    if cfg.output == "json":
         print(json.dumps(doc, indent=2))
     else:
         print(text)
@@ -171,10 +172,10 @@ def _run_command(command, ops, ctx, cap):
         )
     if command == "staircase":
         doc = {"staircase": [list(m) for m in report.staircase]}
-        text = "\n".join(str(tuple(m)) for m in report.staircase)
+        lines = [str(tuple(m)) for m in report.staircase]
         if ctx.n == 1:
-            text += "\n" + _staircase_grid(report.staircase)
-        return doc, text
+            lines.append(_staircase_grid(report.staircase))
+        return doc, "\n".join(lines)
     return _report_doc(report, ctx), _report_text(report, ctx)
 
 
@@ -259,7 +260,7 @@ def _read_operands(tokens, n, fld):
     return ops
 
 
-def _run_verify(seed, cfg, ctx, fld, output):
+def _run_verify(seed, cfg, ctx, fld):
     fuzz = algebra_fuzz(seed, FuzzSizes(trials=60))
     corpus = _verify_corpus(cfg.n)
     agreements = []
@@ -286,7 +287,7 @@ def _run_verify(seed, cfg, ctx, fld, output):
         status = "agrees" if a.ok else "MISMATCH"
         lines.append(f"oracle on {', '.join(gens)}: {status} (window {a.window})")
     lines.append("verify: " + ("ok" if ok else "FAILED"))
-    if output == "json":
+    if cfg.output == "json":
         print(json.dumps(doc, indent=2))
     else:
         print("\n".join(lines))

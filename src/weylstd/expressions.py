@@ -15,6 +15,7 @@ parses back to the identical operator.
 from __future__ import annotations
 
 from .errors import ParseError
+from .orders import term_key
 from .scalars import QQ
 from .weyl import HomogOperator, WeylOperator, format_terms
 
@@ -170,11 +171,4 @@ def format_operator(op, ctx=None) -> str:
     back to a fixed degree-then-lex order.  Output always parses back to
     the same operator, graded elements aside (t has no input syntax).
     """
-    homog = isinstance(op, HomogOperator)
-    if ctx is None:
-        sort_key = None
-    elif homog:
-        sort_key = ctx.graded_key
-    else:
-        sort_key = ctx.weighted_key
-    return format_terms(op.terms, op.n, homog, sort_key)
+    return format_terms(op.terms, op.n, isinstance(op, HomogOperator), term_key(ctx, op))

@@ -9,21 +9,16 @@ is given, matching the text printer.
 
 from __future__ import annotations
 
+from .orders import term_key
 from .scalars import QQ
 from .weyl import HomogOperator, WeylOperator
 
 
 def operator_to_obj(op, ctx=None):
     homog = isinstance(op, HomogOperator)
-    if ctx is None:
-        sort_key = lambda m: (sum(m), m)
-    elif homog:
-        sort_key = ctx.graded_key
-    else:
-        sort_key = ctx.weighted_key
     n = op.n
     terms = []
-    for m in sorted(op.terms, key=sort_key, reverse=True):
+    for m in sorted(op.terms, key=term_key(ctx, op), reverse=True):
         entry = {}
         if homog:
             entry["k"] = m[0]

@@ -169,11 +169,12 @@ def random_homogeneous(rng, n, degree, terms=3, coeff=5, fld=QQ):
     return HomogOperator(n, out, fld)
 
 
-def random_polynomial(rng, n, terms=3, degree=3, coeff=5):
+def random_polynomial(rng, n, terms=3, degree=3, coeff=5, fld=QQ):
+    """Random polynomial with up to ``terms`` monomials; may be zero."""
     out = {}
     for _ in range(rng.randint(0, terms)):
-        out[_random_exponent(rng, n, degree)] = Fraction(rng.randint(-coeff, coeff))
-    return Polynomial(n, out)
+        out[_random_exponent(rng, n, degree)] = fld.from_int(rng.randint(-coeff, coeff))
+    return Polynomial(n, out, fld)
 
 
 def random_linear_form(rng, n, bound=2):

@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass
 
-from .weyl import NEG_INF, HomogOperator, WeylOperator
+from .weyl import NEG_INF, HomogOperator, WeylOperator, degree_lex_key
 
 TIEBREAK_KINDS = ("lex", "deglex", "degrevlex")
 
@@ -149,6 +149,16 @@ class OrderContext:
         return (sum(m),) + self.weighted_key(m[1:])
 
 
+def term_key(ctx, op):
+    """The sort key for the terms of ``op``: the graded key for graded
+    operators and the weighted key otherwise, or ``weyl.degree_lex_key``
+    when there is no context.  Leading terms, printing and JSON all order
+    terms by it."""
+    if ctx is None:
+        return degree_lex_key
+    return ctx.graded_key if isinstance(op, HomogOperator) else ctx.weighted_key
+
+
 LeadingTerm = namedtuple("LeadingTerm", ["exponent", "coefficient"])
 
 
@@ -164,10 +174,7 @@ def leading_term(ctx, op):
         return memo[1]
     if op.is_zero():
         raise ValueError("the zero operator has no leading term")
-    if isinstance(op, HomogOperator):
-        m = max(op.terms, key=ctx.graded_key)
-    else:
-        m = max(op.terms, key=ctx.weighted_key)
+    m = max(op.terms, key=term_key(ctx, op))
     lead = LeadingTerm(m, op.terms[m])
     op._lead = (ctx, lead)
     return lead

@@ -17,18 +17,21 @@ silently incomplete basis.
 Every public entry point re-verifies its own output: the final basis
 passes the full pair criterion, the inputs reduce to zero against it,
 and the recorded cofactors reproduce each basis element from the inputs.
+Each element's cofactor row is a tuple with one operator per input,
+from the moment the element enters the basis; ``_reduce`` folds the
+rows of the divisors a reduction used into the row of what it took off.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from operator import sub
 
 from .errors import DegreeCapExceeded, InvariantViolation
 from .division import divide
 from .homogenize import dehomogenize, graded_degree, homogenize, is_homogeneous, project_exponent
 from .orders import leading_term, principal_symbol
-from .scalars import QQ
 from .weyl import HomogOperator, vec_leq, vec_max, vec_sub
 
 DEFAULT_DEGREE_CAP = 64
@@ -91,14 +94,14 @@ def buchberger(ctx, gens, degree_cap=DEFAULT_DEGREE_CAP) -> CompletionResult:
         if not is_homogeneous(g):
             raise ValueError("generators must be homogeneous")
 
-    n = gens[0].n if gens else 1
-    field = gens[0].field if gens else QQ
     basis = []
     rows = []  # rows[i][j]: cofactor of gens[j] in basis[i]
     for j, g in enumerate(gens):
-        c = leading_term(ctx, g).coefficient
-        basis.append(g.scale(1 / c))
-        rows.append({j: HomogOperator.constant(n, 1 / c, field)})
+        zero, one = HomogOperator.zero(g.n, g.field), HomogOperator.constant(g.n, 1, g.field)
+        unit = tuple(one if k == j else zero for k in range(len(gens)))
+        h, unit = _monic(ctx, g, unit)
+        basis.append(h)
+        rows.append(unit)
 
     max_degree = max((graded_degree(g) for g in gens), default=0)
     pairs = []
@@ -118,29 +121,23 @@ def buchberger(ctx, gens, degree_cap=DEFAULT_DEGREE_CAP) -> CompletionResult:
 
         lcm, f_i, f_j = _pair_factors(ctx, basis[i], basis[j])
         s = _cancel_leads(ctx, basis[i], basis[j], lcm, f_i, f_j)
-        s_row = _combine_rows((f_i, rows[i]), (-f_j, rows[j]))
-        if s.is_zero():
+        reduced = None if s.is_zero() else _reduce(ctx, s, basis, rows)
+        if reduced is None:
             zeros += 1
             continue
 
-        res = divide(ctx, s, basis)
-        if res.remainder.is_zero():
-            zeros += 1
-            continue
-
-        for q, row in zip(res.quotients, rows):
-            if not q.is_zero():
-                s_row = _combine_rows((HomogOperator.constant(n, 1, field), s_row), (-q, row))
-        c = leading_term(ctx, res.remainder).coefficient
-        basis.append(res.remainder.scale(1 / c))
-        rows.append(_scale_row(s_row, 1 / c))
+        r, taken = reduced
+        row = tuple(f_i * a - f_j * b - t for a, b, t in zip(rows[i], rows[j], taken))
+        r, row = _monic(ctx, r, row)
+        basis.append(r)
+        rows.append(row)
         new = len(basis) - 1
         for k in range(new):
             counter = _push_pair(ctx, pairs, basis, k, new, counter)
 
-    basis, rows = _interreduce(ctx, basis, rows, len(gens))
+    basis, rows = _interreduce(ctx, basis, rows)
     stats = CompletionStats(processed, zeros, max_degree)
-    result = CompletionResult(tuple(basis), tuple(tuple(r) for r in rows), stats)
+    result = CompletionResult(tuple(basis), tuple(rows), stats)
     _check_completion(ctx, gens, result)
     return result
 
@@ -153,35 +150,30 @@ def _push_pair(ctx, pairs, basis, i, j, counter):
     return counter + 1
 
 
-def _combine_rows(*scaled_rows):
-    """Sum of factor * row over (factor, row) pairs, as a sparse dict."""
-    out = {}
-    for factor, row in scaled_rows:
-        for j, c in row.items():
-            term = factor * c
-            acc = out.get(j)
-            total = term if acc is None else acc + term
-            if total.is_zero():
-                out.pop(j, None)
-            else:
-                out[j] = total
-    return out
+def _reduce(ctx, h, divisors, rows):
+    """Divide ``h`` by ``divisors``, whose cofactor rows are ``rows``.
+
+    None when the remainder is zero; otherwise the remainder and the row
+    sum_i q_i * rows[i] of what the division took off ``h``."""
+    res = divide(ctx, h, divisors)
+    if res.remainder.is_zero():
+        return None
+    taken = (HomogOperator.zero(h.n, h.field),) * len(rows[0])
+    for q, row in zip(res.quotients, rows):
+        if not q.is_zero():
+            taken = tuple(t + q * c for t, c in zip(taken, row))
+    return res.remainder, taken
 
 
-def _scale_row(row, factor):
-    return {j: c.scale(factor) for j, c in row.items()}
+def _monic(ctx, h, row):
+    """``h`` and its cofactor row divided by the leading coefficient of ``h``."""
+    c = 1 / leading_term(ctx, h).coefficient
+    return h.scale(c), tuple(e.scale(c) for e in row)
 
 
-def _row_to_tuple(row, count, n, field):
-    return tuple(row.get(j, HomogOperator.zero(n, field)) for j in range(count))
-
-
-def _interreduce(ctx, basis, rows, gen_count):
+def _interreduce(ctx, basis, rows):
     """Drop elements with dominated leads, then reduce every tail once.
     With the leads minimal and fixed this yields the reduced basis."""
-    if not basis:
-        return [], []
-    n, field = basis[0].n, basis[0].field
     order = sorted(range(len(basis)), key=lambda i: ctx.graded_key(leading_term(ctx, basis[i]).exponent))
     kept = []
     for i in order:
@@ -191,23 +183,17 @@ def _interreduce(ctx, basis, rows, gen_count):
         kept.append(i)
 
     out = [basis[i] for i in kept]
-    out_rows = [dict(rows[i]) for i in kept]
+    out_rows = [rows[i] for i in kept]
     for idx in range(len(out)):
         others = out[:idx] + out[idx + 1 :]
         if not others:
             continue
-        res = divide(ctx, out[idx], others)
-        if res.remainder.is_zero():
+        reduced = _reduce(ctx, out[idx], others, out_rows[:idx] + out_rows[idx + 1 :])
+        if reduced is None:
             raise InvariantViolation("minimal basis element reduced to zero")
-        row = out_rows[idx]
-        other_rows = out_rows[:idx] + out_rows[idx + 1 :]
-        for q, qrow in zip(res.quotients, other_rows):
-            if not q.is_zero():
-                row = _combine_rows((HomogOperator.constant(n, 1, field), row), (-q, qrow))
-        c = leading_term(ctx, res.remainder).coefficient
-        out[idx] = res.remainder.scale(1 / c)
-        out_rows[idx] = _scale_row(row, 1 / c)
-    return out, [_row_to_tuple(r, gen_count, n, field) for r in out_rows]
+        r, taken = reduced
+        out[idx], out_rows[idx] = _monic(ctx, r, tuple(map(sub, out_rows[idx], taken)))
+    return out, out_rows
 
 
 def _check_completion(ctx, gens, result):

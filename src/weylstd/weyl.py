@@ -331,15 +331,19 @@ class Polynomial(_TermMap):
         return cls._generator(n, i - 1, coeff, field, power)
 
 
-def format_terms(terms, n, homog, sort_key=None):
+def degree_lex_key(key):
+    """Degree-then-lex sort key for an exponent key: deterministic, but
+    blind to any weight order.  Terms are ordered by it when no order
+    context is given (``orders.term_key``)."""
+    return (sum(key), key)
+
+
+def format_terms(terms, n, homog, sort_key=degree_lex_key):
     """Render a term map in expression syntax, largest term first.
 
-    ``sort_key`` maps an exponent key to a sortable value; the default is
-    degree-then-lex, which is deterministic but ignores any weight order.
-    A polynomial key prints as a plain key with an empty D part.
+    ``sort_key`` maps an exponent key to a sortable value.  A polynomial
+    key prints as a plain key with an empty D part.
     """
-    if sort_key is None:
-        sort_key = lambda key: (sum(key), key)
     chunks = []
     for key in sorted(terms, key=sort_key, reverse=True):
         if homog:

@@ -120,6 +120,12 @@ def test_staircase_with_grid(capsys, order_cfg):
     assert "o" in out and "#" in out  # the plain-text grid for n = 1
 
 
+def test_staircase_of_zero_ideal(capsys, order_cfg):
+    status, out, _ = _run(capsys, "--config", order_cfg, "staircase", "0")
+    assert status == 0
+    assert out == "(empty staircase: zero ideal)\n"
+
+
 def test_operands_from_file(capsys, order_cfg, tmp_path):
     gens = tmp_path / "gens.txt"
     gens.write_text("# comment line\nx1^3\n\nx1*D1 + 2  # inline\n")
@@ -165,6 +171,30 @@ def test_degree_cap_exit_code(capsys, order_cfg):
     )
     assert status == 3
     assert "degree cap" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("std-basis", "--degree-cap", "-1", "x1", "D1"),
+        ("--degree-cap", "-1", "std-basis", "x1"),
+        ("--output", "json", "--degree-cap", "-1", "verify"),
+    ],
+    ids=["after-command", "before-command", "verify"],
+)
+def test_degree_cap_flag_is_validated(capsys, tmp_path, argv):
+    # a bad flag fails as the same value in a config file does
+    bad = tmp_path / "cap.cfg"
+    bad.write_text("n = 1\ndegree_cap = -1\n")
+    expected = "degree_cap must be a natural number, got -1"
+    status, _, err = _run(capsys, "--config", str(bad), "std-basis", "x1")
+    assert status == 2 and expected in err
+    status, out, err = _run(capsys, *argv)
+    assert status == 2
+    if "json" in argv:
+        assert json.loads(out)["error"] == {"code": "config-error", "message": expected}
+    else:
+        assert expected in err
 
 
 def test_invariant_violation_exit_code(capsys, order_cfg, monkeypatch):

@@ -8,6 +8,7 @@ from weylstd import (
     DegreeCapExceeded,
     FpElement,
     HomogOperator,
+    InvariantViolation,
     LinearForm,
     OrderContext,
     PrimeField,
@@ -203,3 +204,28 @@ def test_stats_are_recorded():
     assert report.stats.s_pairs_processed >= 1
     assert report.stats.max_degree >= 2
     assert report.stats.reductions_to_zero >= 0
+
+
+def test_injected_cofactor_fault_is_caught(monkeypatch):
+    # drop one nonzero quotient's row from what a reduction took off; the
+    # final cofactor check must notice the broken certificate
+    import weylstd.standard_basis as standard_basis
+
+    original = standard_basis._reduce
+    fired = []
+
+    def dropping_reduce(ctx, h, divisors, rows):
+        quotients = standard_basis.divide(ctx, h, divisors).quotients
+        hit = next((i for i, q in enumerate(quotients) if not q.is_zero()), None)
+        if hit is not None:
+            fired.append(hit)
+            rows = list(rows)
+            rows[hit] = (HomogOperator.zero(h.n, h.field),) * len(rows[hit])
+        return original(ctx, h, divisors, rows)
+
+    monkeypatch.setattr(standard_basis, "_reduce", dropping_reduce)
+    ctx = _ctx()
+    gens = [homogenize(parse_operator(t, 1)) for t in ("x1^2*D1 - 1", "D1^2 + x1")]
+    with pytest.raises(InvariantViolation, match="cofactor bookkeeping"):
+        buchberger(ctx, gens)
+    assert fired

@@ -119,13 +119,18 @@ def test_action_matches_calculus():
     assert D.apply(Polynomial.constant(n, 5)).is_zero()
 
 
-def test_action_is_multiplicative_randomized():
+@pytest.mark.parametrize(
+    "fld", [pytest.param(QQ, id="QQ"), pytest.param(PrimeField(7), id="F_7")]
+)
+def test_action_is_multiplicative_randomized(fld):
+    # act(ab, f) = act(a, act(b, f)) holds in every characteristic
     rng = random.Random(2)
     for _ in range(50):
         n = rng.randint(1, 2)
-        a = random_weyl(rng, n)
-        b = random_weyl(rng, n)
-        f = random_polynomial(rng, n)
+        a = random_weyl(rng, n, fld=fld)
+        b = random_weyl(rng, n, fld=fld)
+        f = random_polynomial(rng, n, fld=fld)
+        assert f.field == fld
         assert (a * b).apply(f) == a.apply(b.apply(f))
 
 
