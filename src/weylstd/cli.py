@@ -172,6 +172,8 @@ def _run_command(command, ops, ctx, cap):
         )
     if command == "staircase":
         doc = {"staircase": [list(m) for m in report.staircase]}
+        if not report.staircase:
+            return doc, "(empty staircase: zero ideal)"
         lines = [str(tuple(m)) for m in report.staircase]
         if ctx.n == 1:
             lines.append(_staircase_grid(report.staircase))
@@ -219,10 +221,9 @@ def _report_text(report, ctx):
 
 
 def _staircase_grid(corners):
-    """Plain-text picture of the upper set for one variable pair: columns
-    are x powers, rows are D powers, 'o' marks a corner."""
-    if not corners:
-        return "(empty staircase: zero ideal)"
+    """Plain-text picture of the upper set of a nonempty staircase in one
+    variable pair: columns are x powers, rows are D powers, 'o' marks a
+    corner."""
     amax = max(m[0] for m in corners) + 2
     bmax = max(m[1] for m in corners) + 2
     rows = []

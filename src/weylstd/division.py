@@ -13,8 +13,8 @@ conditions), which turns any bug here into a loud ``InvariantViolation``
 instead of a silently wrong basis downstream.  The check is not cheap.
 On the GKZ system with A = [[1,1,1,1],[0,1,3,4]] under the order form
 (the benchmark's ``gkz-complete`` op, three traced runs on a 2-vCPU VM)
-it took 36-37% of the traced time, its own products included, against
-20% spent in the division loops themselves.
+it took 35% of the traced time, its own products included, against
+31-32% spent in the division loops themselves.
 """
 
 from __future__ import annotations

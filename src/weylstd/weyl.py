@@ -10,6 +10,16 @@ k = 0, multiplies there and sets t = 1.  ``Polynomial`` carries the
 standard action (D_i = d/dx_i, x_i = multiplication), an independent
 oracle for the noncommutative product.
 
+The kernel works on the flat keys directly.  A pair of terms
+t^k1 x^a1 D^b1 and t^k2 x^a2 D^b2 gives
+sum_v (prod_i C(b1_i, v_i) C(a2_i, v_i) v_i!) t^(k1+k2+2|v|)
+x^(a1+a2-v) D^(b1+b2-v), so its v = 0 term has the sum of the two keys
+as its key.  Each pair costs one coefficient product and one key sum;
+counts v_i are enumerated only at positions where the left term has a
+D_i and the right one an x_i, with weights read from a table per
+exponent pair (b, g) (``_ContractionWeights``), and each v_i > 0 moves
+the summed key by k += 2 v_i, a_i -= v_i, b_i -= v_i.
+
 All three share one sparse term-map core, ``_TermMap``, keyed by flat
 exponent tuples: ``(a, b)`` plain, ``(k, a, b)`` graded, ``(a,)`` for
 polynomials.  Term maps never hold zero coefficients, and values are
@@ -23,7 +33,6 @@ and mixing fields raises ``ValueError``, as mixing n does.
 
 from __future__ import annotations
 
-from itertools import product as iter_product
 from math import comb, factorial, perm
 from operator import add, le, sub
 
@@ -50,29 +59,58 @@ def vec_max(u, v):
     return tuple(map(max, u, v))
 
 
+class _ContractionWeights(dict):
+    """(b, g) -> ((v, C(b, v) * C(g, v) * v!) for v = 0..min(b, g)): the
+    ways v of b factors D_i can each meet a distinct one of g factors x_i.
+    Rows are built on first use; the table holds one row per exponent
+    pair met, so it stays within (largest exponent + 1)^2 rows."""
+
+    def __missing__(self, bg):
+        b, g = bg
+        row = tuple((v, comb(b, v) * comb(g, v) * factorial(v)) for v in range(min(b, g) + 1))
+        self[bg] = row
+        return row
+
+
+_WEIGHTS = _ContractionWeights()
+
+
 def _graded_product(n, terms1, terms2):
     """Leibniz product of two graded term maps: the normal-ordered term
     map of their product, where each contraction of D_i against x_i
-    costs a factor t^2."""
-    right = [(key[0], key[1 : n + 1], key[n + 1 :], c) for key, c in terms2.items()]
+    costs a factor t^2.
+
+    Without contractions the product key is the sum of the two keys.
+    Only where a D_i of the left term meets an x_i of the right one are
+    contraction counts v enumerated, each moving the summed key by
+    k += 2v, a_i -= v, b_i -= v."""
+    weights = _WEIGHTS
+    right = list(terms2.items())
     out = {}
     for key1, c1 in terms1.items():
-        k1, alpha1, beta1 = key1[0], key1[1 : n + 1], key1[n + 1 :]
-        for k2, gamma2, delta2, c2 in right:
-            c = c1 * c2
-            for nu in iter_product(*(range(min(b, g) + 1) for b, g in zip(beta1, gamma2))):
-                w = 1
-                for b, g, v in zip(beta1, gamma2, nu):
-                    w *= comb(b, v) * comb(g, v) * factorial(v)
-                key = (
-                    (k1 + k2 + 2 * sum(nu),)
-                    + vec_sub(vec_add(alpha1, gamma2), nu)
-                    + vec_add(vec_sub(beta1, nu), delta2)
-                )
-                wc = c if w == 1 else w * c
+        ds = [(i, b) for i, b in enumerate(key1[n + 1 :], 1) if b]
+        for key2, c2 in right:
+            products = [(tuple(map(add, key1, key2)), c1 * c2)]
+            for i, b in ds:
+                g = key2[i]
+                if g:
+                    grown = []
+                    for key, c in products:
+                        for v, w in weights[b, g]:
+                            if v:
+                                moved = list(key)
+                                moved[0] += 2 * v
+                                moved[i] -= v
+                                moved[n + i] -= v
+                                grown.append((tuple(moved), w * c))
+                            else:
+                                grown.append((key, c))
+                    products = grown
+            for key, c in products:
                 acc = out.get(key)
-                s = wc if acc is None else acc + wc
+                s = c if acc is None else acc + c
                 if s == 0:
+                    # a weight that vanishes mod p leaves s == 0 on a new key
                     out.pop(key, None)
                 else:
                     out[key] = s

@@ -1,6 +1,7 @@
 """Command-line driver: dispatch, output modes, exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -120,10 +121,39 @@ def test_staircase_with_grid(capsys, order_cfg):
     assert "o" in out and "#" in out  # the plain-text grid for n = 1
 
 
-def test_staircase_of_zero_ideal(capsys, order_cfg):
-    status, out, _ = _run(capsys, "--config", order_cfg, "staircase", "0")
+@pytest.mark.parametrize("n", [1, 2])
+def test_staircase_of_zero_ideal(capsys, tmp_path, n):
+    path = tmp_path / "zero.cfg"
+    path.write_text(f"n = {n}\n")
+    status, out, _ = _run(capsys, "--config", str(path), "staircase", "0")
     assert status == 0
     assert out == "(empty staircase: zero ideal)\n"
+    status, out, _ = _run(capsys, "--config", str(path), "--output", "json", "staircase", "0")
+    assert status == 0
+    assert json.loads(out) == {"staircase": []}
+
+
+# The GKZ system H_A(beta) for A = [[1,1,1],[0,1,2]], beta = (3/5, 7/11).
+GKZ3 = ("D1*D3 - D2^2", "x1*D1 + x2*D2 + x3*D3 - 3/5", "x2*D2 + 2*x3*D3 - 7/11")
+GOLDEN = Path(__file__).parent / "data" / "gkz3_std_basis.json"
+ORDER_UNIQUE_KEYS = ("homog_basis", "delta_basis", "symbols", "staircase")
+
+
+@pytest.mark.parametrize("field", ["QQ", "F_7"])
+@pytest.mark.parametrize("form", ["order", "vform"])
+def test_std_basis_golden_document(capsys, tmp_path, form, field):
+    # For a fixed order the reduced basis is unique, so these keys of the
+    # std-basis document must not move under any change to how it is
+    # computed.  The file was recorded with this same command.
+    weights = "p = [-1, -1, -1]\nq = [1, 1, 1]\n" if form == "vform" else ""
+    scalars = "rational" if field == "QQ" else "fp(7)"
+    path = tmp_path / "gkz3.cfg"
+    path.write_text(f'n = 3\n{weights}field = "{scalars}"\n')
+    status, out, _ = _run(capsys, "--config", str(path), "--output", "json", "std-basis", *GKZ3)
+    assert status == 0
+    doc = json.loads(out)
+    expected = json.loads(GOLDEN.read_text(encoding="utf-8"))[f"{form}-{field}"]
+    assert {key: doc[key] for key in ORDER_UNIQUE_KEYS} == expected
 
 
 def test_operands_from_file(capsys, order_cfg, tmp_path):

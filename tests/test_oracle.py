@@ -128,6 +128,23 @@ def test_fuzz_catches_broken_action():
     assert not bad.ok
 
 
+def test_fuzz_catches_wrong_contraction_weight(monkeypatch):
+    # the Leibniz kernel reads its contraction weights from a shared table;
+    # one wrong weight at v = 1 must not survive the identities
+    import weylstd.weyl as weyl
+
+    class OffByOne(weyl._ContractionWeights):
+        def __missing__(self, bg):
+            row = tuple((v, w + 1 if v == 1 else w) for v, w in super().__missing__(bg))
+            self[bg] = row
+            return row
+
+    monkeypatch.setattr(weyl, "_WEIGHTS", OffByOne())
+    bad = algebra_fuzz(seed=0)
+    assert not bad.ok
+    assert any("associativity" in f[0] or "homomorphism" in f[0] for f in bad.failures)
+
+
 @pytest.mark.parametrize(
     "corrupt, label",
     [

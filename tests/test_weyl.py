@@ -5,7 +5,16 @@ from fractions import Fraction
 
 import pytest
 
-from weylstd import QQ, FpElement, HomogOperator, Polynomial, PrimeField, WeylOperator
+from weylstd import (
+    QQ,
+    FpElement,
+    HomogOperator,
+    Polynomial,
+    PrimeField,
+    WeylOperator,
+    homogenize,
+    parse_operator,
+)
 from weylstd.oracle import random_polynomial, random_weyl
 
 
@@ -179,6 +188,25 @@ def test_operators_carry_their_field():
     # an int scalar is read in the field, so a multiple of p scales to zero
     assert op.scale(14).is_zero() and (7 * op).is_zero() and (7 * op).field == f7
     assert op.scale(8) == op
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_vanishing_contraction_weights_mod_p(p):
+    # C(p, v) and p! vanish mod p, so in F_p most contractions of D1^p
+    # against x1^p have weight zero: the product drops those terms
+    fld = PrimeField(p)
+    pairs = [(f"D1^{p}", f"x1^{p}"), (f"D1^{p}*D2^2", f"x1^{p}*x2^3")]
+    for left, right in pairs:
+        for lift in (lambda op: op, homogenize):
+            product = lift(parse_operator(left, 2, fld)) * lift(parse_operator(right, 2, fld))
+            rational = lift(parse_operator(left, 2)) * lift(parse_operator(right, 2))
+            reduced = {
+                key: fld.from_int(c.numerator, c.denominator)
+                for key, c in rational.terms.items()
+            }
+            assert len(reduced) > len(product.terms)
+            assert product.terms == {key: c for key, c in reduced.items() if c != 0}
+            assert all(c != 0 for c in product.terms.values())
 
 
 def test_mixed_fields_rejected():
