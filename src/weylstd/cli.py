@@ -128,6 +128,8 @@ def _run_command(command, ops, ctx, cap):
             "\n".join(format_operator(op, ctx) for op in ops),
         )
     if command == "mul":
+        if not ops:
+            raise ValueError("mul needs at least one operator")
         acc = ops[0]
         for op in ops[1:]:
             acc = acc * op
@@ -195,11 +197,7 @@ def _report_doc(report, ctx):
         "cofactors": [
             [operator_to_obj(c, ctx) for c in row] for row in report.cofactors
         ],
-        "stats": {
-            "s_pairs_processed": report.stats.s_pairs_processed,
-            "reductions_to_zero": report.stats.reductions_to_zero,
-            "max_degree": report.stats.max_degree,
-        },
+        "stats": dict(vars(report.stats)),
     }
 
 

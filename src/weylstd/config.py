@@ -13,29 +13,31 @@ flat lists of either.  Example:
     degree_cap = 64
     output = "text"
 
-``p``/``q`` are the variable weights (admissible: p_i + q_i >= 0) and
-``var_order`` lists all 2n variables from smallest to largest for the
-tiebreak order.  Every key except ``n`` has a default; the default
-weights are the order filtration (p = 0, q = 1).
+``p``/``q`` are the variable weights and ``var_order`` lists all 2n
+variables from smallest to largest for the tiebreak order.  Every key
+except ``n`` has a default; the default weights are the order filtration
+(p = 0, q = 1).  ``RunConfig`` checks only what the library objects
+cannot know about a file: ``n`` and the lengths against it, the variable
+names, the spelling of ``field``, ``degree_cap`` and ``output``.  The
+order and field rules belong to ``orders`` and ``scalars``; their
+constructors run once, and what they reject becomes a ``ConfigError``.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import ConfigError
-from .orders import LinearForm, OrderContext, TieBreak, TIEBREAK_KINDS
+from .orders import LinearForm, OrderContext, TieBreak
 from .scalars import QQ, PrimeField
-
-_KEYS = ("n", "p", "q", "tiebreak", "var_order", "field", "degree_cap", "output")
 
 
 @dataclass(frozen=True)
 class RunConfig:
     n: int
-    p: tuple
-    q: tuple
+    p: tuple = None
+    q: tuple = None
     tiebreak: str = "degrevlex"
     var_order: tuple = None
     field: str = "rational"
@@ -43,58 +45,54 @@ class RunConfig:
     output: str = "text"
 
     def __post_init__(self):
-        if self.var_order is None:
-            names = [f"x{i + 1}" for i in range(self.n)]
-            names += [f"D{i + 1}" for i in range(self.n)]
-            object.__setattr__(self, "var_order", tuple(names))
-        _validate(self)
+        n = self.n
+        if not isinstance(n, int) or n < 1:
+            raise ConfigError(f"n must be a natural number >= 1, got {n!r}")
+        names = tuple(f"{v}{i + 1}" for v in "xD" for i in range(n))
+        for key, value in (("p", (0,) * n), ("q", (1,) * n), ("var_order", names)):
+            if getattr(self, key) is None:
+                object.__setattr__(self, key, value)
+        for key in ("p", "q"):
+            vec = getattr(self, key)
+            if len(vec) != n:
+                raise ConfigError(f"{key} must be a list of {n} integers, got {vec!r}")
+        if len(self.var_order) != 2 * n:
+            raise ConfigError(f"var_order must list all {2 * n} variables")
+        perm = tuple(_flat_index(name, n) for name in self.var_order)
+        prime = re.fullmatch(r"fp\((\d+)\)", str(self.field))
+        if self.field != "rational" and not prime:
+            raise ConfigError(f"field must be \"rational\" or \"fp(prime)\", got {self.field!r}")
+        if not isinstance(self.degree_cap, int) or self.degree_cap < 0:
+            raise ConfigError(f"degree_cap must be a natural number, got {self.degree_cap!r}")
+        if self.output not in ("text", "json"):
+            raise ConfigError(f"output must be \"text\" or \"json\", got {self.output!r}")
+        try:
+            ctx = OrderContext(LinearForm(self.p, self.q), TieBreak(self.tiebreak, perm))
+        except ValueError as e:
+            raise ConfigError(str(e)) from None
+        object.__setattr__(self, "_context", ctx)
+        object.__setattr__(self, "_field", PrimeField(int(prime.group(1))) if prime else QQ)
 
     @classmethod
     def default(cls, n=1):
-        return cls(n=n, p=(0,) * n, q=(1,) * n)
+        return cls(n=n)
 
     def scalar_field(self):
-        if self.field == "rational":
-            return QQ
-        return PrimeField(int(re.fullmatch(r"fp\((\d+)\)", self.field).group(1)))
+        return self._field
 
     def order_context(self):
-        perm = tuple(_flat_index(name, self.n) for name in self.var_order)
-        return OrderContext(LinearForm(self.p, self.q), TieBreak(self.tiebreak, perm))
+        return self._context
+
+
+_KEYS = tuple(f.name for f in fields(RunConfig))
 
 
 def _flat_index(name, n):
-    head, digits = name[:1], name[1:]
+    head, digits = str(name)[:1], str(name)[1:]
     if head in ("x", "D", "d") and digits.isdigit() and 1 <= int(digits) <= n:
         i = int(digits) - 1
         return i if head == "x" else n + i
     raise ConfigError(f"var_order entry {name!r} is not a variable for n = {n}")
-
-
-def _validate(cfg):
-    if not isinstance(cfg.n, int) or cfg.n < 1:
-        raise ConfigError(f"n must be a natural number >= 1, got {cfg.n!r}")
-    for key in ("p", "q"):
-        vec = getattr(cfg, key)
-        if len(vec) != cfg.n or not all(isinstance(e, int) for e in vec):
-            raise ConfigError(f"{key} must be a list of {cfg.n} integers, got {vec!r}")
-    for i, (pi, qi) in enumerate(zip(cfg.p, cfg.q)):
-        if pi + qi < 0:
-            raise ConfigError(f"weights not admissible: p[{i}] + q[{i}] = {pi + qi} < 0")
-    if cfg.tiebreak not in TIEBREAK_KINDS:
-        raise ConfigError(f"tiebreak must be one of {TIEBREAK_KINDS}, got {cfg.tiebreak!r}")
-    if len(cfg.var_order) != 2 * cfg.n:
-        raise ConfigError(f"var_order must list all {2 * cfg.n} variables")
-    if sorted(_flat_index(v, cfg.n) for v in cfg.var_order) != list(range(2 * cfg.n)):
-        raise ConfigError("var_order must mention every variable exactly once")
-    if cfg.field != "rational" and not re.fullmatch(r"fp\(\d+\)", cfg.field):
-        raise ConfigError(f"field must be \"rational\" or \"fp(prime)\", got {cfg.field!r}")
-    if cfg.field != "rational":
-        cfg.scalar_field()  # raises ConfigError if the modulus is not prime
-    if not isinstance(cfg.degree_cap, int) or cfg.degree_cap < 0:
-        raise ConfigError(f"degree_cap must be a natural number, got {cfg.degree_cap!r}")
-    if cfg.output not in ("text", "json"):
-        raise ConfigError(f"output must be \"text\" or \"json\", got {cfg.output!r}")
 
 
 def load_config(path) -> RunConfig:
@@ -121,17 +119,15 @@ def load_config(path) -> RunConfig:
 
     if "n" not in raw:
         raise ConfigError(f"{path}: missing required key 'n'")
-    n = raw["n"]
-    if not isinstance(n, int) or n < 1:
-        raise ConfigError(f"{path}: n must be a natural number >= 1")
-    raw.setdefault("p", [0] * n)
-    raw.setdefault("q", [1] * n)
     for key in ("p", "q", "var_order"):
         if key in raw:
             if not isinstance(raw[key], list):
                 raise ConfigError(f"{path}: {key} must be a list")
             raw[key] = tuple(raw[key])
-    return RunConfig(**raw)
+    try:
+        return RunConfig(**raw)
+    except ConfigError as e:
+        raise ConfigError(f"{path}: {e}") from None
 
 
 def _strip_comment(line):

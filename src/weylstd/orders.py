@@ -31,13 +31,14 @@ class LinearForm:
     q: tuple
 
     def __post_init__(self):
-        p = tuple(int(e) for e in self.p)
-        q = tuple(int(e) for e in self.q)
+        p, q = tuple(self.p), tuple(self.q)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
         if len(p) != len(q) or not p:
             raise ValueError("p and q must be nonempty and of equal length")
         for i, (pi, qi) in enumerate(zip(p, q)):
+            if not (isinstance(pi, int) and isinstance(qi, int)):
+                raise ValueError(f"weights must be integers, got p = {p!r}, q = {q!r}")
             if pi + qi < 0:
                 raise ValueError(
                     f"weight form not admissible: p[{i}] + q[{i}] = {pi + qi} < 0"
@@ -98,9 +99,9 @@ class TieBreak:
     def __post_init__(self):
         object.__setattr__(self, "perm", tuple(self.perm))
         if self.kind not in TIEBREAK_KINDS:
-            raise ValueError(f"unknown tiebreak {self.kind!r}; pick from {TIEBREAK_KINDS}")
+            raise ValueError(f"tiebreak must be one of {TIEBREAK_KINDS}, got {self.kind!r}")
         if sorted(self.perm) != list(range(len(self.perm))):
-            raise ValueError("perm must be a permutation of the flat key positions")
+            raise ValueError("perm must list every flat key position exactly once")
 
     @classmethod
     def default(cls, n):

@@ -114,22 +114,14 @@ def _is_prime(p: int) -> bool:
 class RationalField:
     """Field of exact rationals backed by ``fractions.Fraction``."""
 
-    name = "rational"
-
     def one(self):
         return Fraction(1)
-
-    def zero(self):
-        return Fraction(0)
 
     def from_int(self, numer: int, denom: int = 1):
         return Fraction(numer, denom)
 
     def parse(self, text: str):
         return Fraction(text)
-
-    def format(self, value) -> str:
-        return str(value)
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -149,15 +141,8 @@ class PrimeField:
             raise ConfigError(f"{p} is not prime")
         self.p = p
 
-    @property
-    def name(self):
-        return f"fp({self.p})"
-
     def one(self):
         return FpElement(1, self.p)
-
-    def zero(self):
-        return FpElement(0, self.p)
 
     def from_int(self, numer: int, denom: int = 1):
         if denom % self.p == 0:
@@ -169,9 +154,6 @@ class PrimeField:
             numer, denom = text.split("/", 1)
             return self.from_int(int(numer), int(denom))
         return FpElement(int(text), self.p)
-
-    def format(self, value) -> str:
-        return str(value)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

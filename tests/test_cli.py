@@ -264,6 +264,23 @@ def test_usage_error(capsys, order_cfg):
     assert status == 2
 
 
+def test_mul_of_no_operators_is_a_usage_error(capsys, order_cfg, tmp_path):
+    empty = tmp_path / "ops.txt"
+    empty.write_text("# nothing here\n\n")
+    status, _, err = _run(capsys, "--config", order_cfg, "mul", str(empty))
+    assert status == 2
+    assert "mul needs" in err
+
+
+@pytest.mark.parametrize("line", ["field = 5", "var_order = [1, 2]"])
+def test_non_string_config_values_are_config_errors(capsys, tmp_path, line):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(f"n = 1\n{line}\n")
+    status, out, _ = _run(capsys, "--config", str(bad), "--output", "json", "normalize", "x1")
+    assert status == 2
+    assert json.loads(out)["error"]["code"] == "config-error"
+
+
 def test_verify_ok(capsys, order_cfg):
     status, out, _ = _run(capsys, "--config", order_cfg, "verify")
     assert status == 0

@@ -1,8 +1,20 @@
 """Configuration file loading and validation."""
 
+import itertools
+import re
+
 import pytest
 
-from weylstd import ConfigError, PrimeField, QQ, RunConfig, load_config
+from weylstd import (
+    ConfigError,
+    LinearForm,
+    OrderContext,
+    PrimeField,
+    QQ,
+    RunConfig,
+    TieBreak,
+    load_config,
+)
 
 
 def _write(tmp_path, text):
@@ -115,3 +127,45 @@ def test_default_constructor_validates():
         RunConfig(n=0, p=(), q=())
     cfg = RunConfig.default(2)
     assert cfg.order_context().n == 2
+
+
+def test_constructor_fills_order_filtration_defaults():
+    cfg = RunConfig(n=2)
+    assert cfg.p == (0, 0) and cfg.q == (1, 1)
+    assert cfg.var_order == ("x1", "x2", "D1", "D2")
+    assert cfg.order_context().form == LinearForm.order(2)
+    assert cfg.order_context().tiebreak == TieBreak.default(2)
+
+
+def test_context_and_field_are_built_once():
+    cfg = RunConfig(n=1, field="fp(7)")
+    assert cfg.order_context() is cfg.order_context()
+    assert cfg.scalar_field() is cfg.scalar_field()
+
+
+def test_file_errors_name_the_file(tmp_path):
+    path = _write(tmp_path, 'n = 1\ntiebreak = "grlex"')
+    with pytest.raises(ConfigError, match="^" + re.escape(path) + ": tiebreak must be"):
+        load_config(path)
+
+
+def test_config_accepts_what_the_library_accepts():
+    names = ("x1", "x2", "D1", "D2")
+    grid = itertools.product(
+        [(0, 0), (0, -1), (-2, 0), (1.5, 0)],
+        [(1, 1), (0, 1), (1,)],
+        ["lex", "degrevlex", "grlex"],
+        [(3, 2, 1, 0), (0, 0, 1, 2)],
+    )
+    for p, q, kind, perm in grid:
+        try:
+            OrderContext(LinearForm(p, q), TieBreak(kind, perm))
+            library_ok = True
+        except ValueError:
+            library_ok = False
+        try:
+            RunConfig(n=2, p=p, q=q, tiebreak=kind, var_order=tuple(names[i] for i in perm))
+            config_ok = True
+        except ConfigError:
+            config_ok = False
+        assert config_ok == library_ok, (p, q, kind, perm)

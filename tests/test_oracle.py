@@ -172,6 +172,18 @@ def test_fuzz_catches_malformed_products(corrupt, label):
     assert label in {f[0] for f in bad.failures}
 
 
+def test_fuzz_reports_inhomogeneous_products():
+    # adding t breaks homogeneity; the fuzz must report it, not raise
+    from weylstd import HomogOperator
+
+    bad = algebra_fuzz(
+        seed=5,
+        sizes=FuzzSizes(trials=5),
+        ops={"homog_mul": lambda a, b: a * b + HomogOperator.t(a.n, field=a.field)},
+    )
+    assert "homogeneous elements close under product" in {f[0] for f in bad.failures}
+
+
 def test_fuzz_is_reproducible():
     a = algebra_fuzz(seed=99, sizes=FuzzSizes(trials=10))
     b = algebra_fuzz(seed=99, sizes=FuzzSizes(trials=10))

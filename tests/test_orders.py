@@ -32,6 +32,14 @@ def test_admissibility_enforced():
         LinearForm((), ())
 
 
+def test_weights_must_be_integers():
+    # a float weight is refused, not truncated to a different form
+    with pytest.raises(ValueError, match="integers"):
+        LinearForm((1.5,), (0,))
+    with pytest.raises(ValueError, match="integers"):
+        LinearForm((0,), (0.7,))
+
+
 def test_standard_forms():
     order = LinearForm.order(2)
     assert order.value((5, 7, 1, 2)) == 3  # |beta| only
