@@ -66,7 +66,6 @@ from .standard_basis import (
 from .oracle import (
     AgreementReport,
     FuzzReport,
-    FuzzSizes,
     TruncationWitness,
     algebra_fuzz,
     oracle_pipeline_agree,
@@ -89,7 +88,6 @@ __all__ = [
     "DivisionResult",
     "FpElement",
     "FuzzReport",
-    "FuzzSizes",
     "HomogOperator",
     "InvariantViolation",
     "LeadingTerm",

@@ -5,8 +5,8 @@ naming an existing file is read instead (one expression per line, ``#``
 comments).  The weight configuration comes from ``--config``; without
 one the order filtration on a single variable pair is assumed.
 
-Exit codes: 0 success, 2 parse or configuration error, 3 degree cap
-reached, 4 internal invariant violation (including verify failures) or
+Exit codes: 0 success, 2 parse, configuration or usage error, 3 degree
+cap reached, 4 internal invariant violation (including verify failures) or
 any other unexpected internal error, which is reported in one line
 rather than as a traceback.
 """
@@ -14,6 +14,7 @@ rather than as a traceback.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
@@ -31,7 +32,7 @@ from .errors import (
 from .expressions import format_operator, parse_operator
 from .homogenize import homogenize
 from .jsonio import operator_to_obj
-from .oracle import FuzzSizes, algebra_fuzz, oracle_pipeline_agree
+from .oracle import algebra_fuzz, oracle_pipeline_agree
 from .orders import leading_term, principal_symbol
 from .standard_basis import compute_standard_basis
 
@@ -49,7 +50,7 @@ def main(argv=None) -> int:
     output = getattr(args, "output", None)
     try:
         config_path = getattr(args, "config", None)
-        cfg = load_config(config_path) if config_path else RunConfig.default()
+        cfg = load_config(config_path) if config_path else RunConfig(n=1)
         output = output or cfg.output
         # flags override the file through the dataclass, so they are
         # validated exactly as the file's own values are
@@ -60,8 +61,8 @@ def main(argv=None) -> int:
         code, status = _ERROR_CODES[type(e)]
         _emit_error(output or "text", code, str(e))
         return status
-    except ValueError as e:
-        _emit_error(output or "text", "parse-error", str(e))
+    except ValueError as e:  # operands the command cannot take, e.g. too few or zero
+        _emit_error(output or "text", "usage-error", str(e))
         return 2
     except Exception as e:  # the last boundary before the user
         _emit_error(output or "text", "internal-error", f"internal error: {type(e).__name__}: {e}")
@@ -137,11 +138,8 @@ def _run_command(command, ops, ctx, cap):
     if command == "exp":
         _expect_single(ops, "exp")
         m = leading_term(ctx, ops[0]).exponent
-        n = ctx.n
-        return (
-            {"alpha": list(m[:n]), "beta": list(m[n:])},
-            str(tuple(m)),
-        )
+        _, alpha, beta = ops[0].split(m)
+        return {"alpha": list(alpha), "beta": list(beta)}, str(tuple(m))
     if command == "symbol":
         _expect_single(ops, "symbol")
         sym = principal_symbol(ctx, ops[0])
@@ -242,25 +240,31 @@ def _staircase_grid(corners):
 def _read_operands(tokens, n, fld):
     ops = []
     for token in tokens:
-        if os.path.isfile(token):
-            with open(token, encoding="utf-8") as fh:
-                for lineno, line in enumerate(fh, start=1):
-                    body = line.split("#", 1)[0].strip()
-                    if not body:
-                        continue
-                    try:
-                        ops.append(parse_operator(body, n, fld))
-                    except ParseError as e:
-                        raise ParseError(
-                            f"{token}: {e.bare_message}", lineno, e.column
-                        ) from None
-        else:
+        if not os.path.isfile(token):
             ops.append(parse_operator(token, n, fld))
+            continue
+        with open(token, "rb") as fh:
+            data = fh.read()
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as e:
+            before = data[: e.start].decode("utf-8")
+            line, column = before.count("\n") + 1, len(before) - before.rfind("\n")
+            raise ParseError(f"{token}: not valid UTF-8", line, column) from None
+        # universal newlines, as a file opened in text mode reads them
+        for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
+            body = line.split("#", 1)[0].strip()
+            if not body:
+                continue
+            try:
+                ops.append(parse_operator(body, n, fld))
+            except ParseError as e:
+                raise ParseError(f"{token}: {e.bare_message}", lineno, e.column) from None
     return ops
 
 
 def _run_verify(seed, cfg, ctx, fld):
-    fuzz = algebra_fuzz(seed, FuzzSizes(trials=60))
+    fuzz = algebra_fuzz(seed, trials=60)
     corpus = _verify_corpus(cfg.n)
     agreements = []
     for gens in corpus:

@@ -73,10 +73,6 @@ class RunConfig:
         object.__setattr__(self, "_context", ctx)
         object.__setattr__(self, "_field", PrimeField(int(prime.group(1))) if prime else QQ)
 
-    @classmethod
-    def default(cls, n=1):
-        return cls(n=n)
-
     def scalar_field(self):
         return self._field
 

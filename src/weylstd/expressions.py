@@ -17,9 +17,12 @@ from __future__ import annotations
 from .errors import ParseError
 from .orders import term_key
 from .scalars import QQ
-from .weyl import HomogOperator, WeylOperator, format_terms
+from .weyl import WeylOperator, format_terms
 
 _OPERATORS = set("+-*^()/")
+# ASCII only: str.isdigit() also takes "²" and "１", which int() reads
+# wrongly or not at all
+_DIGITS = frozenset("0123456789")
 
 
 def _tokenize(text):
@@ -44,17 +47,17 @@ def _tokenize(text):
             col += 1
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j] in _DIGITS:
                 j += 1
-            out.append(("INT", int(text[i:j]), line, col))
+            out.append(("INT", _natural(text[i:j], line, col), line, col))
             col += j - i
             i = j
             continue
-        if ch.isalpha():
+        if ch.isascii() and ch.isalpha():
             j = i + 1
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j] in _DIGITS:
                 j += 1
             out.append(("SYM", text[i:j], line, col))
             col += j - i
@@ -63,6 +66,13 @@ def _tokenize(text):
         raise ParseError(f"unexpected character {ch!r}", line, col)
     out.append(("END", None, line, col))
     return out
+
+
+def _natural(digits, line, col):
+    try:
+        return int(digits)
+    except ValueError:  # past the interpreter's limit on int digits
+        raise ParseError(f"number of {len(digits)} digits is too long", line, col) from None
 
 
 class _Parser:
@@ -143,7 +153,7 @@ class _Parser:
         head, digits = name[0], name[1:]
         if head not in ("x", "D", "d") or not digits:
             raise ParseError(f"unknown symbol {name!r}", line, col)
-        index = int(digits)
+        index = _natural(digits, line, col)
         if not 1 <= index <= self.n:
             raise ParseError(
                 f"symbol {name!r} is out of range for {self.n} variable(s)", line, col
@@ -171,4 +181,4 @@ def format_operator(op, ctx=None) -> str:
     back to a fixed degree-then-lex order.  Output always parses back to
     the same operator, graded elements aside (t has no input syntax).
     """
-    return format_terms(op.terms, op.n, isinstance(op, HomogOperator), term_key(ctx, op))
+    return format_terms(op, term_key(ctx, op))

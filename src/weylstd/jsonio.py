@@ -11,33 +11,25 @@ from __future__ import annotations
 
 from .orders import term_key
 from .scalars import QQ
-from .weyl import HomogOperator, WeylOperator
+from .weyl import HomogOperator, WeylOperator, add_terms
 
 
 def operator_to_obj(op, ctx=None):
-    homog = isinstance(op, HomogOperator)
-    n = op.n
     terms = []
     for m in sorted(op.terms, key=term_key(ctx, op), reverse=True):
-        entry = {}
-        if homog:
-            entry["k"] = m[0]
-            alpha, beta = m[1 : n + 1], m[n + 1 :]
-        else:
-            alpha, beta = m[:n], m[n:]
-        entry["alpha"] = list(alpha)
-        entry["beta"] = list(beta)
-        entry["coeff"] = str(op.terms[m])
+        k, alpha, beta = op.split(m)
+        entry = {"k": k} if isinstance(op, HomogOperator) else {}
+        entry.update(alpha=list(alpha), beta=list(beta), coeff=str(op.terms[m]))
         terms.append(entry)
-    return {"n": n, "terms": terms}
+    return {"n": op.n, "terms": terms}
 
 
-def _read_terms(data, n, field, homog):
+def _from_obj(cls, data, n, field):
     if not isinstance(data, dict) or "terms" not in data:
         raise ValueError("expected an object with a 'terms' array")
     if "n" in data and data["n"] != n:
         raise ValueError(f"operator declares n={data['n']}, context has n={n}")
-    out = {}
+    pairs = []
     for entry in data["terms"]:
         alpha = tuple(entry["alpha"])
         beta = tuple(entry["beta"])
@@ -45,19 +37,14 @@ def _read_terms(data, n, field, homog):
             raise ValueError(f"term has {len(alpha)}+{len(beta)} exponents, expected {n}+{n}")
         coeff = entry["coeff"]
         coeff = field.parse(coeff) if isinstance(coeff, str) else field.from_int(coeff)
-        key = ((entry.get("k", 0),) if homog else ()) + alpha + beta
-        acc = out.get(key)
-        total = coeff if acc is None else acc + coeff
-        if total == 0:
-            out.pop(key, None)
-        else:
-            out[key] = total
-    return out
+        k = (entry.get("k", 0),) if cls is HomogOperator else ()
+        pairs.append((k + alpha + beta, coeff))
+    return cls(n, add_terms({}, pairs), field)
 
 
 def weyl_from_obj(data, n, field=QQ) -> WeylOperator:
-    return WeylOperator(n, _read_terms(data, n, field, homog=False), field)
+    return _from_obj(WeylOperator, data, n, field)
 
 
 def homog_from_obj(data, n, field=QQ) -> HomogOperator:
-    return HomogOperator(n, _read_terms(data, n, field, homog=True), field)
+    return _from_obj(HomogOperator, data, n, field)

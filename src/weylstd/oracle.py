@@ -23,7 +23,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import OracleSizeError
+from .errors import InvariantViolation, OracleSizeError
 from .division import RegionPartition, divide
 from .homogenize import dehomogenize, graded_degree, homogenize, is_homogeneous, project_exponent
 from .orders import LinearForm, OrderContext, TieBreak, TIEBREAK_KINDS, leading_term, principal_symbol, is_graded_commutative
@@ -208,13 +208,10 @@ def _random_split(rng, width, total):
     return tuple(parts)
 
 
-@dataclass(frozen=True)
-class FuzzSizes:
-    trials: int = 50
-    n_max: int = 2
-    terms: int = 3
-    degree: int = 3
-    coeff: int = 4
+FUZZ_N_MAX = 2
+FUZZ_TERMS = 3
+FUZZ_DEGREE = 3
+FUZZ_COEFF = 4
 
 
 @dataclass
@@ -234,8 +231,9 @@ DEFAULT_OPS = {
 }
 
 
-def algebra_fuzz(seed, sizes=FuzzSizes(), ops=None) -> FuzzReport:
-    """Replay the algebra's defining identities on seeded random inputs.
+def algebra_fuzz(seed, trials=50, ops=None) -> FuzzReport:
+    """Replay the algebra's defining identities on seeded random inputs,
+    ``trials`` rounds of them.
 
     ``ops`` overrides the product and action entry points, so a test can
     inject a wrong multiplication and confirm the suite notices.
@@ -246,14 +244,17 @@ def algebra_fuzz(seed, sizes=FuzzSizes(), ops=None) -> FuzzReport:
     rng = random.Random(seed)
     rep = FuzzReport()
 
-    for _ in range(sizes.trials):
-        n = rng.randint(1, sizes.n_max)
+    for _ in range(trials):
+        n = rng.randint(1, FUZZ_N_MAX)
         ctx = OrderContext(random_linear_form(rng, n), random_tiebreak(rng, n))
-        _fuzz_products(rng, rep, table, n, sizes)
-        _fuzz_homogenization(rng, rep, table, n, sizes)
-        _fuzz_orders(rng, rep, ctx, n, sizes)
-        _fuzz_symbols(rng, rep, table, ctx, n, sizes)
-        _fuzz_division(rng, rep, ctx, n, sizes)
+        _fuzz_products(rng, rep, table, n)
+        _fuzz_homogenization(rng, rep, table, n)
+        _fuzz_orders(rng, rep, ctx, n)
+        _fuzz_symbols(rng, rep, table, ctx, n)
+        try:
+            _fuzz_division(rng, rep, ctx, n)
+        except InvariantViolation as e:  # divide's own certificates failed
+            _note(rep, False, "division certificates verified", e)
     return rep
 
 
@@ -263,14 +264,14 @@ def _note(rep, condition, label, *payload):
         rep.failures.append((label,) + tuple(str(p) for p in payload))
 
 
-def _fuzz_products(rng, rep, table, n, sizes):
-    mk = lambda: random_weyl(rng, n, sizes.terms, sizes.degree, sizes.coeff)
+def _fuzz_products(rng, rep, table, n):
+    mk = lambda: random_weyl(rng, n, FUZZ_TERMS, FUZZ_DEGREE, FUZZ_COEFF)
     mul = table["weyl_mul"]
     a, b, c = mk(), mk(), mk()
     _note(rep, mul(mul(a, b), c) == mul(a, mul(b, c)), "weyl product associativity", a, b, c)
     _note(rep, mul(a, b + c) == mul(a, b) + mul(a, c), "weyl left distributivity", a, b, c)
 
-    f = random_polynomial(rng, n, sizes.terms, sizes.degree, sizes.coeff)
+    f = random_polynomial(rng, n, FUZZ_TERMS, FUZZ_DEGREE, FUZZ_COEFF)
     act = table["apply"]
     _note(
         rep,
@@ -278,16 +279,16 @@ def _fuzz_products(rng, rep, table, n, sizes):
         "operator action is a homomorphism", a, b, f,
     )
 
-    hk = lambda: random_homog(rng, n, sizes.terms, sizes.degree, sizes.coeff)
+    hk = lambda: random_homog(rng, n, FUZZ_TERMS, FUZZ_DEGREE, FUZZ_COEFF)
     hmul = table["homog_mul"]
     ha, hb, hc = hk(), hk(), hk()
     _note(rep, hmul(hmul(ha, hb), hc) == hmul(ha, hmul(hb, hc)), "graded associativity", ha, hb, hc)
     t = HomogOperator.t(n)
     _note(rep, hmul(t, ha) == hmul(ha, t), "t is central", ha)
 
-    d1, d2 = rng.randint(0, sizes.degree), rng.randint(0, sizes.degree)
-    g1 = random_homogeneous(rng, n, d1, sizes.terms, sizes.coeff)
-    g2 = random_homogeneous(rng, n, d2, sizes.terms, sizes.coeff)
+    d1, d2 = rng.randint(0, FUZZ_DEGREE), rng.randint(0, FUZZ_DEGREE)
+    g1 = random_homogeneous(rng, n, d1, FUZZ_TERMS, FUZZ_COEFF)
+    g2 = random_homogeneous(rng, n, d2, FUZZ_TERMS, FUZZ_COEFF)
     prod = hmul(g1, g2)
     closed = is_homogeneous(prod)
     _note(rep, closed, "homogeneous elements close under product", g1, g2)
@@ -297,8 +298,9 @@ def _fuzz_products(rng, rep, table, n, sizes):
         _note(rep, ok, "graded degrees add", g1, g2)
 
     # The arithmetic builds its results without re-validating them, so the
-    # derived values are checked here as well as the random inputs.
-    derived = [a + b, a - b, -a, a.scale(Fraction(-3, 2)), a.scale(0), mul(a, b)]
+    # derived values are checked here as well as the random inputs; in
+    # a - a every term cancels.
+    derived = [a + b, a - b, -a, a.scale(Fraction(-3, 2)), a - a, mul(a, b)]
     derived += [ha + hb, ha - hb, -ha, ha.scale(Fraction(2, 3)), hmul(ha, hb), prod]
     derived += [ha.t_shift(2), dehomogenize(ha)]
     for op in [a, b, ha, hb] + derived:
@@ -314,10 +316,10 @@ def _keys_well_formed(op):
     )
 
 
-def _fuzz_homogenization(rng, rep, table, n, sizes):
+def _fuzz_homogenization(rng, rep, table, n):
     mul = table["weyl_mul"]
     hmul = table["homog_mul"]
-    mk = lambda: random_weyl(rng, n, sizes.terms, sizes.degree, sizes.coeff)
+    mk = lambda: random_weyl(rng, n, FUZZ_TERMS, FUZZ_DEGREE, FUZZ_COEFF)
     p, q = mk(), mk()
     if not p.is_zero() and not q.is_zero():
         _note(
@@ -338,8 +340,8 @@ def _fuzz_homogenization(rng, rep, table, n, sizes):
     if not p.is_zero():
         _note(rep, dehomogenize(homogenize(p)) == p, "dehomogenize undoes homogenize", p)
 
-    d = rng.randint(0, sizes.degree)
-    g = random_homogeneous(rng, n, d, sizes.terms, sizes.coeff)
+    d = rng.randint(0, FUZZ_DEGREE)
+    g = random_homogeneous(rng, n, d, FUZZ_TERMS, FUZZ_COEFF)
     if not g.is_zero():
         down = dehomogenize(g)
         _note(rep, not down.is_zero(), "homogeneous elements survive t = 1", g)
@@ -351,8 +353,8 @@ def _fuzz_homogenization(rng, rep, table, n, sizes):
             )
 
 
-def _fuzz_orders(rng, rep, ctx, n, sizes):
-    mk = lambda: _random_exponent(rng, 2 * n, sizes.degree)
+def _fuzz_orders(rng, rep, ctx, n):
+    mk = lambda: _random_exponent(rng, 2 * n, FUZZ_DEGREE)
     u, v, w = mk(), mk(), mk()
     ku, kv = ctx.weighted_key(u), ctx.weighted_key(v)
     _note(rep, (ku == kv) == (u == v), "weighted key separates exponents", u, v)
@@ -361,7 +363,7 @@ def _fuzz_orders(rng, rep, ctx, n, sizes):
         (ku < kv) == (ctx.weighted_key(vec_add(u, w)) < ctx.weighted_key(vec_add(v, w))),
         "weighted order is translation invariant", u, v, w,
     )
-    hu, hv = (rng.randint(0, sizes.degree),) + u, (rng.randint(0, sizes.degree),) + v
+    hu, hv = (rng.randint(0, FUZZ_DEGREE),) + u, (rng.randint(0, FUZZ_DEGREE),) + v
     _note(
         rep,
         ctx.graded_key((0,) * (2 * n + 1)) <= ctx.graded_key(hu),
@@ -371,9 +373,9 @@ def _fuzz_orders(rng, rep, ctx, n, sizes):
         _note(rep, ctx.graded_key(hu) < ctx.graded_key(hv), "graded order refines divisibility", hu, hv)
 
 
-def _fuzz_symbols(rng, rep, table, ctx, n, sizes):
+def _fuzz_symbols(rng, rep, table, ctx, n):
     mul = table["weyl_mul"]
-    mk = lambda: random_weyl(rng, n, sizes.terms, sizes.degree, sizes.coeff)
+    mk = lambda: random_weyl(rng, n, FUZZ_TERMS, FUZZ_DEGREE, FUZZ_COEFF)
     p, q = mk(), mk()
     if p.is_zero() or q.is_zero():
         return
@@ -425,15 +427,15 @@ def _fuzz_symbols(rng, rep, table, ctx, n, sizes):
             _note(rep, ks == top, "distinct leads survive addition", p, q)
 
 
-def _fuzz_division(rng, rep, ctx, n, sizes):
+def _fuzz_division(rng, rep, ctx, n):
     divisors = []
     for _ in range(rng.randint(1, 3)):
-        g = random_homogeneous(rng, n, rng.randint(0, sizes.degree), sizes.terms, sizes.coeff)
+        g = random_homogeneous(rng, n, rng.randint(0, FUZZ_DEGREE), FUZZ_TERMS, FUZZ_COEFF)
         if not g.is_zero():
             divisors.append(g)
     if not divisors:
         return
-    h = random_homog(rng, n, sizes.terms, sizes.degree, sizes.coeff)
+    h = random_homog(rng, n, FUZZ_TERMS, FUZZ_DEGREE, FUZZ_COEFF)
     divide(ctx, h, divisors)  # raises if its own certificates fail
     _note(rep, True, "division certificates verified")
 
@@ -443,14 +445,14 @@ def _fuzz_division(rng, rep, ctx, n, sizes):
     partition = RegionPartition(tuple(leads))
     quotients = []
     for i in range(len(divisors)):
-        q = random_homog(rng, n, sizes.terms, sizes.degree, sizes.coeff)
+        q = random_homog(rng, n, FUZZ_TERMS, FUZZ_DEGREE, FUZZ_COEFF)
         kept = {
             m: c
             for m, c in q.terms.items()
             if partition.classify(vec_add(leads[i], m)) == i
         }
         quotients.append(HomogOperator(n, kept))
-    remainder = divide(ctx, random_homog(rng, n, sizes.terms, sizes.degree, sizes.coeff), divisors).remainder
+    remainder = divide(ctx, random_homog(rng, n, FUZZ_TERMS, FUZZ_DEGREE, FUZZ_COEFF), divisors).remainder
     built = remainder
     for q, d in zip(quotients, divisors):
         built = built + q * d

@@ -22,7 +22,12 @@ the summed key by k += 2 v_i, a_i -= v_i, b_i -= v_i.
 
 All three share one sparse term-map core, ``_TermMap``, keyed by flat
 exponent tuples: ``(a, b)`` plain, ``(k, a, b)`` graded, ``(a,)`` for
-polynomials.  Term maps never hold zero coefficients, and values are
+polynomials.  Two rules of that core each have one owner.  Term maps
+never hold zero coefficients: every sum of terms, in the kernel, at
+t = 1, in ``+``/``-``, in the action and in the JSON reader, goes
+through ``add_terms``, which drops a key whose sum is zero.  And
+``_TermMap.split`` alone cuts a flat key into ``(k, alpha, beta)``, for
+the action, the printers, the JSON writer and the CLI.  Values are
 immutable.  The public constructor checks every key; values the
 arithmetic builds itself skip that check (``_TermMap._trusted``).
 Each value carries its scalar field in ``field``, taken from the
@@ -33,7 +38,7 @@ and mixing fields raises ``ValueError``, as mixing n does.
 
 from __future__ import annotations
 
-from math import comb, factorial, perm
+from math import comb, factorial, perm, prod
 from operator import add, le, sub
 
 from .scalars import field_of
@@ -75,6 +80,21 @@ class _ContractionWeights(dict):
 _WEIGHTS = _ContractionWeights()
 
 
+def add_terms(out, pairs):
+    """Add (key, coefficient) pairs into the term map ``out`` in place and
+    return it.  A key whose sum is zero is dropped, also a new key whose
+    coefficient is zero (a weight that vanishes mod p), so ``out`` never
+    stores a zero."""
+    for key, c in pairs:
+        acc = out.get(key)
+        s = c if acc is None else acc + c
+        if s == 0:
+            out.pop(key, None)
+        else:
+            out[key] = s
+    return out
+
+
 def _graded_product(n, terms1, terms2):
     """Leibniz product of two graded term maps: the normal-ordered term
     map of their product, where each contraction of D_i against x_i
@@ -106,29 +126,13 @@ def _graded_product(n, terms1, terms2):
                             else:
                                 grown.append((key, c))
                     products = grown
-            for key, c in products:
-                acc = out.get(key)
-                s = c if acc is None else acc + c
-                if s == 0:
-                    # a weight that vanishes mod p leaves s == 0 on a new key
-                    out.pop(key, None)
-                else:
-                    out[key] = s
+            add_terms(out, products)
     return out
 
 
 def t_to_one(terms):
     """A graded term map at t = 1: keys that differ only in their t power merge."""
-    out = {}
-    for m, c in terms.items():
-        key = m[1:]
-        acc = out.get(key)
-        s = c if acc is None else acc + c
-        if s == 0:
-            out.pop(key, None)
-        else:
-            out[key] = s
-    return out
+    return add_terms({}, ((m[1:], c) for m, c in terms.items()))
 
 
 class _TermMap:
@@ -221,25 +225,22 @@ class _TermMap:
     def __hash__(self):
         return hash((self.n, frozenset(self.terms.items())))
 
+    def _plus(self, other, pairs):
+        self._same_algebra(other)
+        return type(self)._trusted(self.n, add_terms(dict(self.terms), pairs), self.field)
+
     def __add__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        self._same_algebra(other)
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            acc = out.get(key)
-            s = coeff if acc is None else acc + coeff
-            if s == 0:
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return type(self)._trusted(self.n, out, self.field)
+        return self._plus(other, other.terms.items())
 
     def __neg__(self):
         return type(self)._trusted(self.n, {k: -c for k, c in self.terms.items()}, self.field)
 
     def __sub__(self, other):
-        return self + (-other)
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._plus(other, ((k, -c) for k, c in other.terms.items()))
 
     def scale(self, c):
         if isinstance(c, int):
@@ -262,8 +263,14 @@ class _TermMap:
             acc = acc * self
         return acc
 
+    def split(self, key):
+        """A key as (k, alpha, beta): its t power (0 where the class has
+        no t), its x exponents and its D exponents (() for a polynomial)."""
+        t = self._SHAPE[1]
+        return (key[0] if t else 0), key[t : t + self.n], key[t + self.n :]
+
     def __str__(self):
-        return format_terms(self.terms, self.n, homog=False)
+        return format_terms(self)
 
     def __repr__(self):
         return f"<{type(self).__name__} n={self.n}: {self}>"
@@ -302,24 +309,15 @@ class WeylOperator(_TermMap):
     def apply(self, f: "Polynomial") -> "Polynomial":
         """Act on a polynomial: D_i differentiates, x_i multiplies."""
         self._same_algebra(f)
-        n = self.n
         out = {}
         for key, c in self.terms.items():
-            alpha, beta = key[:n], key[n:]
-            for mono, fc in f.terms.items():
-                if not vec_leq(beta, mono):
-                    continue
-                w = 1
-                for m, b in zip(mono, beta):
-                    w *= perm(m, b)
-                target = vec_add(vec_sub(mono, beta), alpha)
-                acc = out.get(target)
-                s = w * c * fc if acc is None else acc + w * c * fc
-                if s == 0:
-                    out.pop(target, None)
-                else:
-                    out[target] = s
-        return Polynomial(n, out, self.field)
+            _, alpha, beta = self.split(key)
+            add_terms(out, (
+                (vec_add(vec_sub(mono, beta), alpha), prod(map(perm, mono, beta)) * c * fc)
+                for mono, fc in f.terms.items()
+                if vec_leq(beta, mono)
+            ))
+        return Polynomial(self.n, out, self.field)
 
 
 class HomogOperator(_TermMap):
@@ -354,9 +352,6 @@ class HomogOperator(_TermMap):
         product = _graded_product(self.n, self.terms, other.terms)
         return HomogOperator._trusted(self.n, product, self.field)
 
-    def __str__(self):
-        return format_terms(self.terms, self.n, homog=True)
-
 
 class Polynomial(_TermMap):
     """Sparse polynomial in x_1..x_n; the carrier of the operator action."""
@@ -376,23 +371,19 @@ def degree_lex_key(key):
     return (sum(key), key)
 
 
-def format_terms(terms, n, homog, sort_key=degree_lex_key):
-    """Render a term map in expression syntax, largest term first.
+def format_terms(op, sort_key=degree_lex_key):
+    """Render the terms of ``op`` in expression syntax, largest term first.
 
-    ``sort_key`` maps an exponent key to a sortable value.  A polynomial
-    key prints as a plain key with an empty D part.
+    ``sort_key`` maps an exponent key to a sortable value.
     """
     chunks = []
-    for key in sorted(terms, key=sort_key, reverse=True):
-        if homog:
-            k, alpha, beta = key[0], key[1 : n + 1], key[n + 1 :]
-        else:
-            k, alpha, beta = 0, key[:n], key[n:]
+    for key in sorted(op.terms, key=sort_key, reverse=True):
+        k, alpha, beta = op.split(key)
         powers = [("t", k)]
         powers += [(f"x{i + 1}", e) for i, e in enumerate(alpha)]
         powers += [(f"D{i + 1}", e) for i, e in enumerate(beta)]
         body = "*".join(name + (f"^{e}" if e > 1 else "") for name, e in powers if e)
-        coeff = str(terms[key])
+        coeff = str(op.terms[key])
         neg = coeff.startswith("-")
         mag = coeff[1:] if neg else coeff
         if body and mag == "1":

@@ -264,6 +264,46 @@ def test_usage_error(capsys, order_cfg):
     assert status == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("divide", "x1"), "divide needs a dividend and at least one divisor"),
+        (("symbol", "0"), "the zero operator has no principal symbol"),
+        (("exp", "0"), "the zero operator has no leading term"),
+    ],
+    ids=["divide", "symbol", "exp"],
+)
+def test_usage_errors_have_their_own_code(capsys, argv, message):
+    status, out, _ = _run(capsys, "--output", "json", *argv)
+    assert status == 2
+    assert json.loads(out)["error"] == {"code": "usage-error", "message": message}
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("x1^\u00b2", "unexpected character '\u00b2' (line 1, column 4)"),
+        ("x\uff11", "unexpected character '\uff11' (line 1, column 2)"),
+    ],
+    ids=["superscript-two", "full-width-one"],
+)
+def test_non_ascii_digits_are_parse_errors(capsys, text, message):
+    status, out, _ = _run(capsys, "--output", "json", "normalize", text)
+    assert status == 2
+    assert json.loads(out)["error"] == {"code": "parse-error", "message": message}
+
+
+def test_operand_file_that_is_not_utf8(capsys, tmp_path):
+    gens = tmp_path / "gens.txt"
+    gens.write_bytes(b"x1\nD1 + \xff\n")
+    status, out, _ = _run(capsys, "--output", "json", "normalize", str(gens))
+    assert status == 2
+    assert json.loads(out)["error"] == {
+        "code": "parse-error",
+        "message": f"{gens}: not valid UTF-8 (line 2, column 6)",
+    }
+
+
 def test_mul_of_no_operators_is_a_usage_error(capsys, order_cfg, tmp_path):
     empty = tmp_path / "ops.txt"
     empty.write_text("# nothing here\n\n")
@@ -312,7 +352,7 @@ def test_verify_reports_failures(capsys, order_cfg, monkeypatch):
     import weylstd.cli as cli
     from weylstd.oracle import FuzzReport
 
-    def fake_fuzz(seed, sizes):
+    def fake_fuzz(seed, trials):
         return FuzzReport(checks=1, failures=[("made-up law", "input")])
 
     monkeypatch.setattr(cli, "algebra_fuzz", fake_fuzz)

@@ -125,7 +125,7 @@ def test_default_constructor_validates():
         RunConfig(n=1, p=(-1,), q=(0,))
     with pytest.raises(ConfigError):
         RunConfig(n=0, p=(), q=())
-    cfg = RunConfig.default(2)
+    cfg = RunConfig(n=2)
     assert cfg.order_context().n == 2
 
 

@@ -10,10 +10,13 @@ from weylstd import (
     LinearForm,
     OrderContext,
     ParseError,
+    Polynomial,
     PrimeField,
+    TieBreak,
     WeylOperator,
     format_operator,
     homogenize,
+    operator_to_obj,
     parse_operator,
 )
 from weylstd.oracle import random_weyl
@@ -70,6 +73,8 @@ def test_parse_errors_carry_position():
         ("", "expected"),
         ("x", "unknown symbol"),
         ("t", "unknown symbol"),
+        ("1" * 5000, "too long"),
+        ("x" + "1" * 5000, "too long"),
     ]:
         with pytest.raises(ParseError) as info:
             parse_operator(text, 2)
@@ -130,3 +135,54 @@ def test_printer_edge_cases():
     assert format_operator(WeylOperator.constant(1, -1)) == "-1"
     assert format_operator(parse_operator("-x1 - 1", 1)) == "-x1 - 1"
     assert format_operator(parse_operator("x1 - D1", 1)) == "x1 - D1"
+
+
+_PIN_CTX = OrderContext(LinearForm((0, -1), (0, 1)), TieBreak("deglex", (1, 3, 0, 2)))
+_PIN_TEXT = "x2^2*D1 - 3/2*x1*D2^2 + D1*x1 - 7"
+
+
+@pytest.mark.parametrize(
+    "op, ctx, text, ordered, obj, ordered_obj",
+    [
+        (
+            Polynomial(2, {(2, 1): Fraction(-3, 2), (0, 3): 1, (1, 0): 5, (0, 0): -1}),
+            None,  # the orders rank operator keys, not polynomial ones
+            "-3/2*x1^2*x2 + x2^3 + 5*x1 - 1",
+            "-3/2*x1^2*x2 + x2^3 + 5*x1 - 1",
+            [([2, 1], [], "-3/2"), ([0, 3], [], "1"), ([1, 0], [], "5"), ([0, 0], [], "-1")],
+            [([2, 1], [], "-3/2"), ([0, 3], [], "1"), ([1, 0], [], "5"), ([0, 0], [], "-1")],
+        ),
+        (
+            parse_operator(_PIN_TEXT, 2),
+            _PIN_CTX,
+            "-3/2*x1*D2^2 + x2^2*D1 + x1*D1 - 6",
+            "-3/2*x1*D2^2 + x1*D1 - 6 + x2^2*D1",
+            [([1, 0], [0, 2], "-3/2"), ([0, 2], [1, 0], "1"), ([1, 0], [1, 0], "1"),
+             ([0, 0], [0, 0], "-6")],
+            [([1, 0], [0, 2], "-3/2"), ([1, 0], [1, 0], "1"), ([0, 0], [0, 0], "-6"),
+             ([0, 2], [1, 0], "1")],
+        ),
+        (
+            homogenize(parse_operator(_PIN_TEXT, 2)),
+            _PIN_CTX,
+            "-6*t^3 + t*x1*D1 - 3/2*x1*D2^2 + x2^2*D1",
+            "-3/2*x1*D2^2 + t*x1*D1 - 6*t^3 + x2^2*D1",
+            [(3, [0, 0], [0, 0], "-6"), (1, [1, 0], [1, 0], "1"), (0, [1, 0], [0, 2], "-3/2"),
+             (0, [0, 2], [1, 0], "1")],
+            [(0, [1, 0], [0, 2], "-3/2"), (1, [1, 0], [1, 0], "1"), (3, [0, 0], [0, 0], "-6"),
+             (0, [0, 2], [1, 0], "1")],
+        ),
+    ],
+    ids=["polynomial", "weyl", "homog"],
+)
+def test_printers_and_json_writer_pinned(op, ctx, text, ordered, obj, ordered_obj):
+    # the printers and the JSON writer cut every key into (k, alpha, beta)
+    # the same way for each class; the literals pin what they print
+    def terms(rows):
+        names = ("k", "alpha", "beta", "coeff") if len(rows[0]) == 4 else ("alpha", "beta", "coeff")
+        return {"n": 2, "terms": [dict(zip(names, row)) for row in rows]}
+
+    assert str(op) == format_operator(op) == text
+    assert format_operator(op, ctx) == ordered
+    assert operator_to_obj(op) == terms(obj)
+    assert operator_to_obj(op, ctx) == terms(ordered_obj)

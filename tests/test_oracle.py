@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from weylstd import (
-    FuzzSizes,
     LinearForm,
     OracleSizeError,
     OrderContext,
@@ -78,13 +77,13 @@ def test_agreement_on_small_corpus():
 
 
 def test_fuzz_clean_run():
-    report = algebra_fuzz(seed=2024, sizes=FuzzSizes(trials=40))
+    report = algebra_fuzz(seed=2024, trials=40)
     assert report.ok
     assert report.checks > 400
 
 
 def test_fuzz_empty_sizes():
-    report = algebra_fuzz(seed=1, sizes=FuzzSizes(trials=0))
+    report = algebra_fuzz(seed=1, trials=0)
     assert report.ok
     assert report.checks == 0
     assert report.failures == []
@@ -93,7 +92,7 @@ def test_fuzz_empty_sizes():
 def test_fuzz_catches_sign_mutation():
     bad = algebra_fuzz(
         seed=2024,
-        sizes=FuzzSizes(trials=30),
+        trials=30,
         ops={"weyl_mul": lambda a, b: (a * b).scale(-1)},
     )
     assert not bad.ok
@@ -115,14 +114,14 @@ def test_fuzz_catches_dropped_commutator():
                 out[k] = out.get(k, 0) + c1 * c2
         return HomogOperator(a.n, out)
 
-    bad = algebra_fuzz(seed=7, sizes=FuzzSizes(trials=30), ops={"homog_mul": flat_mul})
+    bad = algebra_fuzz(seed=7, trials=30, ops={"homog_mul": flat_mul})
     assert not bad.ok
 
 
 def test_fuzz_catches_broken_action():
     bad = algebra_fuzz(
         seed=5,
-        sizes=FuzzSizes(trials=30),
+        trials=30,
         ops={"apply": lambda op, f: op.apply(f).scale(2)},
     )
     assert not bad.ok
@@ -143,6 +142,21 @@ def test_fuzz_catches_wrong_contraction_weight(monkeypatch):
     bad = algebra_fuzz(seed=0)
     assert not bad.ok
     assert any("associativity" in f[0] or "homomorphism" in f[0] for f in bad.failures)
+
+
+def test_fuzz_catches_zero_sums_kept(monkeypatch):
+    # add_terms is the one place the arithmetic drops a zero sum; a version
+    # that keeps them must not survive the fuzz
+    import weylstd.weyl as weyl
+
+    def keeping(out, pairs):
+        for key, c in pairs:
+            out[key] = out[key] + c if key in out else c
+        return out
+
+    monkeypatch.setattr(weyl, "add_terms", keeping)
+    bad = algebra_fuzz(seed=0)
+    assert "no stored zeros" in {f[0] for f in bad.failures}
 
 
 @pytest.mark.parametrize(
@@ -168,7 +182,7 @@ def test_fuzz_catches_malformed_products(corrupt, label):
             terms[key] = coeff
         return HomogOperator._trusted(a.n, terms, good.field)
 
-    bad = algebra_fuzz(seed=3, sizes=FuzzSizes(trials=5), ops={"homog_mul": bad_mul})
+    bad = algebra_fuzz(seed=3, trials=5, ops={"homog_mul": bad_mul})
     assert label in {f[0] for f in bad.failures}
 
 
@@ -178,15 +192,15 @@ def test_fuzz_reports_inhomogeneous_products():
 
     bad = algebra_fuzz(
         seed=5,
-        sizes=FuzzSizes(trials=5),
+        trials=5,
         ops={"homog_mul": lambda a, b: a * b + HomogOperator.t(a.n, field=a.field)},
     )
     assert "homogeneous elements close under product" in {f[0] for f in bad.failures}
 
 
 def test_fuzz_is_reproducible():
-    a = algebra_fuzz(seed=99, sizes=FuzzSizes(trials=10))
-    b = algebra_fuzz(seed=99, sizes=FuzzSizes(trials=10))
+    a = algebra_fuzz(seed=99, trials=10)
+    b = algebra_fuzz(seed=99, trials=10)
     assert a.checks == b.checks
     assert a.failures == b.failures
 
