@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass
 
-from .weyl import NEG_INF, HomogOperator, WeylOperator, degree_lex_key
+from .weyl import NEG_INF, HomogOperator, Polynomial, WeylOperator, degree_lex_key
 
 TIEBREAK_KINDS = ("lex", "deglex", "degrevlex")
 
@@ -152,10 +152,11 @@ class OrderContext:
 
 def term_key(ctx, op):
     """The sort key for the terms of ``op``: the graded key for graded
-    operators and the weighted key otherwise, or ``weyl.degree_lex_key``
-    when there is no context.  Leading terms, printing and JSON all order
-    terms by it."""
-    if ctx is None:
+    operators and the weighted key for plain ones, or
+    ``weyl.degree_lex_key`` when there is no context or ``op`` is a
+    ``Polynomial``, which no weight form orders.  Leading terms, printing
+    and JSON all order terms by it."""
+    if ctx is None or isinstance(op, Polynomial):
         return degree_lex_key
     return ctx.graded_key if isinstance(op, HomogOperator) else ctx.weighted_key
 

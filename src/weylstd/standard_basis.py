@@ -6,7 +6,11 @@ the graded companion algebra, where the order becomes a well order.
 Completion is pair-driven in the usual way, except the cancelling
 combination of two elements multiplies by monomials in t, x and D from
 the left, and there is no coprime-leads shortcut: commutators make the
-classical product criterion unsound here, so every pair is reduced.
+classical product criterion unsound here.  The chain criterion is
+sound (A_n[t] is a G-algebra under the graded order), so pairs are
+pruned by Gebauer and Möller's update as each element arrives, the
+inputs included: criteria M and F on the new pairs, B_k on the pending
+ones (``_PairSet``).
 
 Pairs are processed by increasing graded degree of their lcm exponent
 (first-in first-out within a degree).  Since all inputs are homogeneous
@@ -15,8 +19,12 @@ degree cap bounds the run; hitting it raises rather than returning a
 silently incomplete basis.
 
 Every public entry point re-verifies its own output: the final basis
-passes the full pair criterion, the inputs reduce to zero against it,
-and the recorded cofactors reproduce each basis element from the inputs.
+passes the pair criterion, the inputs reduce to zero against it, and
+the recorded cofactors reproduce each basis element from the inputs.
+The pair criterion reduces the pairs that its own static chain-rule
+sweep over the final leads keeps (``_chain_pairs``), so that a fault in
+the completion's pair bookkeeping cannot hide itself.
+
 Each element's cofactor row is a tuple with one operator per input,
 from the moment the element enters the basis; ``_reduce`` folds the
 rows of the divisors a reduction used into the row of what it took off.
@@ -96,24 +104,20 @@ def buchberger(ctx, gens, degree_cap=DEFAULT_DEGREE_CAP) -> CompletionResult:
 
     basis = []
     rows = []  # rows[i][j]: cofactor of gens[j] in basis[i]
+    pairs = _PairSet()
     for j, g in enumerate(gens):
         zero, one = HomogOperator.zero(g.n, g.field), HomogOperator.constant(g.n, 1, g.field)
         unit = tuple(one if k == j else zero for k in range(len(gens)))
         h, unit = _monic(ctx, g, unit)
         basis.append(h)
         rows.append(unit)
+        pairs.add(leading_term(ctx, h).exponent)
 
     max_degree = max((graded_degree(g) for g in gens), default=0)
-    pairs = []
-    counter = 0
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            counter = _push_pair(ctx, pairs, basis, i, j, counter)
-
     processed = 0
     zeros = 0
     while pairs:
-        degree, _, i, j = heapq.heappop(pairs)
+        degree, i, j = pairs.pop()
         if degree > degree_cap:
             raise DegreeCapExceeded(degree, degree_cap)
         max_degree = max(max_degree, degree)
@@ -131,9 +135,7 @@ def buchberger(ctx, gens, degree_cap=DEFAULT_DEGREE_CAP) -> CompletionResult:
         r, row = _monic(ctx, r, row)
         basis.append(r)
         rows.append(row)
-        new = len(basis) - 1
-        for k in range(new):
-            counter = _push_pair(ctx, pairs, basis, k, new, counter)
+        pairs.add(leading_term(ctx, r).exponent)
 
     basis, rows = _interreduce(ctx, basis, rows)
     stats = CompletionStats(processed, zeros, max_degree)
@@ -142,12 +144,46 @@ def buchberger(ctx, gens, degree_cap=DEFAULT_DEGREE_CAP) -> CompletionResult:
     return result
 
 
-def _push_pair(ctx, pairs, basis, i, j, counter):
-    lcm = vec_max(
-        leading_term(ctx, basis[i]).exponent, leading_term(ctx, basis[j]).exponent
-    )
-    heapq.heappush(pairs, (sum(lcm), counter, i, j))
-    return counter + 1
+class _PairSet:
+    """The pending pairs of a completion, pruned by Gebauer and Möller's
+    update as each element arrives, and popped by (lcm degree, arrival).
+
+    A new pair (k, new) is kept only when no other new pair's lcm
+    strictly divides its lcm (criterion M) and no earlier new pair has
+    the same lcm (criterion F).  A pending pair (i, j) is dropped when
+    the new lead divides its lcm and neither (i, new) nor (j, new) has
+    that lcm (criterion B_k).  All three are instances of the chain
+    criterion.  There is no product criterion: it is unsound here."""
+
+    def __init__(self):
+        self._leads = []
+        self._lcms = {}  # pending (i, j) -> lcm of their leads
+        # (degree, j, i): pairs arrive in (j, i) order, and a dropped pair
+        # stays on the heap until it is popped
+        self._heap = []
+
+    def __bool__(self):
+        return bool(self._lcms)
+
+    def add(self, lead):
+        new = len(self._leads)
+        lcms = [vec_max(e, lead) for e in self._leads]
+        for (i, j), m in list(self._lcms.items()):
+            if vec_leq(lead, m) and lcms[i] != m and lcms[j] != m:
+                del self._lcms[i, j]
+        for k, m in enumerate(lcms):
+            if any(vec_leq(m2, m) and (m2 != m or k2 < k) for k2, m2 in enumerate(lcms) if k2 != k):
+                continue
+            self._lcms[k, new] = m
+            heapq.heappush(self._heap, (sum(m), new, k))
+        self._leads.append(lead)
+
+    def pop(self):
+        """The next pending pair as (degree, i, j)."""
+        while True:
+            degree, j, i = heapq.heappop(self._heap)
+            if self._lcms.pop((i, j), None) is not None:
+                return degree, i, j
 
 
 def _reduce(ctx, h, divisors, rows):
@@ -198,11 +234,10 @@ def _interreduce(ctx, basis, rows):
 
 def _check_completion(ctx, gens, result):
     basis = result.basis
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            s = semisyzygy(ctx, basis[i], basis[j])
-            if not s.is_zero() and not divide(ctx, s, basis).remainder.is_zero():
-                raise InvariantViolation("completed basis fails the pair criterion")
+    for i, j in _chain_pairs([leading_term(ctx, b).exponent for b in basis]):
+        s = semisyzygy(ctx, basis[i], basis[j])
+        if not s.is_zero() and not divide(ctx, s, basis).remainder.is_zero():
+            raise InvariantViolation("completed basis fails the pair criterion")
     for g in gens:
         if not divide(ctx, g, basis).remainder.is_zero():
             raise InvariantViolation("an input generator does not reduce to zero")
@@ -212,6 +247,31 @@ def _check_completion(ctx, gens, result):
             total = total + c * g
         if total != b:
             raise InvariantViolation("cofactor bookkeeping does not reproduce the basis")
+
+
+def _chain_pairs(leads):
+    """The pairs (i, j) of ``leads`` whose semisyzygies the certificate
+    reduces: all but those some k skips, where lead k divides the lcm of
+    i and j and the lcms of (i, k) and (j, k) both differ from it.
+
+    The skipped pair's semisyzygy then combines those of (i, k) and
+    (j, k), whose lcms strictly divide its own, so by induction on lcm
+    divisibility every pair has a standard representation once the kept
+    ones reduce to zero.  Read from the final leads alone, with nothing
+    taken from the completion's own pair bookkeeping."""
+    lcm = {}
+    for j, b in enumerate(leads):
+        for i in range(j):
+            lcm[i, j] = lcm[j, i] = vec_max(leads[i], b)
+    for i in range(len(leads)):
+        for j in range(i + 1, len(leads)):
+            m = lcm[i, j]
+            if not any(
+                vec_leq(e, m) and lcm[i, k] != m and lcm[j, k] != m
+                for k, e in enumerate(leads)
+                if k != i and k != j
+            ):
+                yield i, j
 
 
 @dataclass(frozen=True)

@@ -153,6 +153,16 @@ _PIN_TEXT = "x2^2*D1 - 3/2*x1*D2^2 + D1*x1 - 7"
             [([2, 1], [], "-3/2"), ([0, 3], [], "1"), ([1, 0], [], "5"), ([0, 0], [], "-1")],
         ),
         (
+            # with a context a polynomial keeps the degree-lex order
+            # (this raised IndexError when the weighted key was used)
+            Polynomial(2, {(1, 2): 1, (0, 0): 3}),
+            OrderContext(LinearForm.order(2)),
+            "x1*x2^2 + 3",
+            "x1*x2^2 + 3",
+            [([1, 2], [], "1"), ([0, 0], [], "3")],
+            [([1, 2], [], "1"), ([0, 0], [], "3")],
+        ),
+        (
             parse_operator(_PIN_TEXT, 2),
             _PIN_CTX,
             "-3/2*x1*D2^2 + x2^2*D1 + x1*D1 - 6",
@@ -173,7 +183,7 @@ _PIN_TEXT = "x2^2*D1 - 3/2*x1*D2^2 + D1*x1 - 7"
              (0, [0, 2], [1, 0], "1")],
         ),
     ],
-    ids=["polynomial", "weyl", "homog"],
+    ids=["polynomial", "polynomial-in-context", "weyl", "homog"],
 )
 def test_printers_and_json_writer_pinned(op, ctx, text, ordered, obj, ordered_obj):
     # the printers and the JSON writer cut every key into (k, alpha, beta)

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from weylstd import (
+    CompletionStats,
     DegreeCapExceeded,
     FpElement,
     HomogOperator,
@@ -24,7 +25,9 @@ from weylstd import (
     reduces_to_zero,
     semisyzygy,
 )
+import weylstd.standard_basis as standard_basis
 from weylstd.oracle import random_weyl
+from weylstd.standard_basis import CompletionResult
 from weylstd.weyl import vec_leq
 
 
@@ -120,11 +123,7 @@ def test_every_pair_reduces_to_zero_on_final_basis():
     ctx = _ctx(form=LinearForm.bernstein(1))
     x, D = WeylOperator.x(1, 1), WeylOperator.d(1, 1)
     report = compute_standard_basis(ctx, [x**3, x * D + WeylOperator.constant(1, 2)])
-    basis = report.homog_basis
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            s = semisyzygy(ctx, basis[i], basis[j])
-            assert s.is_zero() or reduces_to_zero(ctx, s, basis)
+    assert _every_pair_reduces(ctx, report.homog_basis)
 
 
 def test_degree_cap_raises():
@@ -178,6 +177,8 @@ def test_gkz_system_over_prime_field(p):
     report = compute_standard_basis(ctx, ops)
     rational = compute_standard_basis(ctx, [parse_operator(text, 3, QQ) for text in GKZ3])
     assert report.staircase == rational.staircase
+    # the pair criteria read only leads, so the counts agree across fields
+    assert report.stats == rational.stats == CompletionStats(11, 7, 6)
     assert all(g.field == field for g in report.homog_basis + report.delta_basis)
     assert oracle_pipeline_agree(ctx, ops, report, degree_bound=6).ok
 
@@ -209,8 +210,6 @@ def test_stats_are_recorded():
 def test_injected_cofactor_fault_is_caught(monkeypatch):
     # drop one nonzero quotient's row from what a reduction took off; the
     # final cofactor check must notice the broken certificate
-    import weylstd.standard_basis as standard_basis
-
     original = standard_basis._reduce
     fired = []
 
@@ -229,3 +228,86 @@ def test_injected_cofactor_fault_is_caught(monkeypatch):
     with pytest.raises(InvariantViolation, match="cofactor bookkeeping"):
         buchberger(ctx, gens)
     assert fired
+
+
+def _passes_pair_criterion(ctx, basis):
+    """The certificate's pair-criterion verdict on ``basis`` alone: with no
+    inputs and no cofactor rows, only the pair criterion can fail."""
+    try:
+        standard_basis._check_completion(ctx, (), CompletionResult(tuple(basis), (), None))
+    except InvariantViolation as exc:
+        assert "fails the pair criterion" in str(exc)
+        return False
+    return True
+
+
+def _every_pair_reduces(ctx, basis):
+    """Reference for the certificate: reduce every pair, none skipped."""
+    for i in range(len(basis)):
+        for j in range(i + 1, len(basis)):
+            s = semisyzygy(ctx, basis[i], basis[j])
+            if not (s.is_zero() or reduces_to_zero(ctx, s, basis)):
+                return False
+    return True
+
+
+def test_injected_dropped_pair_is_caught(monkeypatch):
+    # a pair set that loses the pair (0, 4), whose semisyzygy adds a basis
+    # element, must leave a basis the certificate rejects
+    original = standard_basis._PairSet.add
+    fired = []
+
+    def dropping_add(self, lead):
+        original(self, lead)
+        if self._lcms.pop((0, 4), None) is not None:
+            fired.append(True)
+
+    monkeypatch.setattr(standard_basis._PairSet, "add", dropping_add)
+    ctx = _ctx()
+    gens = [homogenize(parse_operator(t, 1)) for t in ("x1^2*D1 - 1", "D1^2 + x1")]
+    with pytest.raises(InvariantViolation, match="fails the pair criterion"):
+        buchberger(ctx, gens)
+    assert fired
+
+
+def test_gkz3_certificate_rejects_incomplete_bases():
+    ctx = _ctx(3)
+    gens = [homogenize(parse_operator(text, 3)) for text in GKZ3]
+    basis = buchberger(ctx, gens).basis
+    assert _passes_pair_criterion(ctx, basis)
+    drop_ones = [basis[:i] + basis[i + 1 :] for i in range(len(basis))]
+    monic = [g.scale(1 / leading_term(ctx, g).coefficient) for g in gens]
+    for candidate in drop_ones + [monic]:
+        assert not _passes_pair_criterion(ctx, candidate)
+
+
+def test_pruned_certificate_agrees_with_every_pair_sweep():
+    rng = random.Random(29)
+    verdicts = []
+    while len(verdicts) < 60:
+        n = rng.randint(1, 2)
+        ctx = _ctx(n)
+        gens = [g for g in (random_weyl(rng, n, terms=2, degree=2, coeff=3) for _ in range(3)) if not g.is_zero()]
+        if not gens:
+            continue
+        gens = [homogenize(g) for g in gens]
+        try:
+            basis = buchberger(ctx, gens, degree_cap=10).basis
+        except DegreeCapExceeded:
+            continue
+        for candidate in [basis[:i] + basis[i + 1 :] for i in range(len(basis))] + [gens]:
+            verdict = _every_pair_reduces(ctx, candidate)
+            assert _passes_pair_criterion(ctx, candidate) == verdict
+            verdicts.append(verdict)
+    assert True in verdicts and False in verdicts
+
+
+def test_chain_pairs_skips_only_through_strictly_smaller_lcms():
+    # x^2 and D^2 meet at x^2 D^2, which x*D divides with smaller lcms on
+    # both sides, so that pair is skipped
+    assert list(standard_basis._chain_pairs([(0, 2, 0), (0, 0, 2), (0, 1, 1)])) == [(0, 2), (1, 2)]
+    # t*x*D shares its lcm with both t and x, so neither (0, 2) nor
+    # (1, 2) may be skipped through the other: each would lean on a pair
+    # with the same lcm, and the two would vouch only for each other
+    leads = [(1, 0, 0), (0, 1, 0), (1, 1, 1)]
+    assert list(standard_basis._chain_pairs(leads)) == [(0, 1), (0, 2), (1, 2)]
