@@ -5,7 +5,9 @@ machinery than the thing they check.
 
 The truncation witness spans the graded left ideal up to a degree bound
 by brute force: every monomial multiple of every generator, swept into
-row echelon form over the scalar field.  The pivot exponents are then
+row echelon form over the scalar field, one degree at a time (rows are
+homogeneous, so degrees never mix) on integer rows keyed by each
+exponent's graded key, computed once.  The pivot exponents are then
 exactly the leading exponents the ideal achieves below the bound, with
 no completion logic involved.  Comparing them against a computed
 staircase is the closest thing to ground truth available without a
@@ -20,14 +22,17 @@ product must make it fail.
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
+from operator import attrgetter
 
 from .errors import InvariantViolation, OracleSizeError
 from .division import RegionPartition, divide
 from .homogenize import dehomogenize, graded_degree, homogenize, is_homogeneous, project_exponent
 from .orders import LinearForm, OrderContext, TieBreak, TIEBREAK_KINDS, leading_term, principal_symbol, is_graded_commutative
-from .scalars import QQ
+from .scalars import QQ, PrimeField
 from .standard_basis import minimal_staircase
 from .weyl import HomogOperator, Polynomial, WeylOperator, vec_add, vec_leq
 
@@ -53,43 +58,97 @@ def _monomials_up_to(width, total):
 
 def truncation_witness(ctx, ops, degree_bound, max_rows=50_000) -> TruncationWitness:
     """Echelonize all monomial multiples of the homogenized generators
-    with product degree at most ``degree_bound``."""
+    with product degree at most ``degree_bound``.
+
+    Each (monomial, generator) job makes one homogeneous row, and the
+    graded key leads with the degree, so rows of different degrees never
+    meet: the jobs are swept one degree block at a time, and a block's
+    pivots are dropped when it is done.  Within a block each distinct
+    exponent's graded key is computed once and the rows are keyed by it,
+    so a row's lead is its largest key.
+
+    Rows hold Python ints.  Over QQ each homogenized generator is first
+    scaled by the lcm of its denominators; a nonzero scalar multiple
+    generates the same left ideal, so every block spans the same space
+    and the pivot set is unchanged.  Over F_p the rows hold residues.
+    Both fields eliminate with one loop, by cross-multiplication:
+    ``row := (pc/d)*row - (c/d)*pivot`` with ``d = gcd(c, pc)`` clears
+    the lead c of the row against the lead pc of its pivot.  Over F_p
+    everything is reduced mod p and pivots are stored monic (so pc = 1
+    and the row is never scaled); over QQ pivots are stored divided by
+    their content.
+    """
     ops = [op for op in ops if not op.is_zero()]
     gens = [homogenize(op) for op in ops]
     for g in gens:
         if graded_degree(g) > degree_bound:
             raise ValueError("degree bound is below a generator's degree")
 
+    fld = gens[0].field if gens else QQ
+    p = fld.p if isinstance(fld, PrimeField) else 0
+    if p:
+        lift = attrgetter("value")
+    else:
+        gens = [g.scale(lcm(*(c.denominator for c in g.terms.values()))) for g in gens]
+        lift = attrgetter("numerator")
+
     n = ctx.n
     width = 2 * n + 1
-    jobs = []
+    blocks = defaultdict(list)  # product degree -> its (monomial, generator) jobs
     for g in gens:
-        room = degree_bound - graded_degree(g)
-        jobs.extend((m, g) for m in _monomials_up_to(width, room))
-    if len(jobs) > max_rows:
+        d = graded_degree(g)
+        for m in _monomials_up_to(width, degree_bound - d):
+            blocks[d + sum(m)].append((m, g))
+    rows = sum(map(len, blocks.values()))
+    if rows > max_rows:
         raise OracleSizeError(
-            f"{len(jobs)} candidate rows exceed the limit of {max_rows}; "
+            f"{rows} candidate rows exceed the limit of {max_rows}; "
             "lower the degree bound"
         )
 
-    pivots = {}
-    for m, g in jobs:
-        row = dict((HomogOperator.monomial(n, m, field=g.field) * g).terms)
-        while row:
-            lead = max(row, key=ctx.graded_key)
-            hit = pivots.get(lead)
-            if hit is None:
+    one = fld.one()
+    leading = set()
+    for degree in sorted(blocks):
+        keys = {}  # exponent -> graded key
+        pivots = {}  # lead key -> reduced row
+        for m, g in blocks[degree]:
+            # m comes from _monomials_up_to, so it is a well-formed key
+            product = HomogOperator._trusted(n, {m: one}, fld) * g
+            row = {}
+            for e, c in product.terms.items():
+                k = keys.get(e)
+                if k is None:
+                    k = keys[e] = ctx.graded_key(e)
+                row[k] = lift(c)
+            while row:
+                lead = max(row)
                 c = row[lead]
-                pivots[lead] = {k: v / c for k, v in row.items()}
-                break
-            c = row[lead]
-            for k, v in hit.items():
-                s = row.get(k, 0) - c * v
-                if s == 0:
-                    row.pop(k, None)
-                else:
-                    row[k] = s
-    return TruncationWitness(degree_bound, frozenset(pivots), len(pivots))
+                pivot = pivots.get(lead)
+                if pivot is None:
+                    if p:
+                        inv = pow(c, -1, p)
+                        pivots[lead] = {k: v * inv % p for k, v in row.items()}
+                    else:
+                        content = gcd(*row.values())
+                        pivots[lead] = {k: v // content for k, v in row.items()}
+                    break
+                pc = pivot[lead]
+                common = gcd(c, pc)
+                b = c // common
+                if pc != common:
+                    a = pc // common
+                    row = {k: a * v for k, v in row.items()}
+                for k, v in pivot.items():
+                    s = row.get(k, 0) - b * v
+                    if p:
+                        s %= p
+                    if s:
+                        row[k] = s
+                    else:  # b and v are nonzero (mod p), so k was in the row
+                        del row[k]
+        exponent = {k: e for e, k in keys.items()}
+        leading.update(exponent[k] for k in pivots)
+    return TruncationWitness(degree_bound, frozenset(leading), len(leading))
 
 
 def staircase_oracle(ctx, ops, degree_bound, max_rows=50_000):
@@ -133,7 +192,8 @@ def oracle_pipeline_agree(ctx, ops, report, degree_bound, max_rows=50_000) -> Ag
 
     top = max((graded_degree(g) for g in report.homog_basis), default=0)
     window = degree_bound - top
-    for m in _monomials_up_to(2 * ctx.n, max(window, 0)):
+    # a negative window certifies nothing, and the sweep below it is empty
+    for m in _monomials_up_to(2 * ctx.n, window):
         in_computed = _in_upper_set(m, report.staircase)
         in_witness = _in_upper_set(m, oracle_corners)
         if in_computed != in_witness:

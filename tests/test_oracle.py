@@ -1,14 +1,18 @@
 """Brute-force witness and randomized self-checks."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
 from weylstd import (
+    QQ,
+    HomogOperator,
     LinearForm,
     OracleSizeError,
     OrderContext,
+    PrimeField,
     WeylOperator,
     algebra_fuzz,
     compute_standard_basis,
@@ -17,10 +21,44 @@ from weylstd import (
     staircase_oracle,
     truncation_witness,
 )
+from weylstd.homogenize import graded_degree, homogenize
+from weylstd.oracle import _monomials_up_to, random_linear_form, random_tiebreak, random_weyl
 
 
-def _gens(n, *texts):
-    return [parse_operator(t, n) for t in texts]
+def _gens(n, *texts, fld=QQ):
+    return [parse_operator(t, n, fld) for t in texts]
+
+
+def _reference_witness(ctx, ops, degree_bound):
+    """The witness as a plain row-by-row sweep in field arithmetic: every
+    (monomial, generator) row is reduced against all pivots so far, its
+    lead found by keying every term again on each step, and each pivot
+    is stored monic.  Returns (leading exponents, rank)."""
+    gens = [homogenize(op) for op in ops if not op.is_zero()]
+    pivots = {}
+    for g in gens:
+        for m in _monomials_up_to(2 * ctx.n + 1, degree_bound - graded_degree(g)):
+            row = dict((HomogOperator.monomial(ctx.n, m, field=g.field) * g).terms)
+            while row:
+                lead = max(row, key=ctx.graded_key)
+                hit = pivots.get(lead)
+                if hit is None:
+                    c = row[lead]
+                    pivots[lead] = {k: v / c for k, v in row.items()}
+                    break
+                c = row[lead]
+                for k, v in hit.items():
+                    s = row.get(k, 0) - c * v
+                    if s == 0:
+                        row.pop(k, None)
+                    else:
+                        row[k] = s
+    return frozenset(pivots), len(pivots)
+
+
+def _assert_witness_matches_reference(ctx, ops, bound):
+    witness = truncation_witness(ctx, ops, bound)
+    assert (witness.leading_exponents, witness.matrix_rank) == _reference_witness(ctx, ops, bound)
 
 
 def test_witness_on_whole_algebra_ideal():
@@ -59,6 +97,48 @@ def test_witness_preconditions():
         truncation_witness(ctx, _gens(1, "x1^3"), 2)  # bound below generator degree
     with pytest.raises(OracleSizeError):
         truncation_witness(ctx, _gens(1, "x1"), 8, max_rows=3)
+    # the limit counts one row per monomial of degree <= 8 - deg(g) in the
+    # 3 variables t, x1, D1: C(10, 3) = 120 for x1 and C(9, 3) = 84 for D1^2
+    gens = _gens(1, "x1", "D1^2")
+    with pytest.raises(OracleSizeError, match="^204 candidate rows exceed the limit of 203;"):
+        truncation_witness(ctx, gens, 8, max_rows=203)
+    assert truncation_witness(ctx, gens, 8, max_rows=204).matrix_rank > 0
+
+
+WITNESS_FIELDS = [QQ, PrimeField(5), PrimeField(7), PrimeField(32003)]
+
+
+@pytest.mark.parametrize("fld", WITNESS_FIELDS, ids=lambda f: repr(f))
+def test_witness_matches_reference_on_random_ideals(fld):
+    rng = random.Random(f"witness:{fld!r}")
+    for _ in range(16):
+        n = rng.randint(1, 2)
+        ctx = OrderContext(random_linear_form(rng, n), random_tiebreak(rng, n))
+        ops = [random_weyl(rng, n, terms=4, degree=2, coeff=6, fld=fld) for _ in range(rng.randint(1, 3))]
+        if fld == QQ:  # denominators exercise the lcm scaling
+            ops = [
+                WeylOperator(n, {k: c / rng.randint(1, 6) for k, c in op.terms.items()}, QQ)
+                for op in ops
+            ]
+        top = max((graded_degree(homogenize(op)) for op in ops if not op.is_zero()), default=0)
+        _assert_witness_matches_reference(ctx, ops, top + (3 if n == 1 else 2))
+
+
+# The GKZ system H_A(beta) for A = [[1,1,1],[0,1,2]], beta = (3/5, 7/11),
+# under the order form, Bernstein, v_form and l_form(3, 1, 1).
+GKZ3 = ("D1*D3 - D2^2", "x1*D1 + x2*D2 + x3*D3 - 3/5", "x2*D2 + 2*x3*D3 - 7/11")
+GKZ3_FORMS = [
+    LinearForm.order(3),
+    LinearForm.bernstein(3),
+    LinearForm.v_form(3),
+    LinearForm.l_form(3, 1, 1),
+]
+
+
+@pytest.mark.parametrize("fld", [QQ, PrimeField(7)], ids=lambda f: repr(f))
+@pytest.mark.parametrize("form", GKZ3_FORMS, ids=["order", "bernstein", "v_form", "l_form"])
+def test_witness_matches_reference_on_gkz3(form, fld):
+    _assert_witness_matches_reference(OrderContext(form), _gens(3, *GKZ3, fld=fld), 6)
 
 
 def test_agreement_on_small_corpus():
@@ -74,6 +154,36 @@ def test_agreement_on_small_corpus():
         agreement = oracle_pipeline_agree(ctx, gens, report, bound)
         assert agreement.ok, agreement.mismatches
         assert agreement.window >= 0
+
+
+def test_agreement_skips_sweep_below_negative_window():
+    # the basis of (x1, D1) reaches degree 2, so bound 1 leaves window -1:
+    # nothing below it is certified, and nothing may be reported
+    ctx = OrderContext(LinearForm.order(1))
+    gens = _gens(1, "x1", "D1")
+    report = compute_standard_basis(ctx, gens)
+    for bound in (1, 2, 3):
+        agreement = oracle_pipeline_agree(ctx, gens, report, bound)
+        assert agreement.ok, (bound, agreement.mismatches)
+        assert agreement.window == bound - 2
+
+
+@pytest.mark.parametrize("fld", [QQ, PrimeField(7)], ids=lambda f: repr(f))
+def test_agreement_catches_wrong_staircases(fld):
+    ctx = OrderContext(LinearForm.bernstein(1))
+    gens = _gens(1, "x1^3", "x1*D1 + 2", fld=fld)
+    report = compute_standard_basis(ctx, gens)
+    assert report.staircase == ((1, 1), (2, 0))
+    assert oracle_pipeline_agree(ctx, gens, report, 8).ok
+    wrong = [
+        (report.staircase[1:], "witness exponent outside computed staircase"),
+        (report.staircase[:1], "witness exponent outside computed staircase"),
+        (report.staircase + ((1, 0),), "staircase membership differs below window"),
+    ]
+    for staircase, label in wrong:
+        agreement = oracle_pipeline_agree(ctx, gens, dataclasses.replace(report, staircase=staircase), 8)
+        assert not agreement.ok, staircase
+        assert label in {kind for kind, _ in agreement.mismatches}
 
 
 def test_fuzz_clean_run():
