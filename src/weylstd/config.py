@@ -59,7 +59,7 @@ class RunConfig:
         if len(self.var_order) != 2 * n:
             raise ConfigError(f"var_order must list all {2 * n} variables")
         perm = tuple(_flat_index(name, n) for name in self.var_order)
-        prime = re.fullmatch(r"fp\((\d+)\)", str(self.field))
+        prime = re.fullmatch(r"fp\(([0-9]+)\)", str(self.field))
         if self.field != "rational" and not prime:
             raise ConfigError(f"field must be \"rational\" or \"fp(prime)\", got {self.field!r}")
         if not isinstance(self.degree_cap, int) or self.degree_cap < 0:

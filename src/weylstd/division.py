@@ -10,11 +10,9 @@ so repeatedly rewriting the largest term terminates.
 
 Every call re-checks its own output (reconstruction plus the support
 conditions), which turns any bug here into a loud ``InvariantViolation``
-instead of a silently wrong basis downstream.  The check is not cheap.
-On the GKZ system with A = [[1,1,1,1],[0,1,3,4]] under the order form
-(the benchmark's ``gkz-complete`` op, three traced runs on a 2-vCPU VM)
-it took 35% of the traced time, its own products included, against
-31-32% spent in the division loops themselves.
+instead of a silently wrong basis downstream.  The check is not cheap:
+the reconstruction multiplies out every Q_i P_i again, although the loop
+has already formed each of its monomial-times-divisor pieces.
 """
 
 from __future__ import annotations

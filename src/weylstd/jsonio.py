@@ -2,7 +2,9 @@
 
 Terms serialize as ``{"alpha": [...], "beta": [...], "coeff": "num/den"}``
 with a leading ``"k"`` entry for graded elements.  Coefficients travel as
-exact strings, never floats, so a round trip is bit-identical.  Term
+exact strings, never floats, so a round trip is bit-identical; the reader
+takes a string through ``field.parse`` and anything else through
+``field.coerce``, so only an int or ``num``/``num/den`` gets in.  Term
 order in the output follows the active order descending when a context
 is given, matching the text printer.
 """
@@ -36,9 +38,10 @@ def _from_obj(cls, data, n, field):
         if len(alpha) != n or len(beta) != n:
             raise ValueError(f"term has {len(alpha)}+{len(beta)} exponents, expected {n}+{n}")
         coeff = entry["coeff"]
-        coeff = field.parse(coeff) if isinstance(coeff, str) else field.from_int(coeff)
+        coeff = field.parse(coeff) if isinstance(coeff, str) else field.coerce(coeff)
         k = (entry.get("k", 0),) if cls is HomogOperator else ()
-        pairs.append((k + alpha + beta, coeff))
+        # checked before add_terms merges it, as (1,) and (True,) are one dict key
+        pairs.append((cls._key(n, k + alpha + beta), coeff))
     return cls(n, add_terms({}, pairs), field)
 
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 import random
 from collections import defaultdict
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import gcd, lcm
 from operator import attrgetter
 
@@ -360,11 +359,13 @@ def _fuzz_products(rng, rep, table, n):
     # The arithmetic builds its results without re-validating them, so the
     # derived values are checked here as well as the random inputs; in
     # a - a every term cancels.
-    derived = [a + b, a - b, -a, a.scale(Fraction(-3, 2)), a - a, mul(a, b)]
-    derived += [ha + hb, ha - hb, -ha, ha.scale(Fraction(2, 3)), hmul(ha, hb), prod]
+    derived = [a + b, a - b, -a, a.scale(a.field.from_int(-3, 2)), a - a, mul(a, b)]
+    derived += [ha + hb, ha - hb, -ha, ha.scale(ha.field.from_int(2, 3)), hmul(ha, hb), prod]
     derived += [ha.t_shift(2), dehomogenize(ha)]
     for op in [a, b, ha, hb] + derived:
-        _note(rep, all(coeff != 0 for coeff in op.terms.values()), "no stored zeros", op)
+        # nonzero, and an element of op.field by the rule its coerce applies
+        kept = all(c != 0 and c in op.field for c in op.terms.values())
+        _note(rep, kept, "no stored zeros", op)
         _note(rep, _keys_well_formed(op), "keys are naturals of the right width", op)
 
 

@@ -37,7 +37,7 @@ class LinearForm:
         if len(p) != len(q) or not p:
             raise ValueError("p and q must be nonempty and of equal length")
         for i, (pi, qi) in enumerate(zip(p, q)):
-            if not (isinstance(pi, int) and isinstance(qi, int)):
+            if not (type(pi) is int and type(qi) is int):
                 raise ValueError(f"weights must be integers, got p = {p!r}, q = {q!r}")
             if pi + qi < 0:
                 raise ValueError(

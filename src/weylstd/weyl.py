@@ -32,8 +32,11 @@ immutable.  The public constructor checks every key; values the
 arithmetic builds itself skip that check (``_TermMap._trusted``).
 Each value carries its scalar field in ``field``, taken from the
 coefficients when not given (F_p for an ``FpElement``, QQ otherwise).
-Integer coefficients are coerced into it, derived values inherit it,
-and mixing fields raises ``ValueError``, as mixing n does.
+Every scalar from outside, in the constructor and in ``scale`` (so in
+scalar ``*`` too), enters through ``field.coerce``, the one door: an
+element of the field or a plain ``int``, anything else a ``ValueError``.
+Derived values inherit the field, and mixing fields raises
+``ValueError``, as mixing n does.
 """
 
 from __future__ import annotations
@@ -151,16 +154,10 @@ class _TermMap:
         terms = dict(terms or {})
         if field is None:
             field = field_of(terms.values())
-        width = self._width(n)
         out = {}
         for key, coeff in terms.items():
-            key = tuple(key)
-            if len(key) != width or any((not isinstance(e, int)) or e < 0 for e in key):
-                raise ValueError(
-                    f"bad {type(self).__name__} exponent {key!r}: expected {width} naturals"
-                )
-            if isinstance(coeff, int):
-                coeff = field.from_int(coeff)
+            key = self._key(n, key)
+            coeff = field.coerce(coeff)
             if coeff == 0:
                 continue
             out[key] = coeff
@@ -174,8 +171,10 @@ class _TermMap:
         """Wrap a term map the arithmetic built itself, without the checks
         of ``__init__``: every key must already be a tuple of ``_width(n)``
         naturals and every coefficient a nonzero element of ``field``.
+        That holds because every scalar enters through ``field.coerce``
+        and field arithmetic stays in the field.
         The randomized suite (``oracle.algebra_fuzz``) checks that the
-        arithmetic keeps to this."""
+        arithmetic keeps to this, field membership included."""
         self = object.__new__(cls)
         self.n = n
         self.terms = terms
@@ -186,6 +185,16 @@ class _TermMap:
     @classmethod
     def _width(cls, n):
         return cls._SHAPE[0] * n + cls._SHAPE[1]
+
+    @classmethod
+    def _key(cls, n, key):
+        """``key`` as a tuple, checked to be ``_width(n)`` naturals; a
+        ``bool`` is not one."""
+        key = tuple(key)
+        width = cls._width(n)
+        if len(key) != width or any(type(e) is not int or e < 0 for e in key):
+            raise ValueError(f"bad {cls.__name__} exponent {key!r}: expected {width} naturals")
+        return key
 
     @classmethod
     def zero(cls, n, field=None):
@@ -243,8 +252,7 @@ class _TermMap:
         return self._plus(other, ((k, -c) for k, c in other.terms.items()))
 
     def scale(self, c):
-        if isinstance(c, int):
-            c = self.field.from_int(c)
+        c = self.field.coerce(c)
         if c == 0:
             return type(self).zero(self.n, self.field)
         return type(self)._trusted(self.n, {k: c * v for k, v in self.terms.items()}, self.field)

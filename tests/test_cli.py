@@ -373,3 +373,18 @@ def test_output_mode_from_config(capsys, tmp_path):
     status, out, _ = _run(capsys, "--config", str(cfg), "normalize", "x1")
     assert status == 0
     assert json.loads(out)["operators"][0]["terms"][0]["alpha"] == [1]
+
+
+def test_large_prime_moduli(capsys, tmp_path):
+    # 2^61 - 1 is decided at once; a 31-digit modulus is above the limit
+    # where the primality test is exact, a config error rather than a hang
+    big = tmp_path / "big.cfg"
+    big.write_text('n = 1\nfield = "fp(2305843009213693951)"\n')
+    status, out, _ = _run(capsys, "--config", str(big), "std-basis", "x1", "D1")
+    assert status == 0 and "staircase: (0, 0)" in out
+    huge = tmp_path / "huge.cfg"
+    huge.write_text('n = 1\nfield = "fp(1000000000000000000000000000057)"\n')
+    status, out, _ = _run(capsys, "--config", str(huge), "--output", "json", "std-basis", "x1", "D1")
+    assert status == 2
+    error = json.loads(out)["error"]
+    assert error["code"] == "config-error" and "too large" in error["message"]

@@ -98,6 +98,9 @@ def test_nonprime_field(tmp_path):
         load_config(_write(tmp_path, 'n = 1\nfield = "fp(6)"'))
     with pytest.raises(ConfigError, match="field must be"):
         load_config(_write(tmp_path, 'n = 1\nfield = "float"'))
+    # int() reads Arabic-Indic digits, so "fp(٧)" would have been F_7
+    with pytest.raises(ConfigError, match="field must be"):
+        RunConfig(n=1, field="fp(٧)")
 
 
 def test_bad_tiebreak_and_var_order(tmp_path):

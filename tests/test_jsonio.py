@@ -9,6 +9,7 @@ from weylstd import (
     LinearForm,
     OrderContext,
     PrimeField,
+    QQ,
     homog_from_obj,
     homogenize,
     operator_to_obj,
@@ -86,3 +87,26 @@ def test_shape_errors():
         weyl_from_obj({"terms": [{"alpha": [1], "beta": [0, 0], "coeff": "1"}]}, 1)
     with pytest.raises(ValueError):
         weyl_from_obj([], 1)
+    # JSON true is no exponent, though Python reads it as 1, also where it
+    # repeats an exponent written as 1
+    with pytest.raises(ValueError):
+        weyl_from_obj({"n": 1, "terms": [{"alpha": [True], "beta": [0], "coeff": 1}]}, 1)
+    ones = [{"alpha": [1], "beta": [0], "coeff": 1}, {"alpha": [True], "beta": [0], "coeff": 1}]
+    with pytest.raises(ValueError):
+        weyl_from_obj({"n": 1, "terms": ones}, 1)
+    with pytest.raises(ValueError):
+        homog_from_obj({"n": 1, "terms": [{"k": True, "alpha": [0], "beta": [0], "coeff": 1}]}, 1)
+
+
+FOREIGN_COEFFS = [1.5, True, None, [1], "1.5", "1e2", "1_0", "3/-2", "1/0"]
+
+
+@pytest.mark.parametrize("reader", [weyl_from_obj, homog_from_obj])
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["QQ", "F_7"])
+def test_coefficients_enter_through_the_field(reader, field):
+    for coeff in FOREIGN_COEFFS:
+        obj = {"n": 1, "terms": [{"alpha": [0], "beta": [1], "coeff": coeff}]}
+        with pytest.raises(ValueError):
+            reader(obj, 1, field)
+    obj = {"n": 1, "terms": [{"alpha": [0], "beta": [1], "coeff": " -3/2 "}]}
+    assert reader(obj, 1, field).terms.popitem()[1] == field.from_int(-3, 2)

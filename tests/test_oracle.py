@@ -321,3 +321,24 @@ def test_zero_ideal_agreement():
     agreement = oracle_pipeline_agree(ctx, [], report, 4)
     assert agreement.ok
     assert agreement.witness.matrix_rank == 0
+
+
+def test_fuzz_catches_coefficients_outside_the_field(monkeypatch):
+    # a sum that stores an integral Fraction as an int breaks no equality
+    # identity (2 == Fraction(2)), only field membership
+    import weylstd.weyl as weyl
+
+    def demoting(out, pairs):
+        for key, c in pairs:
+            acc = out.get(key)
+            s = c if acc is None else acc + c
+            if s == 0:
+                out.pop(key, None)
+            else:
+                out[key] = int(s) if s.denominator == 1 else s
+        return out
+
+    monkeypatch.setattr(weyl, "add_terms", demoting)
+    bad = algebra_fuzz(seed=0)
+    assert not bad.ok
+    assert {f[0] for f in bad.failures} == {"no stored zeros"}

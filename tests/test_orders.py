@@ -38,6 +38,9 @@ def test_weights_must_be_integers():
         LinearForm((1.5,), (0,))
     with pytest.raises(ValueError, match="integers"):
         LinearForm((0,), (0.7,))
+    # nor is a bool an integer weight, as it is no exponent
+    with pytest.raises(ValueError, match="integers"):
+        LinearForm((True,), (0,))
 
 
 def test_standard_forms():

@@ -96,6 +96,11 @@ def test_bad_exponents_rejected():
         HomogOperator(1, {(1, 0): 1})
     with pytest.raises(ValueError):
         WeylOperator(0, {})
+    # a bool is not a natural exponent
+    with pytest.raises(ValueError):
+        WeylOperator(1, {(True, False): 3})
+    with pytest.raises(ValueError):
+        HomogOperator(1, {(0, 1, True): 3})
 
 
 def test_power_of_zero_and_unit():
@@ -228,3 +233,30 @@ def test_repr_is_deterministic():
     assert str(WeylOperator.zero(2)) == "0"
     h = HomogOperator(1, {(2, 0, 0): 1, (0, 1, 1): 1})
     assert str(h) == "t^2 + x1*D1"
+
+
+FOREIGN_SCALARS = {
+    "QQ": [1.5, True, FpElement(2, 7)],
+    "F_7": [0.5, True, Fraction(1, 2), FpElement(2, 11)],
+}
+
+
+@pytest.mark.parametrize("name, fld", [("QQ", QQ), ("F_7", PrimeField(7))])
+@pytest.mark.parametrize("cls", [WeylOperator, HomogOperator, Polynomial])
+def test_every_scalar_door_rejects_foreign_values(cls, name, fld):
+    one = cls.constant(1, 1, fld)
+    for c in FOREIGN_SCALARS[name]:
+        with pytest.raises(ValueError, match="is not in"):
+            cls(1, {(0,) * cls._width(1): c}, fld)
+        with pytest.raises(ValueError, match="is not in"):
+            one.scale(c)
+        with pytest.raises(ValueError, match="is not in"):
+            c * one
+        if cls is not Polynomial:  # a polynomial has no right product
+            with pytest.raises(ValueError, match="is not in"):
+                one * c
+    # the field taken from the coefficients holds every one of them
+    with pytest.raises(ValueError, match="is not in"):
+        cls(1, {(0,) * cls._width(1): 1.5})
+    with pytest.raises(ValueError, match="Fraction is not in PrimeField"):
+        cls(1, {(0,) * cls._width(1): FpElement(2, 7), (1,) * cls._width(1): Fraction(1, 2)})
