@@ -46,7 +46,7 @@ class RunConfig:
 
     def __post_init__(self):
         n = self.n
-        if not isinstance(n, int) or n < 1:
+        if type(n) is not int or n < 1:
             raise ConfigError(f"n must be a natural number >= 1, got {n!r}")
         names = tuple(f"{v}{i + 1}" for v in "xD" for i in range(n))
         for key, value in (("p", (0,) * n), ("q", (1,) * n), ("var_order", names)):
@@ -62,7 +62,7 @@ class RunConfig:
         prime = re.fullmatch(r"fp\(([0-9]+)\)", str(self.field))
         if self.field != "rational" and not prime:
             raise ConfigError(f"field must be \"rational\" or \"fp(prime)\", got {self.field!r}")
-        if not isinstance(self.degree_cap, int) or self.degree_cap < 0:
+        if type(self.degree_cap) is not int or self.degree_cap < 0:
             raise ConfigError(f"degree_cap must be a natural number, got {self.degree_cap!r}")
         if self.output not in ("text", "json"):
             raise ConfigError(f"output must be \"text\" or \"json\", got {self.output!r}")

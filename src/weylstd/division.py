@@ -21,7 +21,7 @@ import heapq
 from dataclasses import dataclass
 
 from .errors import InvariantViolation
-from .orders import leading_term
+from .orders import leading_term, term_key
 from .weyl import HomogOperator, vec_add, vec_leq, vec_sub
 
 
@@ -52,11 +52,11 @@ def divide(ctx, h: HomogOperator, divisors) -> DivisionResult:
     """Divide ``h`` by the sequence ``divisors`` in the graded algebra."""
     divisors = tuple(divisors)
     n = h.n
+    sort_key = term_key(ctx, h)
     for d in divisors:
         if d.is_zero():
             raise ValueError("cannot divide by the zero operator")
-        if d.n != n:
-            raise ValueError("variable count mismatch")
+        h._same_algebra(d)
 
     leads = tuple(leading_term(ctx, d) for d in divisors)
     partition = RegionPartition(tuple(lt.exponent for lt in leads))
@@ -65,9 +65,11 @@ def divide(ctx, h: HomogOperator, divisors) -> DivisionResult:
     # computed once, when its term enters.  A term that cancels leaves a
     # stale heap entry, skipped when popped; since every term an
     # elimination adds is smaller than the one it removes, a popped term
-    # never comes back.
+    # never comes back.  A ``max`` over the work map per step instead was
+    # slower on the four- and five-variable GKZ systems (median 0.296 to
+    # 0.347 s and 2.36 to 2.55 s on a shared 2-vCPU VM), so the heap stays.
     work = dict(h.terms)
-    heap = [(_descending(ctx.graded_key(m)), m) for m in work]
+    heap = [(_descending(sort_key(m)), m) for m in work]
     heapq.heapify(heap)
     quot_terms = [dict() for _ in divisors]
     rem_terms = {}
@@ -90,7 +92,7 @@ def divide(ctx, h: HomogOperator, divisors) -> DivisionResult:
             cur = work.get(key)
             if cur is None:
                 work[key] = -coeff
-                heapq.heappush(heap, (_descending(ctx.graded_key(key)), key))
+                heapq.heappush(heap, (_descending(sort_key(key)), key))
                 continue
             s = cur - coeff
             if s == 0:

@@ -30,7 +30,7 @@ from operator import attrgetter
 from .errors import InvariantViolation, OracleSizeError
 from .division import RegionPartition, divide
 from .homogenize import dehomogenize, graded_degree, homogenize, is_homogeneous, project_exponent
-from .orders import LinearForm, OrderContext, TieBreak, TIEBREAK_KINDS, leading_term, principal_symbol, is_graded_commutative
+from .orders import LinearForm, OrderContext, TieBreak, TIEBREAK_KINDS, check_n, leading_term, principal_symbol, is_graded_commutative
 from .scalars import QQ, PrimeField
 from .standard_basis import minimal_staircase
 from .weyl import HomogOperator, Polynomial, WeylOperator, vec_add, vec_leq
@@ -80,6 +80,7 @@ def truncation_witness(ctx, ops, degree_bound, max_rows=50_000) -> TruncationWit
     ops = [op for op in ops if not op.is_zero()]
     gens = [homogenize(op) for op in ops]
     for g in gens:
+        check_n(ctx, g)
         if graded_degree(g) > degree_bound:
             raise ValueError("degree bound is below a generator's degree")
 

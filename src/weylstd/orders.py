@@ -150,14 +150,21 @@ class OrderContext:
         return (sum(m),) + self.weighted_key(m[1:])
 
 
+def check_n(ctx, op):
+    """Refuse an operator of another n, whose keys would read a garbled order."""
+    if op.n != ctx.n:
+        raise ValueError(f"the order context has n = {ctx.n} but the operator has n = {op.n}")
+
+
 def term_key(ctx, op):
     """The sort key for the terms of ``op``: the graded key for graded
     operators and the weighted key for plain ones, or
     ``weyl.degree_lex_key`` when there is no context or ``op`` is a
-    ``Polynomial``, which no weight form orders.  Leading terms, printing
-    and JSON all order terms by it."""
+    ``Polynomial``, which no weight form orders.  Leading terms, division,
+    printing and JSON all order terms by it, and refuse another n by it."""
     if ctx is None or isinstance(op, Polynomial):
         return degree_lex_key
+    check_n(ctx, op)
     return ctx.graded_key if isinstance(op, HomogOperator) else ctx.weighted_key
 
 
@@ -187,6 +194,7 @@ def principal_symbol(ctx, op: WeylOperator) -> WeylOperator:
     associated graded algebra, written on the same monomial basis."""
     if op.is_zero():
         raise ValueError("the zero operator has no principal symbol")
+    check_n(ctx, op)
     top = ctx.form.weight(op)
     keep = {m: c for m, c in op.terms.items() if ctx.form.value(m) == top}
     return WeylOperator(op.n, keep, op.field)

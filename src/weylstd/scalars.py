@@ -23,48 +23,44 @@ from .errors import ConfigError
 
 
 class FpElement:
-    """Residue class modulo a prime, stored canonically in [0, p)."""
+    """Residue class modulo a prime, stored canonically in [0, p) as an
+    ``int``; arithmetic takes elements of the same field and ``int``s."""
 
     __slots__ = ("value", "p")
 
     def __init__(self, value: int, p: int):
+        if type(value) is not int:
+            raise ValueError(f"FpElement value {value!r} of type {type(value).__name__} is not an int")
         self.value = value % p
         self.p = p
 
     def _lift(self, other):
+        """``other`` (this field's element or an ``int``) as an ``int``, else None."""
         if isinstance(other, FpElement):
             if other.p != self.p:
                 raise TypeError("mixed prime moduli")
+            return other.value
+        if type(other) is int:
             return other
-        if isinstance(other, int):
-            return FpElement(other, self.p)
         return None
 
     def __add__(self, other):
         o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return FpElement(self.value + o.value, self.p)
+        return NotImplemented if o is None else FpElement(self.value + o, self.p)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return FpElement(self.value - o.value, self.p)
+        return NotImplemented if o is None else FpElement(self.value - o, self.p)
 
     def __rsub__(self, other):
         o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return FpElement(o.value - self.value, self.p)
+        return NotImplemented if o is None else FpElement(o - self.value, self.p)
 
     def __mul__(self, other):
         o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return FpElement(self.value * o.value, self.p)
+        return NotImplemented if o is None else FpElement(self.value * o, self.p)
 
     __rmul__ = __mul__
 
@@ -72,15 +68,13 @@ class FpElement:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        if o.value == 0:
+        if o % self.p == 0:
             raise ZeroDivisionError(f"division by zero in F_{self.p}")
-        return FpElement(self.value * pow(o.value, self.p - 2, self.p), self.p)
+        return FpElement(self.value * pow(o, self.p - 2, self.p), self.p)
 
     def __rtruediv__(self, other):
         o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return o / self
+        return NotImplemented if o is None else FpElement(o, self.p) / self
 
     def __neg__(self):
         return FpElement(-self.value, self.p)
@@ -88,7 +82,7 @@ class FpElement:
     def __eq__(self, other):
         if isinstance(other, FpElement):
             return self.p == other.p and self.value == other.value
-        if isinstance(other, int):
+        if type(other) is int:
             return self.value == other % self.p
         return NotImplemented
 
@@ -203,9 +197,7 @@ class PrimeField(_Field):
         return FpElement(1, self.p)
 
     def from_int(self, numer: int, denom: int = 1):
-        if denom % self.p == 0:
-            raise ZeroDivisionError(f"denominator {denom} vanishes in F_{self.p}")
-        return FpElement(numer, self.p) / FpElement(denom, self.p)
+        return FpElement(numer, self.p) / denom
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

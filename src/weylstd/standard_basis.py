@@ -32,7 +32,6 @@ rows of the divisors a reduction used into the row of what it took off.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from operator import sub
 
@@ -105,13 +104,16 @@ def buchberger(ctx, gens, degree_cap=DEFAULT_DEGREE_CAP) -> CompletionResult:
     basis = []
     rows = []  # rows[i][j]: cofactor of gens[j] in basis[i]
     pairs = _PairSet()
+
+    def enter(h, row):
+        h, row = _monic(ctx, h, row)
+        basis.append(h)
+        rows.append(row)
+        pairs.add(leading_term(ctx, h).exponent)
+
     for j, g in enumerate(gens):
         zero, one = HomogOperator.zero(g.n, g.field), HomogOperator.constant(g.n, 1, g.field)
-        unit = tuple(one if k == j else zero for k in range(len(gens)))
-        h, unit = _monic(ctx, g, unit)
-        basis.append(h)
-        rows.append(unit)
-        pairs.add(leading_term(ctx, h).exponent)
+        enter(g, tuple(one if k == j else zero for k in range(len(gens))))
 
     max_degree = max((graded_degree(g) for g in gens), default=0)
     processed = 0
@@ -131,11 +133,7 @@ def buchberger(ctx, gens, degree_cap=DEFAULT_DEGREE_CAP) -> CompletionResult:
             continue
 
         r, taken = reduced
-        row = tuple(f_i * a - f_j * b - t for a, b, t in zip(rows[i], rows[j], taken))
-        r, row = _monic(ctx, r, row)
-        basis.append(r)
-        rows.append(row)
-        pairs.add(leading_term(ctx, r).exponent)
+        enter(r, tuple(f_i * a - f_j * b - t for a, b, t in zip(rows[i], rows[j], taken)))
 
     basis, rows = _interreduce(ctx, basis, rows)
     stats = CompletionStats(processed, zeros, max_degree)
@@ -153,14 +151,13 @@ class _PairSet:
     the same lcm (criterion F).  A pending pair (i, j) is dropped when
     the new lead divides its lcm and neither (i, new) nor (j, new) has
     that lcm (criterion B_k).  All three are instances of the chain
-    criterion.  There is no product criterion: it is unsound here."""
+    criterion.  There is no product criterion: it is unsound here.
+
+    The pending map is the queue; ``pop`` scans its few dozen pairs."""
 
     def __init__(self):
         self._leads = []
         self._lcms = {}  # pending (i, j) -> lcm of their leads
-        # (degree, j, i): pairs arrive in (j, i) order, and a dropped pair
-        # stays on the heap until it is popped
-        self._heap = []
 
     def __bool__(self):
         return bool(self._lcms)
@@ -175,15 +172,13 @@ class _PairSet:
             if any(vec_leq(m2, m) and (m2 != m or k2 < k) for k2, m2 in enumerate(lcms) if k2 != k):
                 continue
             self._lcms[k, new] = m
-            heapq.heappush(self._heap, (sum(m), new, k))
         self._leads.append(lead)
 
     def pop(self):
         """The next pending pair as (degree, i, j)."""
-        while True:
-            degree, j, i = heapq.heappop(self._heap)
-            if self._lcms.pop((i, j), None) is not None:
-                return degree, i, j
+        lcms = self._lcms
+        i, j = min(lcms, key=lambda ij: (sum(lcms[ij]), ij[1], ij[0]))
+        return sum(lcms.pop((i, j))), i, j
 
 
 def _reduce(ctx, h, divisors, rows):

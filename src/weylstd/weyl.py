@@ -219,7 +219,7 @@ class _TermMap:
 
     def _same_algebra(self, other):
         if self.n != other.n:
-            raise ValueError("variable count mismatch")
+            raise ValueError(f"variable count mismatch: {self.n} and {other.n}")
         if self.field is not other.field and self.field != other.field:
             raise ValueError(f"field mismatch: {self.field!r} and {other.field!r}")
 
@@ -262,8 +262,8 @@ class _TermMap:
         return self.scale(other)
 
     def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("operator powers must be natural numbers")
+        if type(k) is not int or k < 0:
+            raise ValueError(f"operator powers must be natural numbers, got {k!r}")
         if k == 0:
             return type(self).constant(self.n, self.field.one(), self.field)
         acc = self
@@ -348,8 +348,8 @@ class HomogOperator(_TermMap):
 
     def t_shift(self, j):
         """Multiply by t^j (t is central, so this just raises every k)."""
-        if j < 0:
-            raise ValueError("t powers are natural")
+        if type(j) is not int or j < 0:
+            raise ValueError(f"t powers must be natural numbers, got {j!r}")
         shifted = {(k[0] + j,) + k[1:]: c for k, c in self.terms.items()}
         return HomogOperator._trusted(self.n, shifted, self.field)
 

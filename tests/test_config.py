@@ -132,6 +132,16 @@ def test_default_constructor_validates():
     assert cfg.order_context().n == 2
 
 
+def test_constructor_takes_only_int_naturals():
+    # bools used to pass as n = True and a cap of False
+    with pytest.raises(ConfigError, match="n must be a natural number"):
+        RunConfig(n=True)
+    for cap in (False, 6.0):
+        with pytest.raises(ConfigError, match="degree_cap must be a natural number"):
+            RunConfig(n=1, degree_cap=cap)
+    assert RunConfig(n=1, degree_cap=0).degree_cap == 0
+
+
 def test_constructor_fills_order_filtration_defaults():
     cfg = RunConfig(n=2)
     assert cfg.p == (0, 0) and cfg.q == (1, 1)

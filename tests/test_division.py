@@ -9,6 +9,7 @@ from weylstd import (
     InvariantViolation,
     LinearForm,
     OrderContext,
+    PrimeField,
     RegionPartition,
     WeylOperator,
     divide,
@@ -59,6 +60,16 @@ def test_division_by_nothing_and_zero():
         divide(ctx, h, [HomogOperator.zero(1)])
     res = divide(ctx, HomogOperator.zero(1), [h])
     assert res.remainder.is_zero() and res.quotients[0].is_zero()
+
+
+def test_divisors_from_another_algebra_are_refused():
+    # a divisor over F_7 used to fail deep in the arithmetic with a TypeError
+    ctx = _ctx()
+    h = homogenize(WeylOperator.x(1, 1) * WeylOperator.d(1, 1))
+    with pytest.raises(ValueError, match="field mismatch"):
+        divide(ctx, h, [homogenize(WeylOperator.d(1, 1, field=PrimeField(7)))])
+    with pytest.raises(ValueError, match="variable count mismatch: 1 and 2"):
+        divide(ctx, h, [homogenize(WeylOperator.d(2, 1))])
 
 
 def test_remainder_supports_and_reconstruction_randomized():

@@ -12,11 +12,17 @@ from weylstd import (
     PrimeField,
     TieBreak,
     WeylOperator,
+    buchberger,
+    compute_standard_basis,
+    divide,
+    format_operator,
     homogenize,
     is_graded_commutative,
     leading_term,
+    operator_to_obj,
     parse_operator,
     principal_symbol,
+    truncation_witness,
 )
 from weylstd.oracle import random_linear_form, random_tiebreak, random_weyl
 
@@ -221,3 +227,28 @@ def test_compare_graded_consistency():
 def test_context_validates_tiebreak_width():
     with pytest.raises(ValueError):
         OrderContext(LinearForm.order(2), TieBreak.default(1))
+
+
+# every entry point where an order context meets operators, called with
+# the context and plain operators of one n
+DOORS = {
+    "leading_term": lambda ctx, ops: leading_term(ctx, ops[0]),
+    "principal_symbol": lambda ctx, ops: principal_symbol(ctx, ops[0]),
+    "divide": lambda ctx, ops: divide(ctx, homogenize(ops[0]), [homogenize(ops[1])]),
+    "buchberger": lambda ctx, ops: buchberger(ctx, [homogenize(op) for op in ops]),
+    "compute_standard_basis": lambda ctx, ops: compute_standard_basis(ctx, ops),
+    "truncation_witness": lambda ctx, ops: truncation_witness(ctx, ops, 6),
+    "format_operator": lambda ctx, ops: format_operator(ops[0], ctx),
+    "operator_to_obj": lambda ctx, ops: operator_to_obj(homogenize(ops[0]), ctx),
+}
+
+
+@pytest.mark.parametrize("door", sorted(DOORS))
+@pytest.mark.parametrize("ctx_n, op_n", [(1, 2), (2, 1)])
+def test_context_of_another_n_is_refused(door, ctx_n, op_n):
+    # unchecked, n = 1 against n = 2 keys read a garbled order (a certified
+    # but wrong staircase), and the other way round they index past the key
+    texts = ("x2^5 + D2", "x1*D1 - 1") if op_n == 2 else ("x1^5 + D1", "x1*D1 - 1")
+    ops = [parse_operator(t, op_n) for t in texts]
+    with pytest.raises(ValueError, match=f"context has n = {ctx_n} but the operator has n = {op_n}"):
+        DOORS[door](OrderContext(LinearForm.order(ctx_n)), ops)

@@ -90,3 +90,38 @@ def test_field_of_builds_through_the_constructor():
     # an element of a nonprime modulus yields no "field" F_8, where 1/2 == 0
     with pytest.raises(ConfigError, match="8 is not prime"):
         WeylOperator(1, {(0, 0): FpElement(2, 8), (1, 0): 1})
+
+
+def test_fp_element_takes_only_int_values():
+    # a float value used to be kept (FpElement(1.5, 7).value == 1.5), and
+    # the field's coerce then accepted it as a member
+    for bad in (1.5, True, Fraction(1, 2)):
+        with pytest.raises(ValueError, match=f"{type(bad).__name__} is not an int"):
+            FpElement(bad, 7)
+
+
+def test_fp_arithmetic_with_int_operands():
+    e = FpElement(3, 7)
+    assert (3 * e, e * 3, e / 2, 2 / e, 1 - e, e - 1, e + 4) == tuple(
+        FpElement(v, 7) for v in (2, 2, 5, 3, 5, 2, 0)
+    )
+    assert e == 10 and e != 4 and -e == 4
+    assert all(type(r.value) is int for r in (3 * e, e / 2, 2 / e, 1 - e))
+    for zero in (7, FpElement(0, 7)):
+        with pytest.raises(ZeroDivisionError):
+            e / zero
+    with pytest.raises(ZeroDivisionError):
+        1 / FpElement(14, 7)
+
+
+def test_fp_arithmetic_refuses_bools_and_other_moduli():
+    e = FpElement(3, 7)
+    for bad in (True, 1.5):
+        with pytest.raises(TypeError):
+            e * bad
+        with pytest.raises(TypeError):
+            bad + e
+    with pytest.raises(TypeError, match="mixed prime moduli"):
+        e + FpElement(3, 11)
+    with pytest.raises(TypeError, match="mixed prime moduli"):
+        FpElement(3, 11) / e

@@ -183,6 +183,53 @@ def test_gkz_system_over_prime_field(p):
     assert oracle_pipeline_agree(ctx, ops, report, degree_bound=6).ok
 
 
+# GKZ system for A = [[1,1,1,1],[0,1,3,4]], beta = (15/13, 19/11): the
+# benchmark's seed-0 system
+GKZ4 = (
+    "D2*D3 - D1*D4",
+    "D3^3 - D2*D4^2",
+    "D1*D3^2 - D2^2*D4",
+    "D2^3 - D1^2*D3",
+    "x1*D1 + x2*D2 + x3*D3 + x4*D4 - 15/13",
+    "x2*D2 + 3*x3*D3 + 4*x4*D4 - 19/11",
+)
+
+
+def test_gkz4_pair_counts_are_pinned():
+    report = compute_standard_basis(_ctx(4), [parse_operator(text, 4) for text in GKZ4])
+    assert report.stats == CompletionStats(80, 62, 10)
+
+
+def test_pair_set_pops_by_degree_then_arrival():
+    # leads of degrees 1-3, many pairs tied in lcm degree, so the arrival
+    # order (j, i) decides among them; criteria M, F and B_k prune some
+    pairs = standard_basis._PairSet()
+    for lead in [(0, 3, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1), (2, 0, 0), (0, 2, 1)]:
+        pairs.add(lead)
+    popped = []
+    while pairs:
+        popped.append(pairs.pop())
+    assert popped == [(2, 1, 3), (3, 1, 2), (3, 1, 4), (3, 2, 4), (3, 1, 5), (4, 0, 1), (4, 0, 2)]
+
+    # pops between arrivals: a pair pending alone leaves first whatever its degree
+    pairs = standard_basis._PairSet()
+    popped = []
+    leads = [
+        (0, 1, 0, 0, 1), (0, 0, 1, 1, 0), (0, 1, 1, 0, 0), (0, 0, 0, 1, 1),
+        (1, 0, 0, 0, 1), (0, 1, 0, 1, 0), (0, 0, 1, 0, 1),
+    ]
+    for k, lead in enumerate(leads):
+        pairs.add(lead)
+        if k % 2:
+            popped.append(pairs.pop())
+    while pairs:
+        popped.append(pairs.pop())
+    assert popped == [
+        (4, 0, 1), (3, 0, 2), (3, 1, 2), (3, 0, 3), (3, 1, 3), (3, 0, 4),
+        (3, 3, 4), (3, 0, 5), (3, 1, 5), (3, 0, 6), (3, 1, 6), (3, 4, 6),
+    ]
+
+
 def test_dehomogenized_basis_keeps_leads():
     ctx = _ctx(form=LinearForm.v_form(1))
     P = WeylOperator.constant(1, 1) + WeylOperator.x(1, 1) ** 2 * WeylOperator.d(1, 1)

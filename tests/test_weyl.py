@@ -112,6 +112,18 @@ def test_power_of_zero_and_unit():
         x ** (-1)
 
 
+def test_powers_and_t_shifts_take_only_natural_ints():
+    # a float t shift used to store float exponents (printed t^2.5), and
+    # a bool power passed as 1
+    x, D = WeylOperator.x(1, 1), WeylOperator.d(1, 1)
+    for bad in (0.5, True, -1):
+        with pytest.raises(ValueError, match="t powers must be natural numbers"):
+            HomogOperator.t(1, 2).t_shift(bad)
+        with pytest.raises(ValueError, match="operator powers must be natural numbers"):
+            (x + D) ** bad
+    assert HomogOperator.t(1, 2).t_shift(1) == HomogOperator.t(1, 3)
+
+
 def test_scalar_multiplication_is_central():
     rng = random.Random(1)
     for _ in range(20):
