@@ -7,9 +7,13 @@ The truncation witness spans the graded left ideal up to a degree bound
 by brute force: every monomial multiple of every generator, swept into
 row echelon form over the scalar field, one degree at a time (rows are
 homogeneous, so degrees never mix) on integer rows keyed by each
-exponent's graded key, computed once.  The pivot exponents are then
-exactly the leading exponents the ideal achieves below the bound, with
-no completion logic involved.  Comparing them against a computed
+exponent's graded key, computed once.  In normal order the monomial
+t^k x^a D^beta is the product (t^k x^a) D^beta, so its multiple of g is
+t^k x^a (D^beta g): one Leibniz product per (generator, beta).  A left
+factor with no D contracts with nothing, so each row is that product
+with (k, a) added to every key.  The pivot exponents are then exactly
+the leading exponents the ideal achieves below the bound, with no
+completion logic involved.  Comparing them against a computed
 staircase is the closest thing to ground truth available without a
 second implementation.
 
@@ -66,6 +70,17 @@ def truncation_witness(ctx, ops, degree_bound, max_rows=50_000) -> TruncationWit
     exponent's graded key is computed once and the rows are keyed by it,
     so a row's lead is its largest key.
 
+    The row of monomial t^k x^a D^beta and generator g is
+    t^k x^a D^beta g = t^k x^a (D^beta g).  The product D^beta g is made
+    once per (generator, beta), with the graded product, and kept; each
+    row adds (k, a) to the t and x part of its keys.  No contraction is
+    lost by this: contractions come only from a D of the left factor
+    meeting an x of the right one, and t^k x^a has no D, so that left
+    product is a plain key shift.  Over F_p the
+    kept product is already reduced, so a term whose weight vanishes mod
+    p is gone from every row built on it, as it would be from the full
+    product.
+
     Rows hold Python ints.  Over QQ each homogenized generator is first
     scaled by the lcm of its denominators; a nonzero scalar multiple
     generates the same left ideal, so every block spans the same space
@@ -94,11 +109,11 @@ def truncation_witness(ctx, ops, degree_bound, max_rows=50_000) -> TruncationWit
 
     n = ctx.n
     width = 2 * n + 1
-    blocks = defaultdict(list)  # product degree -> its (monomial, generator) jobs
-    for g in gens:
+    blocks = defaultdict(list)  # product degree -> its (monomial, generator index) jobs
+    for i, g in enumerate(gens):
         d = graded_degree(g)
         for m in _monomials_up_to(width, degree_bound - d):
-            blocks[d + sum(m)].append((m, g))
+            blocks[d + sum(m)].append((m, i))
     rows = sum(map(len, blocks.values()))
     if rows > max_rows:
         raise OracleSizeError(
@@ -107,19 +122,28 @@ def truncation_witness(ctx, ops, degree_bound, max_rows=50_000) -> TruncationWit
         )
 
     one = fld.one()
+    no_head = (0,) * (n + 1)
+    products = {}  # (generator index, beta) -> D^beta * g as (head, tail, lifted coefficient)
     leading = set()
     for degree in sorted(blocks):
         keys = {}  # exponent -> graded key
         pivots = {}  # lead key -> reduced row
-        for m, g in blocks[degree]:
-            # m comes from _monomials_up_to, so it is a well-formed key
-            product = HomogOperator._trusted(n, {m: one}, fld) * g
+        for m, i in blocks[degree]:
+            head, beta = m[: n + 1], m[n + 1 :]
+            terms = products.get((i, beta))
+            if terms is None:
+                # beta comes from _monomials_up_to, so the key is well formed
+                product = HomogOperator._trusted(n, {no_head + beta: one}, fld) * gens[i]
+                terms = products[i, beta] = [
+                    (e[: n + 1], e[n + 1 :], lift(c)) for e, c in product.terms.items()
+                ]
             row = {}
-            for e, c in product.terms.items():
+            for h, tail, c in terms:
+                e = vec_add(head, h) + tail
                 k = keys.get(e)
                 if k is None:
                     k = keys[e] = ctx.graded_key(e)
-                row[k] = lift(c)
+                row[k] = c
             while row:
                 lead = max(row)
                 c = row[lead]

@@ -192,6 +192,11 @@ def leading_term(ctx, op):
 def principal_symbol(ctx, op: WeylOperator) -> WeylOperator:
     """Sum of the terms of maximal weight: the image of ``op`` in the
     associated graded algebra, written on the same monomial basis."""
+    if not isinstance(op, WeylOperator):
+        raise ValueError(
+            f"principal symbols are taken of plain operators, not {type(op).__name__}; "
+            "dehomogenize a graded operator first"
+        )
     if op.is_zero():
         raise ValueError("the zero operator has no principal symbol")
     check_n(ctx, op)

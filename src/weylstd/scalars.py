@@ -87,7 +87,8 @@ class FpElement:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.value, self.p))
+        # equal to its canonical int residue, so it must hash like that int
+        return hash(self.value)
 
     def __bool__(self):
         return self.value != 0

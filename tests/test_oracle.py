@@ -105,7 +105,9 @@ def test_witness_preconditions():
     assert truncation_witness(ctx, gens, 8, max_rows=204).matrix_rank > 0
 
 
-WITNESS_FIELDS = [QQ, PrimeField(5), PrimeField(7), PrimeField(32003)]
+# Over F_2 and F_3 some contraction weights vanish, so a product loses
+# terms that it keeps over QQ.
+WITNESS_FIELDS = [QQ, PrimeField(2), PrimeField(3), PrimeField(5), PrimeField(7), PrimeField(32003)]
 
 
 @pytest.mark.parametrize("fld", WITNESS_FIELDS, ids=lambda f: repr(f))
@@ -135,10 +137,38 @@ GKZ3_FORMS = [
 ]
 
 
-@pytest.mark.parametrize("fld", [QQ, PrimeField(7)], ids=lambda f: repr(f))
+@pytest.mark.parametrize("fld", [QQ, PrimeField(2), PrimeField(3), PrimeField(7)], ids=lambda f: repr(f))
 @pytest.mark.parametrize("form", GKZ3_FORMS, ids=["order", "bernstein", "v_form", "l_form"])
 def test_witness_matches_reference_on_gkz3(form, fld):
     _assert_witness_matches_reference(OrderContext(form), _gens(3, *GKZ3, fld=fld), 6)
+
+
+@pytest.mark.parametrize("fld", [QQ, PrimeField(2)], ids=lambda f: repr(f))
+def test_witness_makes_one_product_per_generator_and_beta(monkeypatch, fld):
+    # t^k x^a D^beta g = t^k x^a (D^beta g): each row is a key shift of
+    # one D^beta g product, made once however many rows share it
+    made = []
+    mul = HomogOperator.__mul__
+
+    def counting(self, other):
+        made.append((tuple(self.terms), tuple(sorted(other.terms))))
+        return mul(self, other)
+
+    monkeypatch.setattr(HomogOperator, "__mul__", counting)
+    ops = _gens(3, *GKZ3, fld=fld)
+    witness = truncation_witness(OrderContext(GKZ3_FORMS[0]), ops, 8)
+    monkeypatch.undo()
+
+    gens = [homogenize(op) for op in ops]
+    jobs = {
+        (i, m[4:])
+        for i, g in enumerate(gens)
+        for m in _monomials_up_to(7, 8 - graded_degree(g))
+    }
+    assert len(made) == len(set(made)) == len(jobs) == 252
+    # every left factor is a bare D^beta
+    assert all(len(keys) == 1 and not any(keys[0][:4]) for keys, _ in made)
+    assert witness.matrix_rank == 4194
 
 
 def test_agreement_on_small_corpus():

@@ -194,6 +194,13 @@ def test_principal_symbol_examples():
         principal_symbol(ctx, WeylOperator.zero(1))
 
 
+def test_principal_symbol_refuses_graded_operators():
+    ctx = OrderContext(LinearForm.order(1))
+    graded = homogenize(parse_operator("x1*D1 + 1", 1))
+    with pytest.raises(ValueError, match="plain operators.*dehomogenize"):
+        principal_symbol(ctx, graded)
+
+
 def test_symbol_multiplicativity_randomized():
     rng = random.Random(7)
     done = 0

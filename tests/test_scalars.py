@@ -114,6 +114,13 @@ def test_fp_arithmetic_with_int_operands():
         1 / FpElement(14, 7)
 
 
+def test_fp_hash_agrees_with_equality():
+    # an element equals its canonical int residue, so it must hash like it
+    assert {1: "a"}.get(FpElement(1, 7)) == "a"
+    assert len({FpElement(3, 7), 3}) == 1
+    assert hash(FpElement(10, 7)) == hash(FpElement(3, 7)) == hash(3)
+
+
 def test_fp_arithmetic_refuses_bools_and_other_moduli():
     e = FpElement(3, 7)
     for bad in (True, 1.5):
