@@ -76,10 +76,9 @@ def truncation_witness(ctx, ops, degree_bound, max_rows=50_000) -> TruncationWit
     row adds (k, a) to the t and x part of its keys.  No contraction is
     lost by this: contractions come only from a D of the left factor
     meeting an x of the right one, and t^k x^a has no D, so that left
-    product is a plain key shift.  Over F_p the
-    kept product is already reduced, so a term whose weight vanishes mod
-    p is gone from every row built on it, as it would be from the full
-    product.
+    product is a plain key shift.  Over F_p the kept product is already
+    reduced, so a term whose weight vanishes mod p is gone from every
+    row built on it, as it is from the full product.
 
     Rows hold Python ints.  Over QQ each homogenized generator is first
     scaled by the lcm of its denominators; a nonzero scalar multiple
@@ -124,21 +123,20 @@ def truncation_witness(ctx, ops, degree_bound, max_rows=50_000) -> TruncationWit
     one = fld.one()
     no_head = (0,) * (n + 1)
     products = {}  # (generator index, beta) -> D^beta * g as (head, tail, lifted coefficient)
+    for i, g in enumerate(gens):
+        for beta in _monomials_up_to(n, degree_bound - graded_degree(g)):
+            # beta comes from _monomials_up_to, so the key is well formed
+            product = HomogOperator._trusted(n, {no_head + beta: one}, fld) * g
+            products[i, beta] = [(e[: n + 1], e[n + 1 :], lift(c)) for e, c in product.terms.items()]
+
     leading = set()
     for degree in sorted(blocks):
         keys = {}  # exponent -> graded key
         pivots = {}  # lead key -> reduced row
         for m, i in blocks[degree]:
-            head, beta = m[: n + 1], m[n + 1 :]
-            terms = products.get((i, beta))
-            if terms is None:
-                # beta comes from _monomials_up_to, so the key is well formed
-                product = HomogOperator._trusted(n, {no_head + beta: one}, fld) * gens[i]
-                terms = products[i, beta] = [
-                    (e[: n + 1], e[n + 1 :], lift(c)) for e, c in product.terms.items()
-                ]
+            head = m[: n + 1]
             row = {}
-            for h, tail, c in terms:
+            for h, tail, c in products[i, m[n + 1 :]]:
                 e = vec_add(head, h) + tail
                 k = keys.get(e)
                 if k is None:
@@ -170,8 +168,7 @@ def truncation_witness(ctx, ops, degree_bound, max_rows=50_000) -> TruncationWit
                         row[k] = s
                     else:  # b and v are nonzero (mod p), so k was in the row
                         del row[k]
-        exponent = {k: e for e, k in keys.items()}
-        leading.update(exponent[k] for k in pivots)
+        leading.update(e for e, k in keys.items() if k in pivots)
     return TruncationWitness(degree_bound, frozenset(leading), len(leading))
 
 
