@@ -83,7 +83,9 @@ class FpElement:
         if isinstance(other, FpElement):
             return self.p == other.p and self.value == other.value
         if type(other) is int:
-            return self.value == other % self.p
+            # the canonical residue only, so that equality is transitive
+            # and agrees with the hash: FpElement(3, 7) != 10
+            return self.value == other
         return NotImplemented
 
     def __hash__(self):

@@ -21,9 +21,14 @@ silently incomplete basis.
 Every public entry point re-verifies its own output: the final basis
 passes the pair criterion, the inputs reduce to zero against it, and
 the recorded cofactors reproduce each basis element from the inputs.
-The pair criterion reduces the pairs that its own static chain-rule
-sweep over the final leads keeps (``_chain_pairs``), so that a fault in
-the completion's pair bookkeeping cannot hide itself.
+The pair criterion reduces one spanning forest of pairs per pair lcm m
+of the final leads (``_minimal_pairs``): the leads that divide m are
+joined through pairs whose lcm lies strictly below m, and a pair of lcm
+m is reduced only when it joins two components.  The kept pairs
+generate the syzygies of the leads, which is all Buchberger's criterion
+asks for in a G-algebra such as A_n[t].  The rule reads the final leads
+alone, so that a fault in the completion's pair bookkeeping cannot hide
+itself.
 
 Each element's cofactor row is a tuple with one operator per input,
 from the moment the element enters the basis; ``_reduce`` folds the
@@ -229,7 +234,7 @@ def _interreduce(ctx, basis, rows):
 
 def _check_completion(ctx, gens, result):
     basis = result.basis
-    for i, j in _chain_pairs([leading_term(ctx, b).exponent for b in basis]):
+    for i, j in _minimal_pairs([leading_term(ctx, b).exponent for b in basis]):
         s = semisyzygy(ctx, basis[i], basis[j])
         if not s.is_zero() and not divide(ctx, s, basis).remainder.is_zero():
             raise InvariantViolation("completed basis fails the pair criterion")
@@ -244,29 +249,52 @@ def _check_completion(ctx, gens, result):
             raise InvariantViolation("cofactor bookkeeping does not reproduce the basis")
 
 
-def _chain_pairs(leads):
+def _minimal_pairs(leads):
     """The pairs (i, j) of ``leads`` whose semisyzygies the certificate
-    reduces: all but those some k skips, where lead k divides the lcm of
-    i and j and the lcms of (i, k) and (j, k) both differ from it.
+    reduces: one spanning forest per lcm m of the pairs.
 
-    The skipped pair's semisyzygy then combines those of (i, k) and
-    (j, k), whose lcms strictly divide its own, so by induction on lcm
-    divisibility every pair has a standard representation once the kept
-    ones reduce to zero.  Read from the final leads alone, with nothing
-    taken from the completion's own pair bookkeeping."""
+    The vertices at m are the leads that divide m.  Two of them are
+    joined when their lcm lies strictly below m; a pair whose lcm equals
+    m joins nothing.  The pairs of lcm m, taken in (i, j) order, are
+    kept when they join two components not joined yet.  A pair that is
+    not kept has its ends linked by a path of kept pairs of lcm m and of
+    pairs of strictly smaller lcm, and its syzygy of leading monomials
+    is the sum of theirs, each lifted by a monomial onto m.  So the kept
+    pairs generate the syzygies of the leads (for minimal leads, as a
+    reduced basis has, the count per m is the first Betti number of the
+    lead ideal there: Miller and Sturmfels, Combinatorial Commutative
+    Algebra, Thm 1.34), and by induction on lcm divisibility every pair has a
+    standard representation once the kept ones reduce to zero, the same
+    argument as the chain criterion's.  Read from the final leads alone,
+    with nothing taken from the completion's own pair bookkeeping."""
+    if len(leads) < 2:
+        return []
     lcm = {}
-    for j, b in enumerate(leads):
-        for i in range(j):
-            lcm[i, j] = lcm[j, i] = vec_max(leads[i], b)
-    for i in range(len(leads)):
+    by_lcm = {}
+    for i, a in enumerate(leads):
         for j in range(i + 1, len(leads)):
-            m = lcm[i, j]
-            if not any(
-                vec_leq(e, m) and lcm[i, k] != m and lcm[j, k] != m
-                for k, e in enumerate(leads)
-                if k != i and k != j
-            ):
-                yield i, j
+            m = lcm[i, j] = vec_max(a, leads[j])
+            by_lcm.setdefault(m, []).append((i, j))
+
+    def find(k):
+        while root[k] != k:
+            root[k] = k = root[root[k]]
+        return k
+
+    kept = []
+    for m, pairs in by_lcm.items():
+        below = [k for k, e in enumerate(leads) if vec_leq(e, m)]
+        root = {k: k for k in below}
+        for pos, a in enumerate(below):
+            for b in below[pos + 1 :]:
+                if lcm[a, b] != m:
+                    root[find(a)] = find(b)
+        for i, j in pairs:
+            ri, rj = find(i), find(j)
+            if ri != rj:
+                root[ri] = rj
+                kept.append((i, j))
+    return sorted(kept)
 
 
 @dataclass(frozen=True)

@@ -156,6 +156,34 @@ def test_std_basis_golden_document(capsys, tmp_path, form, field):
     assert {key: doc[key] for key in ORDER_UNIQUE_KEYS} == expected
 
 
+# The GKZ system for A = [[1,1,1,1,1],[0,1,2,3,4]], the rational normal
+# quartic: its six 2x2 toric minors and the Euler operators for
+# beta = (3/5, 7/11), under the default order form over F_32003.
+GKZ5 = (
+    "D1*D3 - D2^2",
+    "D1*D4 - D2*D3",
+    "D1*D5 - D2*D4",
+    "D2*D4 - D3^2",
+    "D2*D5 - D3*D4",
+    "D3*D5 - D4^2",
+    "x1*D1 + x2*D2 + x3*D3 + x4*D4 + x5*D5 - 3/5",
+    "x2*D2 + 2*x3*D3 + 3*x4*D4 + 4*x5*D5 - 7/11",
+)
+GOLDEN_GKZ5 = Path(__file__).parent / "data" / "gkz5_std_basis.json"
+
+
+def test_std_basis_gkz5_golden_document(capsys, tmp_path):
+    # A larger reduced basis (31 elements) pinned the same way; the file
+    # was recorded with this same command.
+    path = tmp_path / "gkz5.cfg"
+    path.write_text('n = 5\nfield = "fp(32003)"\n')
+    status, out, _ = _run(capsys, "--config", str(path), "--output", "json", "std-basis", *GKZ5)
+    assert status == 0
+    doc = json.loads(out)
+    expected = json.loads(GOLDEN_GKZ5.read_text(encoding="utf-8"))
+    assert {key: doc[key] for key in ORDER_UNIQUE_KEYS} == expected
+
+
 def test_operands_from_file(capsys, order_cfg, tmp_path):
     gens = tmp_path / "gens.txt"
     gens.write_text("# comment line\nx1^3\n\nx1*D1 + 2  # inline\n")

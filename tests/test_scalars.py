@@ -105,7 +105,7 @@ def test_fp_arithmetic_with_int_operands():
     assert (3 * e, e * 3, e / 2, 2 / e, 1 - e, e - 1, e + 4) == tuple(
         FpElement(v, 7) for v in (2, 2, 5, 3, 5, 2, 0)
     )
-    assert e == 10 and e != 4 and -e == 4
+    assert e == 3 and e != 10 and e != 4 and -e == 4
     assert all(type(r.value) is int for r in (3 * e, e / 2, 2 / e, 1 - e))
     for zero in (7, FpElement(0, 7)):
         with pytest.raises(ZeroDivisionError):
@@ -119,6 +119,9 @@ def test_fp_hash_agrees_with_equality():
     assert {1: "a"}.get(FpElement(1, 7)) == "a"
     assert len({FpElement(3, 7), 3}) == 1
     assert hash(FpElement(10, 7)) == hash(FpElement(3, 7)) == hash(3)
+    # an int congruent to it but out of range is a different key
+    assert len({FpElement(3, 7), 10}) == 2
+    assert {8: "a"}.get(FpElement(1, 7)) is None
 
 
 def test_fp_arithmetic_refuses_bools_and_other_moduli():

@@ -1,6 +1,8 @@
 """Completion, inter-reduction, cofactors, staircases."""
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +19,7 @@ from weylstd import (
     WeylOperator,
     buchberger,
     compute_standard_basis,
+    homog_from_obj,
     homogenize,
     leading_term,
     minimal_staircase,
@@ -28,7 +31,7 @@ from weylstd import (
 import weylstd.standard_basis as standard_basis
 from weylstd.oracle import random_weyl
 from weylstd.standard_basis import CompletionResult
-from weylstd.weyl import vec_leq
+from weylstd.weyl import vec_leq, vec_max
 
 
 def _ctx(n=1, form=None):
@@ -196,8 +199,22 @@ GKZ4 = (
 
 
 def test_gkz4_pair_counts_are_pinned():
-    report = compute_standard_basis(_ctx(4), [parse_operator(text, 4) for text in GKZ4])
+    ctx = _ctx(4)
+    report = compute_standard_basis(ctx, [parse_operator(text, 4) for text in GKZ4])
     assert report.stats == CompletionStats(80, 62, 10)
+    # the certificate reduces 79 of the final basis's 253 pairs
+    leads = [leading_term(ctx, b).exponent for b in report.homog_basis]
+    assert len(standard_basis._minimal_pairs(leads)) == 79
+
+
+def test_gkz5_certificate_pair_count_is_pinned():
+    # the 31 leads of the recorded GKZ5 basis: 136 of their 465 pairs kept
+    doc = json.loads((Path(__file__).parent / "data" / "gkz5_std_basis.json").read_text(encoding="utf-8"))
+    ctx = _ctx(5)
+    basis = [homog_from_obj(obj, 5, PrimeField(32003)) for obj in doc["homog_basis"]]
+    leads = [leading_term(ctx, b).exponent for b in basis]
+    assert len(leads) == 31
+    assert len(standard_basis._minimal_pairs(leads)) == 136
 
 
 def test_pair_set_pops_by_degree_then_arrival():
@@ -328,10 +345,28 @@ def test_gkz3_certificate_rejects_incomplete_bases():
         assert not _passes_pair_criterion(ctx, candidate)
 
 
-def test_pruned_certificate_agrees_with_every_pair_sweep():
+def _monomial_basis(*keys):
+    return [HomogOperator.monomial(1, key) for key in keys]
+
+
+# x*D, t*D and t*x meet pairwise at t*x*D, so one lcm keeps two of their
+# three pairs.  The semisyzygy of (x*D, t*D) is zero and the other two
+# are +-t^3, which none of the three divides: a certificate that keeps the
+# zero pair alone at that lcm passes a basis that is not one.  In the
+# second order the zero pair comes second instead of first.
+MONOMIAL_TRIANGLES = (
+    _monomial_basis((0, 1, 1), (1, 0, 1), (1, 1, 0)),
+    _monomial_basis((0, 1, 1), (1, 1, 0), (1, 0, 1)),
+)
+
+
+def _candidates():
+    """Bases and near-bases to hold the certificate against the
+    every-pair sweep: completions of a seeded corpus, each with one
+    element dropped and its bare inputs, then the monomial triangles."""
     rng = random.Random(29)
-    verdicts = []
-    while len(verdicts) < 60:
+    out = []
+    while len(out) < 60:
         n = rng.randint(1, 2)
         ctx = _ctx(n)
         gens = [g for g in (random_weyl(rng, n, terms=2, degree=2, coeff=3) for _ in range(3)) if not g.is_zero()]
@@ -342,19 +377,103 @@ def test_pruned_certificate_agrees_with_every_pair_sweep():
             basis = buchberger(ctx, gens, degree_cap=10).basis
         except DegreeCapExceeded:
             continue
-        for candidate in [basis[:i] + basis[i + 1 :] for i in range(len(basis))] + [gens]:
-            verdict = _every_pair_reduces(ctx, candidate)
-            assert _passes_pair_criterion(ctx, candidate) == verdict
-            verdicts.append(verdict)
+        out += [(ctx, basis[:i] + basis[i + 1 :]) for i in range(len(basis))] + [(ctx, gens)]
+    return out + [(_ctx(), basis) for basis in MONOMIAL_TRIANGLES]
+
+
+def _disagreements(candidates):
+    """The candidates on which the certificate and the every-pair sweep
+    give different verdicts, and all the every-pair verdicts."""
+    wrong, verdicts = [], []
+    for ctx, candidate in candidates:
+        verdict = _every_pair_reduces(ctx, candidate)
+        verdicts.append(verdict)
+        if _passes_pair_criterion(ctx, candidate) != verdict:
+            wrong.append(candidate)
+    return wrong, verdicts
+
+
+def test_pruned_certificate_agrees_with_every_pair_sweep():
+    wrong, verdicts = _disagreements(_candidates())
+    assert wrong == []
     assert True in verdicts and False in verdicts
 
 
-def test_chain_pairs_skips_only_through_strictly_smaller_lcms():
+def _forest_pairs(leads, strict=True):
+    """One spanning forest per pair lcm m, built the slow way: the leads
+    below m are joined by every pair whose lcm lies strictly below m (or
+    equals m, when not ``strict``), then the pairs of lcm m that still
+    join two components are kept."""
+    pairs = [(i, j) for i in range(len(leads)) for j in range(i + 1, len(leads))]
+    lcm = {(i, j): vec_max(leads[i], leads[j]) for i, j in pairs}
+    kept = []
+    for m in dict.fromkeys(lcm.values()):
+        comp = list(range(len(leads)))
+
+        def merge(a, b):
+            old, new = comp[a], comp[b]
+            comp[:] = [new if c == old else c for c in comp]
+
+        for a, b in pairs:
+            if vec_leq(lcm[a, b], m) and not (strict and lcm[a, b] == m):
+                merge(a, b)
+        for i, j in pairs:
+            if lcm[i, j] == m and comp[i] != comp[j]:
+                merge(i, j)
+                kept.append((i, j))
+    return sorted(kept)
+
+
+def test_minimal_pairs_equal_a_slow_forest_on_the_candidates():
+    for ctx, candidate in _candidates():
+        leads = [leading_term(ctx, b).exponent for b in candidate]
+        assert standard_basis._minimal_pairs(leads) == _forest_pairs(leads)
+
+
+def test_mutant_joining_through_an_equal_lcm_is_caught(monkeypatch):
+    # joining through a pair whose lcm equals m lets the pairs of lcm m
+    # vouch for one another, and the certificate keeps none of them
+    monkeypatch.setattr(standard_basis, "_minimal_pairs", lambda leads: _forest_pairs(leads, strict=False))
+    wrong, _ = _disagreements(_candidates())
+    assert wrong
+
+
+@pytest.mark.parametrize("drop", [0, -1])
+def test_mutant_dropping_a_forest_pair_is_caught(monkeypatch, drop):
+    # leave out one of the two or more pairs kept at the first lcm that
+    # keeps that many; the triangles catch it whichever one goes
+    original = standard_basis._minimal_pairs
+    fired = []
+
+    def dropping(leads):
+        pairs = original(leads)
+        by_lcm = {}
+        for i, j in pairs:
+            by_lcm.setdefault(vec_max(leads[i], leads[j]), []).append((i, j))
+        crowded = next((kept for kept in by_lcm.values() if len(kept) > 1), None)
+        if crowded is None:
+            return pairs
+        fired.append(crowded[drop])
+        return [ij for ij in pairs if ij != crowded[drop]]
+
+    monkeypatch.setattr(standard_basis, "_minimal_pairs", dropping)
+    wrong, _ = _disagreements(_candidates())
+    assert fired
+    assert any(w is basis for w in wrong for basis in MONOMIAL_TRIANGLES)
+
+
+def test_minimal_pairs_join_only_through_strictly_smaller_lcms():
     # x^2 and D^2 meet at x^2 D^2, which x*D divides with smaller lcms on
-    # both sides, so that pair is skipped
-    assert list(standard_basis._chain_pairs([(0, 2, 0), (0, 0, 2), (0, 1, 1)])) == [(0, 2), (1, 2)]
-    # t*x*D shares its lcm with both t and x, so neither (0, 2) nor
-    # (1, 2) may be skipped through the other: each would lean on a pair
-    # with the same lcm, and the two would vouch only for each other
-    leads = [(1, 0, 0), (0, 1, 0), (1, 1, 1)]
-    assert list(standard_basis._chain_pairs(leads)) == [(0, 1), (0, 2), (1, 2)]
+    # both sides, so that pair is left out
+    assert standard_basis._minimal_pairs([(0, 2, 0), (0, 0, 2), (0, 1, 1)]) == [(0, 2), (1, 2)]
+    # t*x*D shares its lcm with both t and x, but t and x meet strictly
+    # below it, at t*x: one pair joins t*x*D to them, and (1, 2) follows
+    # from (0, 1) and (0, 2)
+    assert standard_basis._minimal_pairs([(1, 0, 0), (0, 1, 0), (1, 1, 1)]) == [(0, 1), (0, 2)]
+    # three leads whose pairwise lcms are all one m: nothing joins them
+    # below m, so a spanning tree of two pairs, where the chain rule kept three
+    assert standard_basis._minimal_pairs([(0, 1, 1), (1, 1, 0), (1, 0, 1)]) == [(0, 1), (0, 2)]
+    # two equal leads meet at their own lead, and nothing joins them below it
+    assert standard_basis._minimal_pairs([(1, 2, 0), (1, 2, 0)]) == [(0, 1)]
+    assert standard_basis._minimal_pairs([(1, 2, 0)]) == []
+    assert standard_basis._minimal_pairs([]) == []
