@@ -8,13 +8,13 @@ one the order filtration on a single variable pair is assumed.
 Exit codes: 0 success, 2 parse, configuration or usage error, 3 degree
 cap reached, 4 internal invariant violation (including verify failures) or
 any other unexpected internal error, which is reported in one line
-rather than as a traceback.
+rather than as a traceback, and 141 (128 + SIGPIPE), silently, when the
+reader of stdout closes it early.
 """
 
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import os
 import sys
@@ -29,7 +29,7 @@ from .errors import (
     OracleSizeError,
     ParseError,
 )
-from .expressions import format_operator, parse_operator
+from .expressions import format_operator, parse_operator, read_lines
 from .homogenize import homogenize
 from .jsonio import operator_to_obj
 from .oracle import algebra_fuzz, oracle_pipeline_agree
@@ -56,7 +56,13 @@ def main(argv=None) -> int:
         # validated exactly as the file's own values are
         flags = {key: getattr(args, key) for key in ("output", "degree_cap") if hasattr(args, key)}
         cfg = replace(cfg, **flags)
-        return _dispatch(args, cfg)
+        status = _dispatch(args, cfg)
+        sys.stdout.flush()  # so that a closed pipe shows here, not at exit
+        return status
+    except BrokenPipeError:  # the reader left early, as `| head` does
+        # the interpreter flushes stdout once more at exit: into devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except tuple(_ERROR_CODES) as e:
         code, status = _ERROR_CODES[type(e)]
         _emit_error(output or "text", code, str(e))
@@ -243,16 +249,7 @@ def _read_operands(tokens, n, fld):
         if not os.path.isfile(token):
             ops.append(parse_operator(token, n, fld))
             continue
-        with open(token, "rb") as fh:
-            data = fh.read()
-        try:
-            text = data.decode("utf-8")
-        except UnicodeDecodeError as e:
-            before = data[: e.start].decode("utf-8")
-            line, column = before.count("\n") + 1, len(before) - before.rfind("\n")
-            raise ParseError(f"{token}: not valid UTF-8", line, column) from None
-        # universal newlines, as a file opened in text mode reads them
-        for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
+        for lineno, line in read_lines(token):
             body = line.split("#", 1)[0].strip()
             if not body:
                 continue

@@ -1,8 +1,10 @@
 """Run configuration: a flat key = value file.
 
-The format is a TOML-ish subset that stays trivially parseable: one
-``key = value`` per line, ``#`` comments, integers, quoted strings, and
-flat lists of either.  Example:
+One ``key = value`` per line of UTF-8.  Each value is one JSON value
+(RFC 8259): an integer (ASCII digits, maybe a ``-``; no ``+``, ``_`` or
+leading zero), a double-quoted string, or a flat list of either; ``null``
+is refused.  A ``#`` starts a comment, on a line of its own or after the
+value.  Example:
 
     n = 2
     p = [0, -1]
@@ -17,18 +19,20 @@ flat lists of either.  Example:
 variables from smallest to largest for the tiebreak order.  Every key
 except ``n`` has a default; the default weights are the order filtration
 (p = 0, q = 1).  ``RunConfig`` checks only what the library objects
-cannot know about a file: ``n`` and the lengths against it, the variable
-names, the spelling of ``field``, ``degree_cap`` and ``output``.  The
-order and field rules belong to ``orders`` and ``scalars``; their
-constructors run once, and what they reject becomes a ``ConfigError``.
+cannot know about a file: ``n`` and the lengths against it, the spelling
+of ``field``, ``degree_cap`` and ``output``.  ``orders``, ``scalars`` and
+``expressions`` own the order, field and variable-name rules; what they
+reject becomes a ``ConfigError``.
 """
 
 from __future__ import annotations
 
+import json
 import re
 from dataclasses import dataclass, fields
 
-from .errors import ConfigError
+from .errors import ConfigError, ParseError
+from .expressions import read_lines, variable_position
 from .orders import LinearForm, OrderContext, TieBreak
 from .scalars import QQ, PrimeField
 
@@ -58,7 +62,10 @@ class RunConfig:
                 raise ConfigError(f"{key} must be a list of {n} integers, got {vec!r}")
         if len(self.var_order) != 2 * n:
             raise ConfigError(f"var_order must list all {2 * n} variables")
-        perm = tuple(_flat_index(name, n) for name in self.var_order)
+        try:
+            perm = tuple(variable_position(name, n) for name in self.var_order)
+        except ValueError as e:
+            raise ConfigError(f"var_order entry is not a variable: {e}") from None
         prime = re.fullmatch(r"fp\(([0-9]+)\)", str(self.field))
         if self.field != "rational" and not prime:
             raise ConfigError(f"field must be \"rational\" or \"fp(prime)\", got {self.field!r}")
@@ -83,35 +90,28 @@ class RunConfig:
 _KEYS = tuple(f.name for f in fields(RunConfig))
 
 
-def _flat_index(name, n):
-    head, digits = str(name)[:1], str(name)[1:]
-    if head in ("x", "D", "d") and digits.isdigit() and 1 <= int(digits) <= n:
-        i = int(digits) - 1
-        return i if head == "x" else n + i
-    raise ConfigError(f"var_order entry {name!r} is not a variable for n = {n}")
-
-
 def load_config(path) -> RunConfig:
     try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.readlines()
+        lines = read_lines(path)
     except OSError as e:
         raise ConfigError(f"cannot read config {path}: {e}") from None
+    except ParseError as e:
+        raise ConfigError(str(e)) from None
 
     raw = {}
-    for lineno, line in enumerate(lines, start=1):
-        stripped = _strip_comment(line).strip()
-        if not stripped:
+    for lineno, line in lines:
+        line = line.strip()
+        if not line or line.startswith("#"):
             continue
-        if "=" not in stripped:
-            raise ConfigError(f"{path}:{lineno}: expected key = value")
-        key, _, value = stripped.partition("=")
+        key, eq, text = line.partition("=")
         key = key.strip()
+        if not eq:
+            raise ConfigError(f"{path}:{lineno}: expected key = value")
         if key not in _KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         if key in raw:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-        raw[key] = _parse_value(value.strip(), f"{path}:{lineno}")
+        raw[key] = _json_value(text.strip(), f"{path}:{lineno}")
 
     if "n" not in raw:
         raise ConfigError(f"{path}: missing required key 'n'")
@@ -126,29 +126,14 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"{path}: {e}") from None
 
 
-def _strip_comment(line):
-    quoted = False
-    for i, ch in enumerate(line):
-        if ch == '"':
-            quoted = not quoted
-        elif ch == "#" and not quoted:
-            return line[:i]
-    return line
-
-
-def _parse_value(text, where):
-    if text.startswith("[") and text.endswith("]"):
-        body = text[1:-1].strip()
-        if not body:
-            return []
-        return [_parse_scalar(part.strip(), where) for part in body.split(",")]
-    return _parse_scalar(text, where)
-
-
-def _parse_scalar(text, where):
-    if text.startswith('"') and text.endswith('"') and len(text) >= 2:
-        return text[1:-1]
+def _json_value(text, where):
+    """One JSON value, followed by nothing but a comment."""
     try:
-        return int(text)
-    except ValueError:
-        raise ConfigError(f"{where}: cannot parse value {text!r}") from None
+        value, end = json.JSONDecoder().raw_decode(text)
+    except (ValueError, RecursionError):  # RecursionError: lists nested too deep
+        end = None
+    if end is None or text[end:].strip()[:1] not in ("", "#"):
+        raise ConfigError(f"{where}: cannot parse value {text!r}")
+    if value is None:
+        raise ConfigError(f"{where}: null is not a value; leave the key out for its default")
+    return value

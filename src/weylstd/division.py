@@ -51,12 +51,14 @@ class DivisionResult:
 def divide(ctx, h: HomogOperator, divisors) -> DivisionResult:
     """Divide ``h`` by the sequence ``divisors`` in the graded algebra."""
     divisors = tuple(divisors)
-    n = h.n
-    sort_key = term_key(ctx, h)
-    for d in divisors:
-        if d.is_zero():
+    for i, d in enumerate((h,) + divisors):  # the dividend first; it may be zero
+        if not isinstance(d, HomogOperator):
+            raise ValueError(f"divide takes HomogOperators, not {type(d).__name__}")
+        if i and d.is_zero():
             raise ValueError("cannot divide by the zero operator")
         h._same_algebra(d)
+    n = h.n
+    sort_key = term_key(ctx, h)
 
     leads = tuple(leading_term(ctx, d) for d in divisors)
     partition = RegionPartition(tuple(lt.exponent for lt in leads))

@@ -10,9 +10,15 @@ Parsing evaluates directly in the operator algebra, so any syntactically
 valid expression lands in normal order automatically.  Printing emits
 the same syntax back, largest term first under the active order, and
 parses back to the identical operator.
+
+``variable_position`` is the one variable-name rule (the config's
+``var_order`` follows it too), ``read_lines`` the one text-file reader.
 """
 
 from __future__ import annotations
+
+import io
+import re
 
 from .errors import ParseError
 from .orders import term_key
@@ -23,56 +29,65 @@ _OPERATORS = set("+-*^()/")
 # ASCII only: str.isdigit() also takes "²" and "１", which int() reads
 # wrongly or not at all
 _DIGITS = frozenset("0123456789")
+_VARIABLE = re.compile("([xDd])([0-9]+)")
 
 
 def _tokenize(text):
     """Yield (kind, value, line, column) with kind INT, SYM or a literal."""
-    line = 1
-    col = 1
-    i = 0
     out = []
+    line, start, i = 1, 0, 0  # start: where the current line begins in text
     while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
+        ch, col, j = text[i], i - start + 1, i + 1
         if ch in _OPERATORS:
             out.append((ch, ch, line, col))
-            col += 1
-            i += 1
-            continue
-        if ch in _DIGITS:
-            j = i
+        elif ch in _DIGITS or ch.isascii() and ch.isalpha():
             while j < len(text) and text[j] in _DIGITS:
                 j += 1
-            out.append(("INT", _natural(text[i:j], line, col), line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isascii() and ch.isalpha():
-            j = i + 1
-            while j < len(text) and text[j] in _DIGITS:
-                j += 1
-            out.append(("SYM", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    out.append(("END", None, line, col))
+            try:
+                value = _natural(text[i:j]) if ch in _DIGITS else text[i:j]
+            except ValueError as e:
+                raise ParseError(str(e), line, col) from None
+            out.append(("INT" if ch in _DIGITS else "SYM", value, line, col))
+        elif ch == "\n":
+            line, start = line + 1, j
+        elif not ch.isspace():
+            raise ParseError(f"unexpected character {ch!r}", line, col)
+        i = j
+    out.append(("END", None, line, len(text) - start + 1))
     return out
 
 
-def _natural(digits, line, col):
+def _natural(digits):
     try:
         return int(digits)
     except ValueError:  # past the interpreter's limit on int digits
-        raise ParseError(f"number of {len(digits)} digits is too long", line, col) from None
+        raise ValueError(f"number of {len(digits)} digits is too long") from None
+
+
+def variable_position(name, n):
+    """Flat key position of ``x<i>`` (i - 1) or ``D<i>``/``d<i>`` (n + i - 1),
+    1 <= i <= n in ASCII digits; anything else is a ValueError."""
+    match = _VARIABLE.fullmatch(name) if type(name) is str else None
+    if match is None:
+        raise ValueError(f"unknown symbol {name!r}")
+    i = _natural(match[2])
+    if not 1 <= i <= n:
+        raise ValueError(f"symbol {name!r} is out of range for {n} variable(s)")
+    return i - 1 if match[1] == "x" else n + i - 1
+
+
+def read_lines(path):
+    """(line number, line) pairs of a UTF-8 file, universal newlines; a
+    byte that is not UTF-8 is a ParseError at its line and column."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        before = io.StringIO(data[: e.start].decode("utf-8"), newline=None).read()
+        line, column = before.count("\n") + 1, len(before) - before.rfind("\n")
+        raise ParseError(f"{path}: not valid UTF-8", line, column) from None
+    return enumerate(io.StringIO(text, newline=None), start=1)
 
 
 class _Parser:
@@ -150,17 +165,12 @@ class _Parser:
         raise ParseError(f"expected a coefficient, symbol or parenthesis, found {value!r}", line, col)
 
     def symbol(self, name, line, col):
-        head, digits = name[0], name[1:]
-        if head not in ("x", "D", "d") or not digits:
-            raise ParseError(f"unknown symbol {name!r}", line, col)
-        index = _natural(digits, line, col)
-        if not 1 <= index <= self.n:
-            raise ParseError(
-                f"symbol {name!r} is out of range for {self.n} variable(s)", line, col
-            )
-        if head == "x":
-            return WeylOperator.x(self.n, index, field=self.field)
-        return WeylOperator.d(self.n, index, field=self.field)
+        try:
+            i = variable_position(name, self.n)
+        except ValueError as e:
+            raise ParseError(str(e), line, col) from None
+        make = WeylOperator.x if i < self.n else WeylOperator.d
+        return make(self.n, i % self.n + 1, field=self.field)
 
 
 def parse_operator(text, n, field=QQ) -> WeylOperator:

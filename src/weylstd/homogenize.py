@@ -14,6 +14,8 @@ from .weyl import HomogOperator, WeylOperator, t_to_one
 def homogenize(op: WeylOperator) -> HomogOperator:
     """Lift to the graded algebra: each term x^a D^b of an operator of
     total degree d becomes t^(d - |a| - |b|) x^a D^b."""
+    if not isinstance(op, WeylOperator):
+        raise ValueError(f"homogenize takes a WeylOperator, not {type(op).__name__}")
     if op.is_zero():
         raise ValueError("cannot homogenize the zero operator")
     d = op.total_degree()
@@ -23,6 +25,8 @@ def homogenize(op: WeylOperator) -> HomogOperator:
 def dehomogenize(h: HomogOperator) -> WeylOperator:
     """Set t = 1.  Terms that differed only in their t power merge, so the
     result can have fewer terms, and is zero only if they all cancel."""
+    if not isinstance(h, HomogOperator):
+        raise ValueError(f"dehomogenize takes a HomogOperator, not {type(h).__name__}")
     return WeylOperator._trusted(h.n, t_to_one(h.terms), h.field)
 
 

@@ -1,6 +1,9 @@
 """Command-line driver: dispatch, output modes, exit codes."""
 
+import io
 import json
+import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -330,6 +333,59 @@ def test_operand_file_that_is_not_utf8(capsys, tmp_path):
         "code": "parse-error",
         "message": f"{gens}: not valid UTF-8 (line 2, column 6)",
     }
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ('n = 1\nvar_order = ["x\u00b2", "D1"]\n'.encode(),
+         "var_order entry is not a variable: unknown symbol 'x\u00b2'"),
+        (b'n = 1\nfield = "\xe9"\n', "not valid UTF-8 (line 2, column 10)"),
+    ],
+    ids=["superscript-name", "not-utf8"],
+)
+def test_config_text_errors_are_config_errors(capsys, tmp_path, data, message):
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(data)
+    status, out, _ = _run(capsys, "--config", str(bad), "--output", "json", "normalize", "x1")
+    assert status == 2
+    assert json.loads(out)["error"] == {"code": "config-error", "message": f"{bad}: {message}"}
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone, as after ``| head -c 1``: a long
+    output fails as it is written, a short one when it is flushed."""
+
+    def __init__(self, fd, fails_in):
+        super().__init__()
+        self.fd = fd
+        self.fails_in = fails_in
+
+    def write(self, text):
+        if self.fails_in == "write":
+            raise BrokenPipeError(32, "Broken pipe")
+        return super().write(text)
+
+    def flush(self):
+        if self.fails_in == "flush":
+            raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+@pytest.mark.parametrize("fails_in", ["write", "flush"])
+@pytest.mark.parametrize("output", ["text", "json"])
+def test_closed_stdout_exits_141_quietly(capsys, monkeypatch, tmp_path, output, fails_in):
+    sink = tmp_path / "stdout"
+    with open(sink, "wb") as fh:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(fh.fileno(), fails_in))
+        status = main(["--output", output, "std-basis", "x1", "D1"])
+        # the interpreter's last flush at exit goes to devnull now
+        os.write(fh.fileno(), b"flushed at exit")
+    assert status == 141
+    assert capsys.readouterr().err == ""
+    assert sink.read_bytes() == b""
 
 
 def test_mul_of_no_operators_is_a_usage_error(capsys, order_cfg, tmp_path):

@@ -9,11 +9,13 @@ from weylstd import (
     ConfigError,
     LinearForm,
     OrderContext,
+    ParseError,
     PrimeField,
     QQ,
     RunConfig,
     TieBreak,
     load_config,
+    parse_operator,
 )
 
 
@@ -66,6 +68,12 @@ def test_defaults(tmp_path):
 def test_comments_and_blank_lines(tmp_path):
     cfg = load_config(_write(tmp_path, '\n# header\nn = 1   # trailing\n\nfield = "rational"\n'))
     assert cfg.n == 1
+    # a # inside a string is part of it; a comment needs no space before it
+    text = 'n = 1\nfield = "fp(7)#" # hi\ntiebreak = "lex"# no space\n'
+    with pytest.raises(ConfigError, match="field must be"):
+        load_config(_write(tmp_path, text))
+    cfg = load_config(_write(tmp_path, text.replace("fp(7)#", "fp(7)")))
+    assert cfg.scalar_field() == PrimeField(7) and cfg.tiebreak == "lex"
 
 
 def test_missing_n(tmp_path):
@@ -182,3 +190,61 @@ def test_config_accepts_what_the_library_accepts():
         except ConfigError:
             config_ok = False
         assert config_ok == library_ok, (p, q, kind, perm)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("n = \u0667", "cannot parse value"),  # Arabic-Indic seven; int() read it as 7
+        ("n = \uff11", "cannot parse value"),  # a full-width one
+        ("n = 1\ndegree_cap = 1_0", "cannot parse value"),
+        ("n = 1\nq = [+1]", "cannot parse value"),
+        ("n = 01", "cannot parse value"),
+        ("n = 1\np = null", "null is not a value"),
+        ("n = 1\np = [0] x", "cannot parse value"),
+        ("n = 1\np = " + "[" * 100000, "cannot parse value"),  # too deep for json
+        ('n = 1\nvar_order = ["x\u00b2", "D1"]', "var_order entry is not a variable"),
+        ('n = 1\nvar_order = ["x\uff11", "D1"]', "var_order entry is not a variable"),
+    ],
+    ids=["arabic-indic", "full-width", "underscore", "plus", "leading-zero", "null",
+         "trailing-text", "nested-too-deep", "superscript-name", "full-width-name"],
+)
+def test_values_outside_json_are_config_errors(tmp_path, text, message):
+    path = tmp_path / "run.cfg"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ConfigError, match="^" + re.escape(str(path)) + ".*" + message):
+        load_config(str(path))
+
+
+def test_config_that_is_not_utf8(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(b'n = 1\nfield = "\xe9"\n')
+    with pytest.raises(ConfigError) as info:
+        load_config(str(path))
+    assert str(info.value) == f"{path}: not valid UTF-8 (line 2, column 10)"
+
+
+def test_constructor_refuses_non_ascii_names():
+    with pytest.raises(ConfigError, match="var_order entry is not a variable"):
+        RunConfig(n=1, var_order=("x\u00b2", "D1"))
+
+
+@pytest.mark.parametrize(
+    "name, ok",
+    [("x1", True), ("d1", True), ("D01", True), ("x0", False), ("x2", False),
+     ("X1", False), ("x", False), ("x\u00b2", False), ("x\uff11", False)],
+)
+def test_config_and_parser_take_the_same_names(name, ok):
+    # the config's var_order and the parser follow one variable-name rule
+    other = "D1" if name[:1] == "x" else "x1"
+    try:
+        RunConfig(n=1, var_order=(name, other))
+        config_ok = True
+    except ConfigError:
+        config_ok = False
+    try:
+        parse_operator(name, 1)
+        parser_ok = True
+    except ParseError:
+        parser_ok = False
+    assert config_ok == parser_ok == ok

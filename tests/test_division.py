@@ -72,6 +72,20 @@ def test_divisors_from_another_algebra_are_refused():
         divide(ctx, h, [homogenize(WeylOperator.d(2, 1))])
 
 
+def test_divide_takes_only_graded_operators():
+    # a plain dividend used to end in "division reconstruction failed",
+    # an InvariantViolation that blamed the library for the caller's input
+    ctx = _ctx()
+    x, D = WeylOperator.x(1, 1), WeylOperator.d(1, 1)
+    message = "divide takes HomogOperators, not WeylOperator"
+    with pytest.raises(ValueError, match=message):
+        divide(ctx, D * x, [homogenize(D)])
+    with pytest.raises(ValueError, match=message):
+        divide(ctx, homogenize(D * x), [homogenize(x), D])
+    with pytest.raises(ValueError, match=message):
+        divide(ctx, D * x, [])
+
+
 def test_remainder_supports_and_reconstruction_randomized():
     rng = random.Random(11)
     done = 0

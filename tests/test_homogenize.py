@@ -6,7 +6,10 @@ import pytest
 
 from weylstd import (
     HomogOperator,
+    LinearForm,
+    OrderContext,
     WeylOperator,
+    compute_standard_basis,
     dehomogenize,
     graded_degree,
     homogenize,
@@ -33,6 +36,24 @@ def test_dehomogenize_merges_t_powers():
     assert dehomogenize(h) == WeylOperator(1, {(1, 0): 2})
     h = HomogOperator(1, {(2, 1, 0): 1, (0, 1, 0): -1})
     assert dehomogenize(h).is_zero()
+
+
+def test_homogenize_takes_only_plain_operators():
+    # a graded operator used to fail with an AttributeError, here and in
+    # completion, which homogenizes its inputs
+    h = homogenize(WeylOperator.x(1, 1))
+    message = "homogenize takes a WeylOperator, not HomogOperator"
+    with pytest.raises(ValueError, match=message):
+        homogenize(h)
+    with pytest.raises(ValueError, match=message):
+        compute_standard_basis(OrderContext(LinearForm.order(1)), [h])
+
+
+def test_dehomogenize_takes_only_graded_operators():
+    # x1*D1 + x1 used to come back as "x1 + 1", with keys one entry wide
+    op = WeylOperator(1, {(1, 1): 1, (1, 0): 1})
+    with pytest.raises(ValueError, match="dehomogenize takes a HomogOperator, not WeylOperator"):
+        dehomogenize(op)
 
 
 def test_graded_degree_requires_homogeneous():
