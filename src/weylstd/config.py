@@ -18,7 +18,9 @@ value.  Example:
 ``p``/``q`` are the variable weights and ``var_order`` lists all 2n
 variables from smallest to largest for the tiebreak order.  Every key
 except ``n`` has a default; the default weights are the order filtration
-(p = 0, q = 1).  ``RunConfig`` checks only what the library objects
+(p = 0, q = 1).  ``n`` is at most ``MAX_N``, far above the largest
+system in the tests (n = 5); a larger one is refused before anything of
+size n is built.  ``RunConfig`` checks only what the library objects
 cannot know about a file: ``n`` and the lengths against it, the spelling
 of ``field``, ``degree_cap`` and ``output``.  ``orders``, ``scalars`` and
 ``expressions`` own the order, field and variable-name rules; what they
@@ -36,6 +38,8 @@ from .expressions import read_lines, variable_position
 from .orders import LinearForm, OrderContext, TieBreak
 from .scalars import QQ, PrimeField
 
+MAX_N = 1000
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -52,6 +56,8 @@ class RunConfig:
         n = self.n
         if type(n) is not int or n < 1:
             raise ConfigError(f"n must be a natural number >= 1, got {n!r}")
+        if n > MAX_N:
+            raise ConfigError(f"n must be at most {MAX_N}, got {n}")
         names = tuple(f"{v}{i + 1}" for v in "xD" for i in range(n))
         for key, value in (("p", (0,) * n), ("q", (1,) * n), ("var_order", names)):
             if getattr(self, key) is None:

@@ -8,11 +8,13 @@ partition the exponent lattice by first match, which pins the result
 down uniquely; this only works because the graded order is a well order,
 so repeatedly rewriting the largest term terminates.
 
-Every call re-checks its own output (reconstruction plus the support
+``divide`` re-checks its own output (reconstruction plus the support
 conditions), which turns any bug here into a loud ``InvariantViolation``
-instead of a silently wrong basis downstream.  The check is not cheap:
-the reconstruction multiplies out every Q_i P_i again, although the loop
-has already formed each of its monomial-times-divisor pieces.
+instead of a silently wrong result.  The check is not cheap: the
+reconstruction multiplies out every Q_i P_i again.  ``divide_unchecked``
+is the same division without it, for the completion's own divisions,
+whose output the completion certificate proves as a whole (see
+``standard_basis``).
 """
 
 from __future__ import annotations
@@ -50,6 +52,16 @@ class DivisionResult:
 
 def divide(ctx, h: HomogOperator, divisors) -> DivisionResult:
     """Divide ``h`` by the sequence ``divisors`` in the graded algebra."""
+    divisors = tuple(divisors)
+    partition, quotients, remainder = divide_unchecked(ctx, h, divisors)
+    _check_division(ctx, h, divisors, partition, quotients, remainder)
+    return DivisionResult(quotients, remainder)
+
+
+def divide_unchecked(ctx, h: HomogOperator, divisors):
+    """``divide`` without the check of its output: the partition by the
+    divisors' leads, the quotients and the remainder.  It still checks
+    that each elimination step cancels the term it eliminates."""
     divisors = tuple(divisors)
     for i, d in enumerate((h,) + divisors):  # the dividend first; it may be zero
         if not isinstance(d, HomogOperator):
@@ -104,8 +116,7 @@ def divide(ctx, h: HomogOperator, divisors) -> DivisionResult:
 
     quotients = tuple(HomogOperator._trusted(n, t, h.field) for t in quot_terms)
     remainder = HomogOperator._trusted(n, rem_terms, h.field)
-    _check_division(ctx, h, divisors, partition, quotients, remainder)
-    return DivisionResult(quotients, remainder)
+    return partition, quotients, remainder
 
 
 def _descending(key):

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import itemgetter, mul, neg
 
 from .weyl import NEG_INF, HomogOperator, Polynomial, WeylOperator, degree_lex_key
 
@@ -75,13 +77,24 @@ class LinearForm:
 
     def value(self, m):
         """Weight of a flat exponent (a_1..a_n, b_1..b_n)."""
-        return sum(w * e for w, e in zip(self.p + self.q, m))
+        return sum(map(mul, self.p + self.q, m))
 
     def weight(self, op: WeylOperator):
         """Max weight over the support; -inf for the zero operator."""
         if op.is_zero():
             return NEG_INF
         return max(self.value(m) for m in op.terms)
+
+
+@lru_cache(maxsize=256)
+def _picker(kind, perm, shift):
+    """An ``itemgetter`` of the exponents at ``perm`` shifted by ``shift``,
+    in the order ``TieBreak.shape`` reads them: from the largest variable
+    down for lex and deglex, from the smallest up for degrevlex.  Equal
+    tiebreaks share it."""
+    if kind != "degrevlex":
+        perm = perm[::-1]
+    return itemgetter(*(i + shift for i in perm))
 
 
 @dataclass(frozen=True)
@@ -100,21 +113,33 @@ class TieBreak:
         object.__setattr__(self, "perm", tuple(self.perm))
         if self.kind not in TIEBREAK_KINDS:
             raise ValueError(f"tiebreak must be one of {TIEBREAK_KINDS}, got {self.kind!r}")
-        if sorted(self.perm) != list(range(len(self.perm))):
-            raise ValueError("perm must list every flat key position exactly once")
+        if len(self.perm) < 2 or sorted(self.perm) != list(range(len(self.perm))):
+            raise ValueError("perm must list every flat key position exactly once (at least two)")
+        object.__setattr__(self, "_pick", _picker(self.kind, self.perm, 0))
 
     @classmethod
     def default(cls, n):
         return cls("degrevlex", tuple(range(2 * n)))
 
+    def shape(self, w):
+        """The key of the exponents ``w`` that ``_picker`` picks: the one
+        place each kind's rule is written."""
+        if self.kind == "lex":
+            return w
+        if self.kind == "deglex":
+            return (sum(w),) + w
+        return (sum(w), *map(neg, w))
+
     def key(self, m):
         """Sort key: bigger tuple = bigger monomial.  Injective on exponents."""
-        w = tuple(m[i] for i in self.perm)
-        if self.kind == "lex":
-            return tuple(reversed(w))
-        if self.kind == "deglex":
-            return (sum(w),) + tuple(reversed(w))
-        return (sum(w),) + tuple(-e for e in w)
+        return self.shape(self._pick(m))
+
+
+@lru_cache(maxsize=256)
+def _graded_weights(p, q):
+    """The weights of a flat (k, a, b) exponent: 0 for t, then p and q.
+    Equal forms share the tuple: a caller may hold many contexts of few forms."""
+    return (0,) + p + q
 
 
 @dataclass(frozen=True)
@@ -126,6 +151,9 @@ class OrderContext:
     p_i + q_i = 0 pairs with a negative entry), which is the whole reason
     the graded companion algebra exists.  ``graded_key`` prepends the
     graded degree k + |a| + |b| and is a well order.
+
+    The graded key reads the flat (k, a, b) exponent in place, through
+    weights and a tiebreak picker shifted past k, built once here.
     """
 
     form: LinearForm
@@ -136,6 +164,8 @@ class OrderContext:
             object.__setattr__(self, "tiebreak", TieBreak.default(self.form.n))
         if len(self.tiebreak.perm) != 2 * self.form.n:
             raise ValueError("tiebreak covers a different number of variables")
+        object.__setattr__(self, "_graded_weights", _graded_weights(self.form.p, self.form.q))
+        object.__setattr__(self, "_graded_pick", _picker(self.tiebreak.kind, self.tiebreak.perm, 1))
 
     @property
     def n(self):
@@ -147,7 +177,8 @@ class OrderContext:
 
     def graded_key(self, m):
         """Integer tuple key for a flat (k, a, b) exponent: degree first."""
-        return (sum(m),) + self.weighted_key(m[1:])
+        weight = sum(map(mul, self._graded_weights, m))
+        return (sum(m), weight) + self.tiebreak.shape(self._graded_pick(m))
 
 
 def check_n(ctx, op):

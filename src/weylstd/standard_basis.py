@@ -18,10 +18,15 @@ and every new element has the degree of the pair that produced it, a
 degree cap bounds the run; hitting it raises rather than returning a
 silently incomplete basis.
 
-Every public entry point re-verifies its own output: the final basis
-passes the pair criterion, the inputs reduce to zero against it, and
-the recorded cofactors reproduce each basis element from the inputs.
-The pair criterion reduces one spanning forest of pairs per pair lcm m
+Every public entry point re-verifies its own output.  The certificate
+has four parts: the final basis is reduced (each element monic, no lead
+divisible by another lead, no other term divisible by any lead), the
+recorded cofactors reproduce each basis element from the inputs, the
+basis passes the pair criterion, and the inputs reduce to zero against
+it.  Together they prove the output whatever the completion did on the
+way, so the completion divides through ``divide_unchecked``, while the
+certificate's own divisions are checked ones (``divide``).  The pair
+criterion reduces one spanning forest of pairs per pair lcm m
 of the final leads (``_minimal_pairs``): the leads that divide m are
 joined through pairs whose lcm lies strictly below m, and a pair of lcm
 m is reduced only when it joins two components.  The kept pairs
@@ -41,7 +46,7 @@ from dataclasses import dataclass
 from operator import sub
 
 from .errors import DegreeCapExceeded, InvariantViolation
-from .division import divide
+from .division import divide, divide_unchecked
 from .homogenize import dehomogenize, graded_degree, homogenize, is_homogeneous, project_exponent
 from .orders import leading_term, principal_symbol
 from .weyl import HomogOperator, vec_leq, vec_max, vec_sub
@@ -191,14 +196,14 @@ def _reduce(ctx, h, divisors, rows):
 
     None when the remainder is zero; otherwise the remainder and the row
     sum_i q_i * rows[i] of what the division took off ``h``."""
-    res = divide(ctx, h, divisors)
-    if res.remainder.is_zero():
+    _, quotients, remainder = divide_unchecked(ctx, h, divisors)
+    if remainder.is_zero():
         return None
     taken = (HomogOperator.zero(h.n, h.field),) * len(rows[0])
-    for q, row in zip(res.quotients, rows):
+    for q, row in zip(quotients, rows):
         if not q.is_zero():
             taken = tuple(t + q * c for t, c in zip(taken, row))
-    return res.remainder, taken
+    return remainder, taken
 
 
 def _monic(ctx, h, row):
@@ -233,20 +238,46 @@ def _interreduce(ctx, basis, rows):
 
 
 def _check_completion(ctx, gens, result):
+    """The certificate: the basis is reduced, the cofactors reproduce it
+    from ``gens``, it passes the pair criterion, and ``gens`` reduce to
+    zero against it.  The checks run in that order, the ones that need
+    no division first."""
     basis = result.basis
-    for i, j in _minimal_pairs([leading_term(ctx, b).exponent for b in basis]):
-        s = semisyzygy(ctx, basis[i], basis[j])
-        if not s.is_zero() and not divide(ctx, s, basis).remainder.is_zero():
-            raise InvariantViolation("completed basis fails the pair criterion")
-    for g in gens:
-        if not divide(ctx, g, basis).remainder.is_zero():
-            raise InvariantViolation("an input generator does not reduce to zero")
+    _check_reduced(ctx, basis)
     for b, row in zip(basis, result.cofactors):
         total = HomogOperator.zero(b.n, b.field)
         for c, g in zip(row, gens):
             total = total + c * g
         if total != b:
             raise InvariantViolation("cofactor bookkeeping does not reproduce the basis")
+    _check_pairs(ctx, basis)
+    for g in gens:
+        if not divide(ctx, g, basis).remainder.is_zero():
+            raise InvariantViolation("an input generator does not reduce to zero")
+
+
+def _check_reduced(ctx, basis):
+    """Refuse a basis that is not reduced: an element that is not monic,
+    a lead divisible by another lead, or another term divisible by a lead."""
+    exponents = [leading_term(ctx, b).exponent for b in basis]
+    for i, (b, lead) in enumerate(zip(basis, exponents)):
+        if b.terms[lead] != 1:
+            fault = "is not monic"
+        elif any(vec_leq(e, lead) for j, e in enumerate(exponents) if j != i):
+            fault = "has a lead divisible by another lead"
+        elif any(m != lead and vec_leq(e, m) for m in b.terms for e in exponents):
+            fault = "has a term other than its lead divisible by a lead"
+        else:
+            continue
+        raise InvariantViolation(f"completed basis is not reduced: element {i} {fault}")
+
+
+def _check_pairs(ctx, basis):
+    """Refuse a basis that fails the pair criterion over ``_minimal_pairs``."""
+    for i, j in _minimal_pairs([leading_term(ctx, b).exponent for b in basis]):
+        s = semisyzygy(ctx, basis[i], basis[j])
+        if not s.is_zero() and not divide(ctx, s, basis).remainder.is_zero():
+            raise InvariantViolation("completed basis fails the pair criterion")
 
 
 def _minimal_pairs(leads):

@@ -341,8 +341,9 @@ def test_operand_file_that_is_not_utf8(capsys, tmp_path):
         ('n = 1\nvar_order = ["x\u00b2", "D1"]\n'.encode(),
          "var_order entry is not a variable: unknown symbol 'x\u00b2'"),
         (b'n = 1\nfield = "\xe9"\n', "not valid UTF-8 (line 2, column 10)"),
+        (b"n = 1001\n", "n must be at most 1000, got 1001"),
     ],
-    ids=["superscript-name", "not-utf8"],
+    ids=["superscript-name", "not-utf8", "n-too-large"],
 )
 def test_config_text_errors_are_config_errors(capsys, tmp_path, data, message):
     bad = tmp_path / "bad.cfg"

@@ -17,6 +17,7 @@ from weylstd import (
     load_config,
     parse_operator,
 )
+from weylstd.config import MAX_N
 
 
 def _write(tmp_path, text):
@@ -138,6 +139,13 @@ def test_default_constructor_validates():
         RunConfig(n=0, p=(), q=())
     cfg = RunConfig(n=2)
     assert cfg.order_context().n == 2
+
+
+def test_n_is_bounded():
+    # refused before the 2n names or the context are built
+    with pytest.raises(ConfigError, match=f"n must be at most {MAX_N}, got {MAX_N + 1}"):
+        RunConfig(n=MAX_N + 1)
+    assert RunConfig(n=MAX_N).order_context().n == MAX_N
 
 
 def test_constructor_takes_only_int_naturals():

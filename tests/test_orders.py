@@ -93,6 +93,36 @@ def test_tiebreak_permutation_changes_order():
         TieBreak("lex", (0, 0))
     with pytest.raises(ValueError):
         TieBreak("grlex", (0, 1))
+    # one position: no context has n = 1/2, and the key's picker needs two
+    with pytest.raises(ValueError, match="at least two"):
+        TieBreak("lex", (0,))
+
+
+def _reference_weighted_key(ctx, m):
+    """The weighted key as written before keys were built per context."""
+    value = sum(w * e for w, e in zip(ctx.form.p + ctx.form.q, m))
+    w = tuple(m[i] for i in ctx.tiebreak.perm)
+    if ctx.tiebreak.kind == "lex":
+        tie = tuple(reversed(w))
+    elif ctx.tiebreak.kind == "deglex":
+        tie = (sum(w),) + tuple(reversed(w))
+    else:
+        tie = (sum(w),) + tuple(-e for e in w)
+    return (value,) + tie
+
+
+def test_keys_equal_the_reference_formulas():
+    rng = random.Random(41)
+    for n in range(1, 5):
+        for kind in ("lex", "deglex", "degrevlex"):
+            for _ in range(10):
+                perm = list(range(2 * n))
+                rng.shuffle(perm)
+                ctx = OrderContext(random_linear_form(rng, n), TieBreak(kind, tuple(perm)))
+                for _ in range(20):
+                    m = tuple(rng.randint(0, 6) for _ in range(2 * n + 1))
+                    assert ctx.weighted_key(m[1:]) == _reference_weighted_key(ctx, m[1:])
+                    assert ctx.graded_key(m) == (sum(m),) + _reference_weighted_key(ctx, m[1:])
 
 
 def test_keys_are_injective_and_translation_invariant():

@@ -19,6 +19,7 @@ from weylstd import (
     WeylOperator,
     buchberger,
     compute_standard_basis,
+    graded_degree,
     homog_from_obj,
     homogenize,
     leading_term,
@@ -295,10 +296,10 @@ def test_injected_cofactor_fault_is_caught(monkeypatch):
 
 
 def _passes_pair_criterion(ctx, basis):
-    """The certificate's pair-criterion verdict on ``basis`` alone: with no
-    inputs and no cofactor rows, only the pair criterion can fail."""
+    """The certificate's pair-criterion verdict on ``basis`` alone, which
+    need not be reduced."""
     try:
-        standard_basis._check_completion(ctx, (), CompletionResult(tuple(basis), (), None))
+        standard_basis._check_pairs(ctx, tuple(basis))
     except InvariantViolation as exc:
         assert "fails the pair criterion" in str(exc)
         return False
@@ -334,6 +335,87 @@ def test_injected_dropped_pair_is_caught(monkeypatch):
     assert fired
 
 
+# The completion divides through ``divide_unchecked``; only the final
+# certificate proves its output.  Each fault below is injected where
+# ``_reduce`` calls that core, and must be caught by one certificate part.
+TWO_GENERATORS = ("x1^2*D1 - 1", "D1^2 + x1")
+
+
+def _complete_with_faulty_core(monkeypatch, fault):
+    """Run ``buchberger`` on ``TWO_GENERATORS`` with ``fault`` applied to
+    the core's (quotients, remainder) at every call, and return the
+    exception it raised and how often the fault fired."""
+    original = standard_basis.divide_unchecked
+    state = {"interreducing": False, "fired": 0}
+
+    def faulty_core(ctx, h, divisors):
+        partition, quotients, remainder = original(ctx, h, divisors)
+        out = fault(state, tuple(divisors), quotients, remainder)
+        if out is None:
+            return partition, quotients, remainder
+        state["fired"] += 1
+        return (partition,) + out
+
+    interreduce = standard_basis._interreduce
+
+    def tracking_interreduce(*args):
+        state["interreducing"] = True
+        return interreduce(*args)
+
+    monkeypatch.setattr(standard_basis, "divide_unchecked", faulty_core)
+    monkeypatch.setattr(standard_basis, "_interreduce", tracking_interreduce)
+    gens = [homogenize(parse_operator(t, 1)) for t in TWO_GENERATORS]
+    with pytest.raises(InvariantViolation) as info:
+        buchberger(_ctx(), gens)
+    return str(info.value), state["fired"]
+
+
+def test_injected_loop_remainder_fault_is_caught(monkeypatch):
+    # the first nonzero loop remainder gets one term, the smallest monomial
+    # of its degree, that h - sum Q_i*P_i does not have
+    def add_a_term(state, divisors, quotients, remainder):
+        if state["fired"] or state["interreducing"] or remainder.is_zero():
+            return None
+        t_power = (graded_degree(remainder), 0, 0)
+        assert t_power not in remainder.terms
+        return quotients, remainder + HomogOperator.monomial(1, t_power)
+
+    message, fired = _complete_with_faulty_core(monkeypatch, add_a_term)
+    assert fired == 1
+    assert "cofactor bookkeeping" in message
+
+
+def test_injected_zero_remainder_fault_is_caught(monkeypatch):
+    # the first nonzero loop remainder comes back as zero, so the pair
+    # that needed it adds nothing to the basis
+    def drop_the_remainder(state, divisors, quotients, remainder):
+        if state["fired"] or state["interreducing"] or remainder.is_zero():
+            return None
+        return quotients, HomogOperator.zero(1)
+
+    message, fired = _complete_with_faulty_core(monkeypatch, drop_the_remainder)
+    assert fired == 1
+    assert "fails the pair criterion" in message or "does not reduce to zero" in message
+
+
+def test_injected_interreduction_fault_is_caught(monkeypatch):
+    # the first interreduction step that took something off undoes one of
+    # its eliminations: h = sum Q_i*P_i + R still holds, the lead and the
+    # cofactors are still right, but R keeps a term a lead divides
+    def undo_an_elimination(state, divisors, quotients, remainder):
+        hit = next((i for i, q in enumerate(quotients) if not q.is_zero()), None)
+        if state["fired"] or not state["interreducing"] or hit is None:
+            return None
+        offset, coeff = next(iter(quotients[hit].terms.items()))
+        back = HomogOperator.monomial(1, offset, coeff)
+        quotients = quotients[:hit] + (quotients[hit] - back,) + quotients[hit + 1 :]
+        return quotients, remainder + back * divisors[hit]
+
+    message, fired = _complete_with_faulty_core(monkeypatch, undo_an_elimination)
+    assert fired == 1
+    assert "is not reduced" in message and "divisible by a lead" in message
+
+
 def test_gkz3_certificate_rejects_incomplete_bases():
     ctx = _ctx(3)
     gens = [homogenize(parse_operator(text, 3)) for text in GKZ3]
@@ -358,6 +440,26 @@ MONOMIAL_TRIANGLES = (
     _monomial_basis((0, 1, 1), (1, 0, 1), (1, 1, 0)),
     _monomial_basis((0, 1, 1), (1, 1, 0), (1, 0, 1)),
 )
+
+
+@pytest.mark.parametrize(
+    "basis, element, fault",
+    [
+        # 2*D alone: no pair to fail
+        ([HomogOperator.monomial(1, (0, 0, 1), 2)], 0, "is not monic"),
+        # t*D divides t^2*D
+        (_monomial_basis((1, 0, 1), (2, 0, 1)), 1, "has a lead divisible by another lead"),
+        # the lead of D^2 + t*D is D^2, and the lead t*D of the other divides its tail
+        (
+            [HomogOperator(1, {(0, 0, 2): 1, (1, 0, 1): 1}), HomogOperator.monomial(1, (1, 0, 1))],
+            0,
+            "has a term other than its lead divisible by a lead",
+        ),
+    ],
+)
+def test_certificate_refuses_bases_that_are_not_reduced(basis, element, fault):
+    with pytest.raises(InvariantViolation, match=f"is not reduced: element {element} {fault}"):
+        standard_basis._check_completion(_ctx(), (), CompletionResult(tuple(basis), (), None))
 
 
 def _candidates():
