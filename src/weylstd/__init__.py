@@ -12,7 +12,8 @@ The short path through the library:
     ((0, 0),)
 
 Every operator carries its scalar field, rationals unless told otherwise;
-over a prime field, hand the field to the parser (or the constructors):
+over a prime field, hand the field to the parser (or to the constructors
+as ``field=``), and coefficients are ``int`` residues in [0, p):
 
     >>> from weylstd import PrimeField, parse_operator
     >>> gens = [parse_operator(s, 1, PrimeField(7)) for s in ("x1^3", "x1*D1 + 9")]
@@ -34,7 +35,7 @@ from .errors import (
     ParseError,
     WeylstdError,
 )
-from .scalars import QQ, FpElement, PrimeField, RationalField
+from .scalars import QQ, PrimeField, RationalField
 from .weyl import HomogOperator, Polynomial, WeylOperator
 from .orders import (
     LeadingTerm,
@@ -86,7 +87,6 @@ __all__ = [
     "DEFAULT_DEGREE_CAP",
     "DegreeCapExceeded",
     "DivisionResult",
-    "FpElement",
     "FuzzReport",
     "HomogOperator",
     "InvariantViolation",

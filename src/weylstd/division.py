@@ -69,7 +69,7 @@ def divide_unchecked(ctx, h: HomogOperator, divisors):
         if i and d.is_zero():
             raise ValueError("cannot divide by the zero operator")
         h._same_algebra(d)
-    n = h.n
+    n, p = h.n, h.field.characteristic
     sort_key = term_key(ctx, h)
 
     leads = tuple(leading_term(ctx, d) for d in divisors)
@@ -105,14 +105,16 @@ def divide_unchecked(ctx, h: HomogOperator, divisors):
                 continue
             cur = work.get(key)
             if cur is None:
-                work[key] = -coeff
+                s = -coeff
                 heapq.heappush(heap, (_descending(sort_key(key)), key))
-                continue
-            s = cur - coeff
-            if s == 0:
-                del work[key]
             else:
+                s = cur - coeff
+            if p:
+                s %= p
+            if s:
                 work[key] = s
+            else:
+                work.pop(key, None)
 
     quotients = tuple(HomogOperator._trusted(n, t, h.field) for t in quot_terms)
     remainder = HomogOperator._trusted(n, rem_terms, h.field)
@@ -130,7 +132,7 @@ def _eliminate(quotient, m, c, lead, divisor, field):
 
     Each m is eliminated once, so each quotient monomial is written once."""
     offset = vec_sub(m, lead.exponent)
-    factor = c / lead.coefficient
+    factor = field.div(c, lead.coefficient)
     quotient[offset] = factor
     return HomogOperator._trusted(divisor.n, {offset: factor}, field) * divisor
 

@@ -27,7 +27,7 @@ def dehomogenize(h: HomogOperator) -> WeylOperator:
     result can have fewer terms, and is zero only if they all cancel."""
     if not isinstance(h, HomogOperator):
         raise ValueError(f"dehomogenize takes a HomogOperator, not {type(h).__name__}")
-    return WeylOperator._trusted(h.n, t_to_one(h.terms), h.field)
+    return WeylOperator._trusted(h.n, t_to_one(h.terms, h.field.characteristic), h.field)
 
 
 def graded_degree(h: HomogOperator) -> int:

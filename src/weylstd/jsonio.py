@@ -42,7 +42,7 @@ def _from_obj(cls, data, n, field):
         k = (entry.get("k", 0),) if cls is HomogOperator else ()
         # checked before add_terms merges it, as (1,) and (True,) are one dict key
         pairs.append((cls._key(n, k + alpha + beta), coeff))
-    return cls(n, add_terms({}, pairs), field)
+    return cls(n, add_terms({}, pairs, field.characteristic), field)
 
 
 def weyl_from_obj(data, n, field=QQ) -> WeylOperator:

@@ -29,7 +29,6 @@ import random
 from collections import defaultdict
 from dataclasses import dataclass, field
 from math import gcd, lcm
-from operator import attrgetter
 
 from .errors import InvariantViolation, OracleSizeError
 from .division import RegionPartition, divide
@@ -99,12 +98,9 @@ def truncation_witness(ctx, ops, degree_bound, max_rows=50_000) -> TruncationWit
             raise ValueError("degree bound is below a generator's degree")
 
     fld = gens[0].field if gens else QQ
-    p = fld.p if isinstance(fld, PrimeField) else 0
-    if p:
-        lift = attrgetter("value")
-    else:
+    p = fld.characteristic
+    if not p:
         gens = [g.scale(lcm(*(c.denominator for c in g.terms.values()))) for g in gens]
-        lift = attrgetter("numerator")
 
     n = ctx.n
     width = 2 * n + 1
@@ -127,7 +123,7 @@ def truncation_witness(ctx, ops, degree_bound, max_rows=50_000) -> TruncationWit
         for beta in _monomials_up_to(n, degree_bound - graded_degree(g)):
             # beta comes from _monomials_up_to, so the key is well formed
             product = HomogOperator._trusted(n, {no_head + beta: one}, fld) * g
-            products[i, beta] = [(e[: n + 1], e[n + 1 :], lift(c)) for e, c in product.terms.items()]
+            products[i, beta] = [(e[: n + 1], e[n + 1 :], c.numerator) for e, c in product.terms.items()]
 
     leading = set()
     for degree in sorted(blocks):
@@ -293,6 +289,7 @@ FUZZ_N_MAX = 2
 FUZZ_TERMS = 3
 FUZZ_DEGREE = 3
 FUZZ_COEFF = 4
+FUZZ_FIELDS = (QQ, PrimeField(7))
 
 
 @dataclass
@@ -314,7 +311,9 @@ DEFAULT_OPS = {
 
 def algebra_fuzz(seed, trials=50, ops=None) -> FuzzReport:
     """Replay the algebra's defining identities on seeded random inputs,
-    ``trials`` rounds of them.
+    ``trials`` rounds of them, each over a field drawn from
+    ``FUZZ_FIELDS``: A_n[t] is a domain over any field, so every identity
+    holds in characteristic p too.
 
     ``ops`` overrides the product and action entry points, so a test can
     inject a wrong multiplication and confirm the suite notices.
@@ -328,12 +327,13 @@ def algebra_fuzz(seed, trials=50, ops=None) -> FuzzReport:
     for _ in range(trials):
         n = rng.randint(1, FUZZ_N_MAX)
         ctx = OrderContext(random_linear_form(rng, n), random_tiebreak(rng, n))
-        _fuzz_products(rng, rep, table, n)
-        _fuzz_homogenization(rng, rep, table, n)
+        fld = rng.choice(FUZZ_FIELDS)
+        _fuzz_products(rng, rep, table, n, fld)
+        _fuzz_homogenization(rng, rep, table, n, fld)
         _fuzz_orders(rng, rep, ctx, n)
-        _fuzz_symbols(rng, rep, table, ctx, n)
+        _fuzz_symbols(rng, rep, table, ctx, n, fld)
         try:
-            _fuzz_division(rng, rep, ctx, n)
+            _fuzz_division(rng, rep, ctx, n, fld)
         except InvariantViolation as e:  # divide's own certificates failed
             _note(rep, False, "division certificates verified", e)
     return rep
@@ -345,14 +345,14 @@ def _note(rep, condition, label, *payload):
         rep.failures.append((label,) + tuple(str(p) for p in payload))
 
 
-def _fuzz_products(rng, rep, table, n):
-    mk = lambda: random_weyl(rng, n, FUZZ_TERMS, FUZZ_DEGREE, FUZZ_COEFF)
+def _fuzz_products(rng, rep, table, n, fld):
+    mk = lambda: random_weyl(rng, n, FUZZ_TERMS, FUZZ_DEGREE, FUZZ_COEFF, fld)
     mul = table["weyl_mul"]
     a, b, c = mk(), mk(), mk()
     _note(rep, mul(mul(a, b), c) == mul(a, mul(b, c)), "weyl product associativity", a, b, c)
     _note(rep, mul(a, b + c) == mul(a, b) + mul(a, c), "weyl left distributivity", a, b, c)
 
-    f = random_polynomial(rng, n, FUZZ_TERMS, FUZZ_DEGREE, FUZZ_COEFF)
+    f = random_polynomial(rng, n, FUZZ_TERMS, FUZZ_DEGREE, FUZZ_COEFF, fld)
     act = table["apply"]
     _note(
         rep,
@@ -360,16 +360,16 @@ def _fuzz_products(rng, rep, table, n):
         "operator action is a homomorphism", a, b, f,
     )
 
-    hk = lambda: random_homog(rng, n, FUZZ_TERMS, FUZZ_DEGREE, FUZZ_COEFF)
+    hk = lambda: random_homog(rng, n, FUZZ_TERMS, FUZZ_DEGREE, FUZZ_COEFF, fld)
     hmul = table["homog_mul"]
     ha, hb, hc = hk(), hk(), hk()
     _note(rep, hmul(hmul(ha, hb), hc) == hmul(ha, hmul(hb, hc)), "graded associativity", ha, hb, hc)
-    t = HomogOperator.t(n)
+    t = HomogOperator.t(n, field=fld)
     _note(rep, hmul(t, ha) == hmul(ha, t), "t is central", ha)
 
     d1, d2 = rng.randint(0, FUZZ_DEGREE), rng.randint(0, FUZZ_DEGREE)
-    g1 = random_homogeneous(rng, n, d1, FUZZ_TERMS, FUZZ_COEFF)
-    g2 = random_homogeneous(rng, n, d2, FUZZ_TERMS, FUZZ_COEFF)
+    g1 = random_homogeneous(rng, n, d1, FUZZ_TERMS, FUZZ_COEFF, fld)
+    g2 = random_homogeneous(rng, n, d2, FUZZ_TERMS, FUZZ_COEFF, fld)
     prod = hmul(g1, g2)
     closed = is_homogeneous(prod)
     _note(rep, closed, "homogeneous elements close under product", g1, g2)
@@ -399,10 +399,10 @@ def _keys_well_formed(op):
     )
 
 
-def _fuzz_homogenization(rng, rep, table, n):
+def _fuzz_homogenization(rng, rep, table, n, fld):
     mul = table["weyl_mul"]
     hmul = table["homog_mul"]
-    mk = lambda: random_weyl(rng, n, FUZZ_TERMS, FUZZ_DEGREE, FUZZ_COEFF)
+    mk = lambda: random_weyl(rng, n, FUZZ_TERMS, FUZZ_DEGREE, FUZZ_COEFF, fld)
     p, q = mk(), mk()
     if not p.is_zero() and not q.is_zero():
         _note(
@@ -424,7 +424,7 @@ def _fuzz_homogenization(rng, rep, table, n):
         _note(rep, dehomogenize(homogenize(p)) == p, "dehomogenize undoes homogenize", p)
 
     d = rng.randint(0, FUZZ_DEGREE)
-    g = random_homogeneous(rng, n, d, FUZZ_TERMS, FUZZ_COEFF)
+    g = random_homogeneous(rng, n, d, FUZZ_TERMS, FUZZ_COEFF, fld)
     if not g.is_zero():
         down = dehomogenize(g)
         _note(rep, not down.is_zero(), "homogeneous elements survive t = 1", g)
@@ -456,9 +456,9 @@ def _fuzz_orders(rng, rep, ctx, n):
         _note(rep, ctx.graded_key(hu) < ctx.graded_key(hv), "graded order refines divisibility", hu, hv)
 
 
-def _fuzz_symbols(rng, rep, table, ctx, n):
+def _fuzz_symbols(rng, rep, table, ctx, n, fld):
     mul = table["weyl_mul"]
-    mk = lambda: random_weyl(rng, n, FUZZ_TERMS, FUZZ_DEGREE, FUZZ_COEFF)
+    mk = lambda: random_weyl(rng, n, FUZZ_TERMS, FUZZ_DEGREE, FUZZ_COEFF, fld)
     p, q = mk(), mk()
     if p.is_zero() or q.is_zero():
         return
@@ -510,15 +510,15 @@ def _fuzz_symbols(rng, rep, table, ctx, n):
             _note(rep, ks == top, "distinct leads survive addition", p, q)
 
 
-def _fuzz_division(rng, rep, ctx, n):
+def _fuzz_division(rng, rep, ctx, n, fld):
     divisors = []
     for _ in range(rng.randint(1, 3)):
-        g = random_homogeneous(rng, n, rng.randint(0, FUZZ_DEGREE), FUZZ_TERMS, FUZZ_COEFF)
+        g = random_homogeneous(rng, n, rng.randint(0, FUZZ_DEGREE), FUZZ_TERMS, FUZZ_COEFF, fld)
         if not g.is_zero():
             divisors.append(g)
     if not divisors:
         return
-    h = random_homog(rng, n, FUZZ_TERMS, FUZZ_DEGREE, FUZZ_COEFF)
+    h = random_homog(rng, n, FUZZ_TERMS, FUZZ_DEGREE, FUZZ_COEFF, fld)
     divide(ctx, h, divisors)  # raises if its own certificates fail
     _note(rep, True, "division certificates verified")
 
@@ -528,14 +528,14 @@ def _fuzz_division(rng, rep, ctx, n):
     partition = RegionPartition(tuple(leads))
     quotients = []
     for i in range(len(divisors)):
-        q = random_homog(rng, n, FUZZ_TERMS, FUZZ_DEGREE, FUZZ_COEFF)
+        q = random_homog(rng, n, FUZZ_TERMS, FUZZ_DEGREE, FUZZ_COEFF, fld)
         kept = {
             m: c
             for m, c in q.terms.items()
             if partition.classify(vec_add(leads[i], m)) == i
         }
-        quotients.append(HomogOperator(n, kept))
-    remainder = divide(ctx, random_homog(rng, n, FUZZ_TERMS, FUZZ_DEGREE, FUZZ_COEFF), divisors).remainder
+        quotients.append(HomogOperator(n, kept, fld))
+    remainder = divide(ctx, random_homog(rng, n, FUZZ_TERMS, FUZZ_DEGREE, FUZZ_COEFF, fld), divisors).remainder
     built = remainder
     for q, d in zip(quotients, divisors):
         built = built + q * d

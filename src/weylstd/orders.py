@@ -113,6 +113,8 @@ class TieBreak:
         object.__setattr__(self, "perm", tuple(self.perm))
         if self.kind not in TIEBREAK_KINDS:
             raise ValueError(f"tiebreak must be one of {TIEBREAK_KINDS}, got {self.kind!r}")
+        if any(type(i) is not int for i in self.perm):
+            raise ValueError(f"tiebreak positions must be ints, got {self.perm!r}")
         if len(self.perm) < 2 or sorted(self.perm) != list(range(len(self.perm))):
             raise ValueError("perm must list every flat key position exactly once (at least two)")
         object.__setattr__(self, "_pick", _picker(self.kind, self.perm, 0))

@@ -1,17 +1,24 @@
 """Exact coefficient fields: rationals (default) and prime fields.
 
-Operator term maps hold scalar values that must support +, -, *, / and
-comparison with 0.  ``fractions.Fraction`` already does; ``FpElement``
-provides the same surface for arithmetic modulo a prime.  Integer
-combinatorial weights (binomials, factorials) are always computed in
-arbitrary-precision ``int`` and only then multiplied into the scalar,
-so they stay correct in characteristic p even when p divides them.
+Over QQ a coefficient is a ``fractions.Fraction``; over F_p it is a plain
+``int`` in [0, p), its canonical residue.  The arithmetic adds, subtracts
+and multiplies coefficients with Python's own operators.  A field adds
+what those lack: its ``characteristic`` (0 for QQ, p for F_p), modulo
+which the arithmetic reduces, and ``div``, the one division.  Residues
+are reduced at exactly four places: ``weyl.add_terms``, which every sum
+of terms goes through, ``_TermMap.scale``, the working-term update of
+``division.divide_unchecked``, and ``div``.  Integer combinatorial
+weights (binomials, factorials) are computed in arbitrary-precision
+``int`` and reduced only once multiplied into a coefficient, so they
+stay correct in characteristic p even when p divides them.
 
 Each field owns the intake of scalars from outside the arithmetic:
 ``coerce`` keeps an element of the field and reads a plain ``int``
 through ``from_int``, and ``parse`` reads ``[+-]?[0-9]+(/[0-9]+)?``.
 Anything else is a ``ValueError``, so operators hold only elements of
-their field.
+their field.  Since an ``int`` is read into either field, nothing infers
+the field from coefficients: an operator is over QQ unless it is given
+its field.
 """
 
 from __future__ import annotations
@@ -20,86 +27,6 @@ import re
 from fractions import Fraction
 
 from .errors import ConfigError
-
-
-class FpElement:
-    """Residue class modulo a prime, stored canonically in [0, p) as an
-    ``int``; arithmetic takes elements of the same field and ``int``s."""
-
-    __slots__ = ("value", "p")
-
-    def __init__(self, value: int, p: int):
-        if type(value) is not int:
-            raise ValueError(f"FpElement value {value!r} of type {type(value).__name__} is not an int")
-        self.value = value % p
-        self.p = p
-
-    def _lift(self, other):
-        """``other`` (this field's element or an ``int``) as an ``int``, else None."""
-        if isinstance(other, FpElement):
-            if other.p != self.p:
-                raise TypeError("mixed prime moduli")
-            return other.value
-        if type(other) is int:
-            return other
-        return None
-
-    def __add__(self, other):
-        o = self._lift(other)
-        return NotImplemented if o is None else FpElement(self.value + o, self.p)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._lift(other)
-        return NotImplemented if o is None else FpElement(self.value - o, self.p)
-
-    def __rsub__(self, other):
-        o = self._lift(other)
-        return NotImplemented if o is None else FpElement(o - self.value, self.p)
-
-    def __mul__(self, other):
-        o = self._lift(other)
-        return NotImplemented if o is None else FpElement(self.value * o, self.p)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        if o % self.p == 0:
-            raise ZeroDivisionError(f"division by zero in F_{self.p}")
-        return FpElement(self.value * pow(o, self.p - 2, self.p), self.p)
-
-    def __rtruediv__(self, other):
-        o = self._lift(other)
-        return NotImplemented if o is None else FpElement(o, self.p) / self
-
-    def __neg__(self):
-        return FpElement(-self.value, self.p)
-
-    def __eq__(self, other):
-        if isinstance(other, FpElement):
-            return self.p == other.p and self.value == other.value
-        if type(other) is int:
-            # the canonical residue only, so that equality is transitive
-            # and agrees with the hash: FpElement(3, 7) != 10
-            return self.value == other
-        return NotImplemented
-
-    def __hash__(self):
-        # equal to its canonical int residue, so it must hash like that int
-        return hash(self.value)
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __str__(self):
-        return str(self.value)
-
-    def __repr__(self):
-        return f"FpElement({self.value}, p={self.p})"
 
 
 # Miller-Rabin on the first thirteen prime bases is exact below this
@@ -164,6 +91,8 @@ class _Field:
 class RationalField(_Field):
     """Field of exact rationals backed by ``fractions.Fraction``."""
 
+    characteristic = 0
+
     def __contains__(self, c):
         return isinstance(c, Fraction)
 
@@ -172,6 +101,9 @@ class RationalField(_Field):
 
     def from_int(self, numer: int, denom: int = 1):
         return Fraction(numer, denom)
+
+    def div(self, a, b):
+        return a / b
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -184,41 +116,40 @@ class RationalField(_Field):
 
 
 class PrimeField(_Field):
-    """Field with p elements for a prime p below ``MODULUS_LIMIT``."""
+    """Field with p elements for a prime p below ``MODULUS_LIMIT``; its
+    elements are the ``int``s 0..p-1."""
 
     def __init__(self, p: int):
         if p >= MODULUS_LIMIT:
             raise ConfigError(f"modulus {p} is too large: it must be below {MODULUS_LIMIT}")
         if not _is_prime(p):
             raise ConfigError(f"{p} is not prime")
-        self.p = p
+        self.characteristic = p
 
     def __contains__(self, c):
-        return isinstance(c, FpElement) and c.p == self.p
+        return type(c) is int and 0 <= c < self.characteristic
 
     def one(self):
-        return FpElement(1, self.p)
+        return 1
 
     def from_int(self, numer: int, denom: int = 1):
-        return FpElement(numer, self.p) / denom
+        return self.div(numer, denom)
+
+    def div(self, a, b):
+        """a/b reduced to [0, p), for ints a and b."""
+        p = self.characteristic
+        if b % p == 0:
+            raise ZeroDivisionError(f"division by zero in F_{p}")
+        return a * pow(b, -1, p) % p
 
     def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
+        return isinstance(other, PrimeField) and other.characteristic == self.characteristic
 
     def __hash__(self):
-        return hash(("fp", self.p))
+        return hash(("fp", self.characteristic))
 
     def __repr__(self):
-        return f"PrimeField({self.p})"
+        return f"PrimeField({self.characteristic})"
 
 
 QQ = RationalField()
-
-
-def field_of(coefficients):
-    """The field of a coefficient collection: F_p for the first
-    ``FpElement`` among them, QQ when there is none."""
-    for c in coefficients:
-        if isinstance(c, FpElement):
-            return PrimeField(c.p)
-    return QQ

@@ -208,7 +208,7 @@ def _reduce(ctx, h, divisors, rows):
 
 def _monic(ctx, h, row):
     """``h`` and its cofactor row divided by the leading coefficient of ``h``."""
-    c = 1 / leading_term(ctx, h).coefficient
+    c = h.field.div(1, leading_term(ctx, h).coefficient)
     return h.scale(c), tuple(e.scale(c) for e in row)
 
 

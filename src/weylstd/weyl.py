@@ -24,14 +24,15 @@ All three share one sparse term-map core, ``_TermMap``, keyed by flat
 exponent tuples: ``(a, b)`` plain, ``(k, a, b)`` graded, ``(a,)`` for
 polynomials.  Two rules of that core each have one owner.  Term maps
 never hold zero coefficients: every sum of terms, in the kernel, at
-t = 1, in ``+``/``-``, in the action and in the JSON reader, goes
-through ``add_terms``, which drops a key whose sum is zero.  And
-``_TermMap.split`` alone cuts a flat key into ``(k, alpha, beta)``, for
-the action, the printers, the JSON writer and the CLI.  Values are
-immutable.  The public constructor checks every key; values the
+t = 1, in ``+``/``-`` (negation too), in the action and in the JSON
+reader, goes through ``add_terms``, which drops a key whose sum is
+zero.  And ``_TermMap.split`` alone cuts a flat key into
+``(k, alpha, beta)``, for the action, the printers, the JSON writer and
+the CLI.  Values are immutable.  The public constructor checks every key; values the
 arithmetic builds itself skip that check (``_TermMap._trusted``).
-Each value carries its scalar field in ``field``, taken from the
-coefficients when not given (F_p for an ``FpElement``, QQ otherwise).
+Each value carries its scalar field in ``field``, QQ unless given:
+over F_p a coefficient is an ``int`` in [0, p), and ``add_terms`` and
+``scale`` reduce what they store modulo the field's characteristic.
 Every scalar from outside, in the constructor and in ``scale`` (so in
 scalar ``*`` too), enters through ``field.coerce``, the one door: an
 element of the field or a plain ``int``, anything else a ``ValueError``.
@@ -44,7 +45,7 @@ from __future__ import annotations
 from math import comb, factorial, perm, prod
 from operator import add, le, sub
 
-from .scalars import field_of
+from .scalars import QQ
 
 NEG_INF = float("-inf")
 
@@ -83,25 +84,27 @@ class _ContractionWeights(dict):
 _WEIGHTS = _ContractionWeights()
 
 
-def add_terms(out, pairs):
+def add_terms(out, pairs, p):
     """Add (key, coefficient) pairs into the term map ``out`` in place and
-    return it.  A key whose sum is zero is dropped, also a new key whose
-    coefficient is zero (a weight that vanishes mod p), so ``out`` never
-    stores a zero."""
+    return it.  In characteristic ``p`` > 0 each sum is reduced mod p.  A
+    key whose sum is zero is dropped, also a new key whose coefficient is
+    zero (a weight that vanishes mod p), so ``out`` never stores a zero."""
     for key, c in pairs:
         acc = out.get(key)
         s = c if acc is None else acc + c
-        if s == 0:
-            out.pop(key, None)
-        else:
+        if p:
+            s %= p
+        if s:
             out[key] = s
+        else:
+            out.pop(key, None)
     return out
 
 
-def _graded_product(n, terms1, terms2):
+def _graded_product(n, p, terms1, terms2):
     """Leibniz product of two graded term maps: the normal-ordered term
-    map of their product, where each contraction of D_i against x_i
-    costs a factor t^2.
+    map of their product in characteristic ``p``, where each contraction
+    of D_i against x_i costs a factor t^2.
 
     Without contractions the product key is the sum of the two keys.
     Only where a D_i of the left term meets an x_i of the right one are
@@ -129,13 +132,14 @@ def _graded_product(n, terms1, terms2):
                             else:
                                 grown.append((key, c))
                     products = grown
-            add_terms(out, products)
+            add_terms(out, products, p)
     return out
 
 
-def t_to_one(terms):
-    """A graded term map at t = 1: keys that differ only in their t power merge."""
-    return add_terms({}, ((m[1:], c) for m, c in terms.items()))
+def t_to_one(terms, p):
+    """A graded term map at t = 1, in characteristic ``p``: keys that
+    differ only in their t power merge."""
+    return add_terms({}, ((m[1:], c) for m, c in terms.items()), p)
 
 
 class _TermMap:
@@ -148,14 +152,11 @@ class _TermMap:
 
     __slots__ = ("n", "terms", "field", "_lead")
 
-    def __init__(self, n: int, terms=None, field=None):
+    def __init__(self, n: int, terms=None, field=QQ):
         if n < 1:
             raise ValueError("need at least one variable")
-        terms = dict(terms or {})
-        if field is None:
-            field = field_of(terms.values())
         out = {}
-        for key, coeff in terms.items():
+        for key, coeff in dict(terms or {}).items():
             key = self._key(n, key)
             coeff = field.coerce(coeff)
             if coeff == 0:
@@ -172,7 +173,7 @@ class _TermMap:
         of ``__init__``: every key must already be a tuple of ``_width(n)``
         naturals and every coefficient a nonzero element of ``field``.
         That holds because every scalar enters through ``field.coerce``
-        and field arithmetic stays in the field.
+        and the arithmetic reduces what it stores mod the characteristic.
         The randomized suite (``oracle.algebra_fuzz``) checks that the
         arithmetic keeps to this, field membership included."""
         self = object.__new__(cls)
@@ -197,15 +198,15 @@ class _TermMap:
         return key
 
     @classmethod
-    def zero(cls, n, field=None):
+    def zero(cls, n, field=QQ):
         return cls(n, {}, field)
 
     @classmethod
-    def constant(cls, n, c, field=None):
+    def constant(cls, n, c, field=QQ):
         return cls(n, {(0,) * cls._width(n): c}, field)
 
     @classmethod
-    def monomial(cls, n, key, coeff=1, field=None):
+    def monomial(cls, n, key, coeff=1, field=QQ):
         return cls(n, {tuple(key): coeff}, field)
 
     @classmethod
@@ -236,7 +237,8 @@ class _TermMap:
 
     def _plus(self, other, pairs):
         self._same_algebra(other)
-        return type(self)._trusted(self.n, add_terms(dict(self.terms), pairs), self.field)
+        terms = add_terms(dict(self.terms), pairs, self.field.characteristic)
+        return type(self)._trusted(self.n, terms, self.field)
 
     def __add__(self, other):
         if type(other) is not type(self):
@@ -244,7 +246,9 @@ class _TermMap:
         return self._plus(other, other.terms.items())
 
     def __neg__(self):
-        return type(self)._trusted(self.n, {k: -c for k, c in self.terms.items()}, self.field)
+        negated = ((k, -c) for k, c in self.terms.items())
+        terms = add_terms({}, negated, self.field.characteristic)
+        return type(self)._trusted(self.n, terms, self.field)
 
     def __sub__(self, other):
         if type(other) is not type(self):
@@ -252,10 +256,16 @@ class _TermMap:
         return self._plus(other, ((k, -c) for k, c in other.terms.items()))
 
     def scale(self, c):
+        """This value times the scalar ``c``, reduced mod the characteristic."""
         c = self.field.coerce(c)
         if c == 0:
             return type(self).zero(self.n, self.field)
-        return type(self)._trusted(self.n, {k: c * v for k, v in self.terms.items()}, self.field)
+        p = self.field.characteristic
+        if p:
+            terms = {k: c * v % p for k, v in self.terms.items()}
+        else:
+            terms = {k: c * v for k, v in self.terms.items()}
+        return type(self)._trusted(self.n, terms, self.field)
 
     def __rmul__(self, other):
         # only scalars reach here; scalar multiplication is central
@@ -291,12 +301,12 @@ class WeylOperator(_TermMap):
     _SHAPE = (2, 0)  # key width 2 * n
 
     @classmethod
-    def x(cls, n, i, coeff=1, field=None):
+    def x(cls, n, i, coeff=1, field=QQ):
         """The generator x_i (1-based i)."""
         return cls._generator(n, i - 1, coeff, field)
 
     @classmethod
-    def d(cls, n, i, coeff=1, field=None):
+    def d(cls, n, i, coeff=1, field=QQ):
         """The generator D_i (1-based i)."""
         return cls._generator(n, n + i - 1, coeff, field)
 
@@ -311,8 +321,9 @@ class WeylOperator(_TermMap):
             return self.scale(other)
         self._same_algebra(other)
         lifted = [{(0,) + key: c for key, c in op.terms.items()} for op in (self, other)]
-        graded = _graded_product(self.n, *lifted)
-        return WeylOperator._trusted(self.n, t_to_one(graded), self.field)
+        p = self.field.characteristic
+        graded = _graded_product(self.n, p, *lifted)
+        return WeylOperator._trusted(self.n, t_to_one(graded, p), self.field)
 
     def apply(self, f: "Polynomial") -> "Polynomial":
         """Act on a polynomial: D_i differentiates, x_i multiplies."""
@@ -324,7 +335,7 @@ class WeylOperator(_TermMap):
                 (vec_add(vec_sub(mono, beta), alpha), prod(map(perm, mono, beta)) * c * fc)
                 for mono, fc in f.terms.items()
                 if vec_leq(beta, mono)
-            ))
+            ), self.field.characteristic)
         return Polynomial(self.n, out, self.field)
 
 
@@ -335,15 +346,15 @@ class HomogOperator(_TermMap):
     _SHAPE = (2, 1)  # key width 2 * n + 1
 
     @classmethod
-    def t(cls, n, k=1, coeff=1, field=None):
+    def t(cls, n, k=1, coeff=1, field=QQ):
         return cls._generator(n, 0, coeff, field, power=k)
 
     @classmethod
-    def x(cls, n, i, coeff=1, field=None):
+    def x(cls, n, i, coeff=1, field=QQ):
         return cls._generator(n, i, coeff, field)
 
     @classmethod
-    def d(cls, n, i, coeff=1, field=None):
+    def d(cls, n, i, coeff=1, field=QQ):
         return cls._generator(n, n + i, coeff, field)
 
     def t_shift(self, j):
@@ -357,7 +368,7 @@ class HomogOperator(_TermMap):
         if not isinstance(other, HomogOperator):
             return self.scale(other)
         self._same_algebra(other)
-        product = _graded_product(self.n, self.terms, other.terms)
+        product = _graded_product(self.n, self.field.characteristic, self.terms, other.terms)
         return HomogOperator._trusted(self.n, product, self.field)
 
 
@@ -368,7 +379,7 @@ class Polynomial(_TermMap):
     _SHAPE = (1, 0)  # key width n
 
     @classmethod
-    def x(cls, n, i, power=1, coeff=1, field=None):
+    def x(cls, n, i, power=1, coeff=1, field=QQ):
         return cls._generator(n, i - 1, coeff, field, power)
 
 

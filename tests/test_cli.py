@@ -1,14 +1,16 @@
 """Command-line driver: dispatch, output modes, exit codes."""
 
+import inspect
 import io
 import json
 import os
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
 
-from weylstd import InvariantViolation, parse_operator, weyl_from_obj, homog_from_obj
+from weylstd import InvariantViolation, division, parse_operator, scalars, weyl, weyl_from_obj, homog_from_obj
 from weylstd.cli import main
 
 
@@ -185,6 +187,73 @@ def test_std_basis_gkz5_golden_document(capsys, tmp_path):
     doc = json.loads(out)
     expected = json.loads(GOLDEN_GKZ5.read_text(encoding="utf-8"))
     assert {key: doc[key] for key in ORDER_UNIQUE_KEYS} == expected
+
+
+# Over F_p a coefficient is an int in [0, p), reduced mod p at four
+# places.  Each entry names one, as (owner, function, the reduction as
+# written there, the same code without it).
+REDUCTIONS = {
+    "add_terms": (weyl, "add_terms", "s %= p", "pass"),
+    "scale": (weyl._TermMap, "scale", "c * v % p", "c * v"),
+    "division-update": (division, "divide_unchecked", "s %= p", "pass"),
+    "div": (scalars.PrimeField, "div", "a * pow(b, -1, p) % p", "a * pow(b, -1, p)"),
+}
+
+# (3*x1^2*D1 + x2) / (2*x1*D1 + 5) over F_7: the quotient 3/2 = 5 comes
+# straight from div, so this run sees a div that does not reduce
+DIVIDE_F7 = ("3*x1^2*D1 + x2", "2*x1*D1 + 5")
+DIVIDE_F7_DOC = {
+    "quotients": [{"n": 3, "terms": [{"k": 0, "alpha": [1, 0, 0], "beta": [0, 0, 0], "coeff": "5"}]}],
+    "remainder": {"n": 3, "terms": [
+        {"k": 2, "alpha": [0, 1, 0], "beta": [0, 0, 0], "coeff": "1"},
+        {"k": 2, "alpha": [1, 0, 0], "beta": [0, 0, 0], "coeff": "3"},
+    ]},
+}
+
+
+def _remove_reduction(monkeypatch, owner, name, reduced, unreduced):
+    """Rebuild ``owner.name`` from its source with ``reduced`` replaced by
+    ``unreduced``, and bind the rebuilt function wherever the package
+    holds the original."""
+    original = getattr(owner, name)
+    source = textwrap.dedent(inspect.getsource(original))
+    assert source.count(reduced) == 1, f"{name} no longer reads {reduced!r}"
+    namespace = dict(vars(sys.modules[original.__module__]))
+    exec(compile(source.replace(reduced, unreduced), f"<{name} without mod p>", "exec"), namespace)
+    monkeypatch.setattr(owner, name, namespace[name])
+    for module in [m for key, m in sys.modules.items() if key.startswith("weylstd.")]:
+        for attr, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, attr, namespace[name])
+
+
+@pytest.mark.parametrize("point", sorted(REDUCTIONS))
+def test_each_reduction_mod_p_is_needed(monkeypatch, capsys, tmp_path, point):
+    # Without the reduction at any one of the four places, a run over F_7
+    # fails: with an invariant violation, or with a document other than
+    # the golden one.
+    path = tmp_path / "f7.cfg"
+    path.write_text('n = 3\nfield = "fp(7)"\n')
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))["order-F_7"]
+    runs = [
+        (("std-basis", *GKZ3), lambda doc: {key: doc[key] for key in ORDER_UNIQUE_KEYS}, golden),
+        (("divide", *DIVIDE_F7), lambda doc: doc, DIVIDE_F7_DOC),
+    ]
+
+    def outcomes():
+        for argv, view, expected in runs:
+            status, out, _ = _run(capsys, "--config", str(path), "--output", "json", *argv)
+            doc = json.loads(out)
+            if status == 0:
+                yield "same" if view(doc) == expected else "differs"
+            else:
+                yield doc["error"]["code"]
+
+    assert list(outcomes()) == ["same", "same"]
+    _remove_reduction(monkeypatch, *REDUCTIONS[point])
+    seen = list(outcomes())
+    assert "invariant-violation" in seen or "differs" in seen, seen
+    assert set(seen) <= {"same", "differs", "invariant-violation"}, seen
 
 
 def test_operands_from_file(capsys, order_cfg, tmp_path):

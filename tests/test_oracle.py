@@ -33,22 +33,26 @@ def _reference_witness(ctx, ops, degree_bound):
     """The witness as a plain row-by-row sweep in field arithmetic: every
     (monomial, generator) row is reduced against all pivots so far, its
     lead found by keying every term again on each step, and each pivot
-    is stored monic.  Returns (leading exponents, rank)."""
+    is stored monic.  Over F_p every difference is reduced mod p and
+    pivots divide through ``field.div``.  Returns (leading exponents, rank)."""
     gens = [homogenize(op) for op in ops if not op.is_zero()]
+    fld = gens[0].field if gens else QQ
+    p = fld.characteristic
     pivots = {}
     for g in gens:
         for m in _monomials_up_to(2 * ctx.n + 1, degree_bound - graded_degree(g)):
-            row = dict((HomogOperator.monomial(ctx.n, m, field=g.field) * g).terms)
+            row = dict((HomogOperator.monomial(ctx.n, m, field=fld) * g).terms)
             while row:
                 lead = max(row, key=ctx.graded_key)
+                c = row[lead]
                 hit = pivots.get(lead)
                 if hit is None:
-                    c = row[lead]
-                    pivots[lead] = {k: v / c for k, v in row.items()}
+                    pivots[lead] = {k: fld.div(v, c) for k, v in row.items()}
                     break
-                c = row[lead]
                 for k, v in hit.items():
                     s = row.get(k, 0) - c * v
+                    if p:
+                        s %= p
                     if s == 0:
                         row.pop(k, None)
                     else:
@@ -286,15 +290,28 @@ def test_fuzz_catches_wrong_contraction_weight(monkeypatch):
 
 def test_fuzz_catches_zero_sums_kept(monkeypatch):
     # add_terms is the one place the arithmetic drops a zero sum; a version
-    # that keeps them must not survive the fuzz
+    # that keeps them (but still reduces mod p) must not survive the fuzz
     import weylstd.weyl as weyl
 
-    def keeping(out, pairs):
+    def keeping(out, pairs, p):
         for key, c in pairs:
-            out[key] = out[key] + c if key in out else c
+            s = out[key] + c if key in out else c
+            out[key] = s % p if p else s
         return out
 
     monkeypatch.setattr(weyl, "add_terms", keeping)
+    bad = algebra_fuzz(seed=0)
+    assert "no stored zeros" in {f[0] for f in bad.failures}
+
+
+def test_fuzz_runs_prime_field_trials(monkeypatch):
+    # each trial draws its field; an add_terms that never reduces mod p is
+    # harmless over QQ, so only the F_7 trials can catch it, through field
+    # membership of the stored residues
+    import weylstd.weyl as weyl
+
+    original = weyl.add_terms
+    monkeypatch.setattr(weyl, "add_terms", lambda out, pairs, p: original(out, pairs, 0))
     bad = algebra_fuzz(seed=0)
     assert "no stored zeros" in {f[0] for f in bad.failures}
 
@@ -355,13 +372,16 @@ def test_zero_ideal_agreement():
 
 def test_fuzz_catches_coefficients_outside_the_field(monkeypatch):
     # a sum that stores an integral Fraction as an int breaks no equality
-    # identity (2 == Fraction(2)), only field membership
+    # identity (2 == Fraction(2)), only field membership; over F_7 the
+    # mutant reduces as add_terms does, so only the QQ trials can fail
     import weylstd.weyl as weyl
 
-    def demoting(out, pairs):
+    def demoting(out, pairs, p):
         for key, c in pairs:
             acc = out.get(key)
             s = c if acc is None else acc + c
+            if p:
+                s %= p
             if s == 0:
                 out.pop(key, None)
             else:

@@ -98,6 +98,13 @@ def test_tiebreak_permutation_changes_order():
         TieBreak("lex", (0,))
 
 
+def test_tiebreak_positions_are_ints():
+    # (True, False) sorts to [0, 1] and used to order as (1, 0)
+    for perm in [(True, False), (0.0, 1.0), (0, 1.0)]:
+        with pytest.raises(ValueError, match="positions must be ints"):
+            TieBreak("lex", perm)
+
+
 def _reference_weighted_key(ctx, m):
     """The weighted key as written before keys were built per context."""
     value = sum(w * e for w, e in zip(ctx.form.p + ctx.form.q, m))

@@ -9,7 +9,6 @@ import pytest
 from weylstd import (
     CompletionStats,
     DegreeCapExceeded,
-    FpElement,
     HomogOperator,
     InvariantViolation,
     LinearForm,
@@ -160,13 +159,14 @@ def test_prime_field_run():
     # same ideal as the Bernstein case but over F_5
     field = PrimeField(5)
     ctx = _ctx(form=LinearForm.bernstein(1))
-    x = WeylOperator.x(1, 1, field.one())
-    D = WeylOperator.d(1, 1, field.one())
-    gens = [x**3, x * D + WeylOperator.constant(1, field.from_int(2))]
+    x = WeylOperator.x(1, 1, field=field)
+    D = WeylOperator.d(1, 1, field=field)
+    gens = [x**3, x * D + WeylOperator.constant(1, 7, field)]  # 7 = 2 in F_5
     report = compute_standard_basis(ctx, gens)
     assert set(report.staircase) == {(2, 0), (1, 1)}
     for g in report.delta_basis:
-        assert all(isinstance(c, FpElement) for c in g.terms.values())
+        assert g.field == field
+        assert all(type(c) is int and 0 <= c < 5 for c in g.terms.values())
 
 
 # GKZ system H_A(beta) for A = [[1,1,1],[0,1,2]], beta = (3/5, 7/11)

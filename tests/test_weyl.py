@@ -7,7 +7,6 @@ import pytest
 
 from weylstd import (
     QQ,
-    FpElement,
     HomogOperator,
     Polynomial,
     PrimeField,
@@ -190,11 +189,14 @@ def test_mixed_variable_count_rejected():
 
 def test_operators_carry_their_field():
     f7 = PrimeField(7)
-    # taken from the coefficients, with int coefficients coerced into it
-    op = WeylOperator(1, {(1, 0): FpElement(3, 7), (0, 0): 9})
+    # given, never read off the coefficients: an int is a residue in F_7
+    # and a rational without field=
+    op = WeylOperator(1, {(1, 0): 3, (0, 0): 9}, f7)
     assert op.field == f7
-    assert op.terms[(0, 0)] == FpElement(2, 7)
-    assert WeylOperator(1, {(1, 0): 2}).field == QQ
+    assert op.terms == {(1, 0): 3, (0, 0): 2}
+    assert WeylOperator(1, {(1, 0): 3, (0, 0): 9}).field == QQ
+    # the field's one is the int 1, which names no field
+    assert WeylOperator.x(1, 1, f7.one()).field == QQ
     # inherited by derived values, including empty ones and unit powers
     zero = op - op
     assert zero.is_zero() and zero.field == f7
@@ -248,8 +250,8 @@ def test_repr_is_deterministic():
 
 
 FOREIGN_SCALARS = {
-    "QQ": [1.5, True, FpElement(2, 7)],
-    "F_7": [0.5, True, Fraction(1, 2), FpElement(2, 11)],
+    "QQ": [1.5, True, "2"],
+    "F_7": [0.5, True, Fraction(1, 2), Fraction(2)],
 }
 
 
@@ -267,8 +269,7 @@ def test_every_scalar_door_rejects_foreign_values(cls, name, fld):
         if cls is not Polynomial:  # a polynomial has no right product
             with pytest.raises(ValueError, match="is not in"):
                 one * c
-    # the field taken from the coefficients holds every one of them
-    with pytest.raises(ValueError, match="is not in"):
+    # without field= a value is over QQ, whatever its coefficients
+    with pytest.raises(ValueError, match="float is not in RationalField"):
         cls(1, {(0,) * cls._width(1): 1.5})
-    with pytest.raises(ValueError, match="Fraction is not in PrimeField"):
-        cls(1, {(0,) * cls._width(1): FpElement(2, 7), (1,) * cls._width(1): Fraction(1, 2)})
+    assert cls(1, {(0,) * cls._width(1): 2}).terms == {(0,) * cls._width(1): Fraction(2)}
