@@ -8,10 +8,22 @@ partition the exponent lattice by first match, which pins the result
 down uniquely; this only works because the graded order is a well order,
 so repeatedly rewriting the largest term terminates.
 
+The division is fraction-free (pseudo-division with a running
+denominator; Knuth, TAOCP Vol. 2, 4.6.1).  It works on the cached
+integer forms (d, T) of the operators (``_TermMap.integer_form``): the
+working terms are ints over a running denominator, and each step asks
+the field for the cancelling pair (r, f) of the term w to eliminate and
+the divisor's integer lead: r*w = f*lead.  The working terms and the
+denominator are scaled by r only when r is not 1, which over F_p it
+never is, and f times the monomial times T is subtracted.  Each
+quotient and remainder coefficient is turned back into a field element
+once, by ``field.from_scaled``; over F_p that is the residue itself.
+
 ``divide`` re-checks its own output (reconstruction plus the support
-conditions), which turns any bug here into a loud ``InvariantViolation``
-instead of a silently wrong result.  The check is not cheap: the
-reconstruction multiplies out every Q_i P_i again.  ``divide_unchecked``
+conditions, and that every coefficient is in the field), which turns
+any bug here into a loud ``InvariantViolation`` instead of a silently
+wrong result.  The check is not cheap: the reconstruction multiplies
+out every Q_i P_i again, in ints (``_check_division``).  ``divide_unchecked``
 is the same division without it, for the completion's own divisions,
 whose output the completion certificate proves as a whole (see
 ``standard_basis``).
@@ -21,10 +33,11 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from math import lcm
 
 from .errors import InvariantViolation
 from .orders import leading_term, term_key
-from .weyl import HomogOperator, vec_add, vec_leq, vec_sub
+from .weyl import HomogOperator, _graded_product, add_terms, vec_add, vec_leq, vec_sub
 
 
 @dataclass(frozen=True)
@@ -69,20 +82,26 @@ def divide_unchecked(ctx, h: HomogOperator, divisors):
         if i and d.is_zero():
             raise ValueError("cannot divide by the zero operator")
         h._same_algebra(d)
-    n, p = h.n, h.field.characteristic
+    field = h.field
+    n, p = h.n, field.characteristic
     sort_key = term_key(ctx, h)
 
-    leads = tuple(leading_term(ctx, d) for d in divisors)
-    partition = RegionPartition(tuple(lt.exponent for lt in leads))
+    leads = tuple(leading_term(ctx, d).exponent for d in divisors)
+    partition = RegionPartition(leads)
+    forms = tuple(d.integer_form() for d in divisors)
+    int_leads = tuple(t[e] for (_, t), e in zip(forms, leads))
 
-    # The working terms sit on a max-heap of their graded keys, each key
-    # computed once, when its term enters.  A term that cancels leaves a
-    # stale heap entry, skipped when popped; since every term an
-    # elimination adds is smaller than the one it removes, a popped term
-    # never comes back.  A ``max`` over the work map per step instead was
-    # slower on the four- and five-variable GKZ systems (median 0.296 to
-    # 0.347 s and 2.36 to 2.55 s on a shared 2-vCPU VM), so the heap stays.
-    work = dict(h.terms)
+    # The working terms are ints over the running denominator ``den``:
+    # h = work/den + sum_i Q_i*P_i + R at every step.  They sit on a
+    # max-heap of their graded keys, each key computed once, when its
+    # term enters.  A term that cancels leaves a stale heap entry,
+    # skipped when popped; since every term an elimination adds is
+    # smaller than the one it removes, a popped term never comes back.
+    # A ``max`` over the work map per step instead was slower on the
+    # four- and five-variable GKZ systems (median 0.296 to 0.347 s and
+    # 2.36 to 2.55 s on a shared 2-vCPU VM), so the heap stays.
+    den, work = h.integer_form()
+    work = dict(work)
     heap = [(_descending(sort_key(m)), m) for m in work]
     heapq.heapify(heap)
     quot_terms = [dict() for _ in divisors]
@@ -90,17 +109,24 @@ def divide_unchecked(ctx, h: HomogOperator, divisors):
 
     while heap:
         m = heapq.heappop(heap)[1]
-        c = work.pop(m, None)
-        if c is None:
+        w = work.pop(m, None)
+        if w is None:
             continue
         i = partition.classify(m)
         if i is None:
-            rem_terms[m] = c
+            rem_terms[m] = field.from_scaled(w, den)
             continue
-        piece = _eliminate(quot_terms[i], m, c, leads[i], divisors[i], h.field)
-        if piece.terms.get(m) != c:
+        lead = leads[i]
+        r, f = field.cancelling_pair(w, int_leads[i])
+        if r != 1:
+            den *= r
+            w *= r
+            for key in work:
+                work[key] *= r
+        piece = _eliminate(quot_terms[i], vec_sub(m, lead), f, forms[i], den, n, field)
+        if piece.get(m) != w:
             raise InvariantViolation("an elimination step did not cancel the leading term")
-        for key, coeff in piece.terms.items():
+        for key, coeff in piece.items():
             if key == m:
                 continue
             cur = work.get(key)
@@ -116,8 +142,8 @@ def divide_unchecked(ctx, h: HomogOperator, divisors):
             else:
                 work.pop(key, None)
 
-    quotients = tuple(HomogOperator._trusted(n, t, h.field) for t in quot_terms)
-    remainder = HomogOperator._trusted(n, rem_terms, h.field)
+    quotients = tuple(HomogOperator._trusted(n, t, field) for t in quot_terms)
+    remainder = HomogOperator._trusted(n, rem_terms, field)
     return partition, quotients, remainder
 
 
@@ -126,22 +152,47 @@ def _descending(key):
     return tuple(-e for e in key)
 
 
-def _eliminate(quotient, m, c, lead, divisor, field):
-    """Record in ``quotient`` the monomial that cancels the term c*m
-    against ``divisor``, and return that monomial times the divisor.
+def _eliminate(quotient, offset, f, form, den, n, field):
+    """Record in ``quotient`` the term that eliminates against the divisor
+    of integer form ``form`` = (d, T), and return f*x^offset*T as an int
+    term map.  Over the running denominator ``den`` that piece is
+    (f*d/den)*x^offset times the divisor, so f*d/den is the quotient
+    coefficient.
 
-    Each m is eliminated once, so each quotient monomial is written once."""
-    offset = vec_sub(m, lead.exponent)
-    factor = field.div(c, lead.coefficient)
-    quotient[offset] = factor
-    return HomogOperator._trusted(divisor.n, {offset: factor}, field) * divisor
+    Each offset is eliminated once, so each quotient term is written once."""
+    d, terms = form
+    quotient[offset] = field.from_scaled(f * d, den)
+    return _graded_product(n, field.characteristic, {offset: f}, terms)
 
 
 def _check_division(ctx, h, divisors, partition, quotients, remainder):
-    total = remainder
+    """Refuse a division whose output is not h = sum_i Q_i*P_i + R with
+    every Q_i and R over the field, each Q_i inside its region and no
+    term of R divisible by a lead.
+
+    The reconstruction runs on integer forms: with h = H/e, R = R'/e_R,
+    Q_i = Q'_i/e_i and P_i = T_i/d_i, and L the lcm of e, e_R and every
+    e_i*d_i, it tests L/e*H = L/e_R*R' + sum_i L/(e_i*d_i)*Q'_i*T_i in
+    ints.  Each form it reads is first compared with its operator term by
+    term (``_checked_form``), so a cached form that is wrong fails here."""
+    field = h.field
+    for op in (remainder,) + quotients:
+        if not all(c in field for c in op.terms.values()):
+            raise InvariantViolation("division output holds a coefficient outside its field")
+    n, p = h.n, field.characteristic
+    e, terms = _checked_form(h)
+    e_r, rem = _checked_form(remainder)
+    pieces = []
     for q, d in zip(quotients, divisors):
-        total = total + q * d
-    if total != h:
+        if q.terms:
+            e_q, q_terms = _checked_form(q)
+            d_i, d_terms = _checked_form(d)
+            pieces.append((e_q * d_i, _graded_product(n, p, q_terms, d_terms)))
+    common = lcm(e, e_r, *(den for den, _ in pieces))
+    total = dict(_scaled(rem, common // e_r))
+    for den, piece in pieces:
+        add_terms(total, _scaled(piece, common // den).items(), p)
+    if total != _scaled(terms, common // e):
         raise InvariantViolation("division reconstruction failed")
     for i, (q, lead) in enumerate(zip(quotients, partition.exponents)):
         for m in q.terms:
@@ -152,6 +203,24 @@ def _check_division(ctx, h, divisors, partition, quotients, remainder):
     for m in remainder.terms:
         if partition.classify(m) is not None:
             raise InvariantViolation("remainder contains a divisible monomial")
+
+
+def _checked_form(op):
+    """The integer form (d, T) of ``op``, compared with ``op`` term by term:
+    T[k]*den(c) = num(c)*d for each coefficient c of ``op``."""
+    d, terms = op.integer_form()
+    if terms is op.terms and d == 1:  # the form is the operator itself
+        return d, terms
+    if terms.keys() != op.terms.keys() or any(
+        terms[k] * c.denominator != c.numerator * d for k, c in op.terms.items()
+    ):
+        raise InvariantViolation("division reconstruction failed: an integer form does not match its operator")
+    return d, terms
+
+
+def _scaled(terms, s):
+    """The int term map ``terms`` times ``s``: the map itself when s is 1."""
+    return terms if s == 1 else {k: s * v for k, v in terms.items()}
 
 
 def reduces_to_zero(ctx, h, divisors) -> bool:

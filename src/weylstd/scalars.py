@@ -12,6 +12,18 @@ weights (binomials, factorials) are computed in arbitrary-precision
 ``int`` and reduced only once multiplied into a coefficient, so they
 stay correct in characteristic p even when p divides them.
 
+The products, the division and its check run on integer forms, and
+each field holds the one place where they differ, so none of them
+branches on the characteristic.  ``integer_form`` turns a term map into
+(d, T) with ``int`` values, T = d times the map: over QQ d is the lcm of
+the coefficient denominators, over F_p d = 1 and T is the map itself.
+``from_scaled(v, d)`` turns an int back into the element v/d (over F_p
+the residue v, unchanged) and ``from_integer_form`` a whole map.
+``cancelling_pair(w, lead)`` gives the ints (r, f) with r*w = f*lead by
+which fraction-free division cancels w against a divisor's lead: over
+QQ r = lead/g and f = w/g for g = gcd(w, lead), over F_p r = 1 and
+f = w/lead.
+
 Each field owns the intake of scalars from outside the arithmetic:
 ``coerce`` keeps an element of the field and reads a plain ``int``
 through ``from_int``, and ``parse`` reads ``[+-]?[0-9]+(/[0-9]+)?``.
@@ -25,6 +37,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import ConfigError
 
@@ -105,6 +118,33 @@ class RationalField(_Field):
     def div(self, a, b):
         return a / b
 
+    def integer_form(self, terms):
+        """(d, T) for the term map ``terms``: d is the lcm of its
+        coefficient denominators and T = d*terms has ``int`` values."""
+        d = 1
+        for c in terms.values():
+            if c.denominator != 1:
+                d = lcm(d, c.denominator)
+        if d == 1:
+            return 1, {k: c.numerator for k, c in terms.items()}
+        return d, {k: c.numerator * (d // c.denominator) for k, c in terms.items()}
+
+    def from_scaled(self, v, d):
+        """The element v/d, for ints v and d."""
+        return Fraction(v, d)
+
+    def from_integer_form(self, d, terms):
+        """The term map terms/d: the inverse of ``integer_form``."""
+        if d == 1:
+            return {k: Fraction(v) for k, v in terms.items()}
+        return {k: Fraction(v, d) for k, v in terms.items()}
+
+    def cancelling_pair(self, w, lead):
+        """The cancelling pair of ints w and lead: r*w = f*lead, with
+        r = lead/g and f = w/g for g = gcd(w, lead)."""
+        g = gcd(w, lead)
+        return lead // g, w // g
+
     def __eq__(self, other):
         return isinstance(other, RationalField)
 
@@ -141,6 +181,22 @@ class PrimeField(_Field):
         if b % p == 0:
             raise ZeroDivisionError(f"division by zero in F_{p}")
         return a * pow(b, -1, p) % p
+
+    def integer_form(self, terms):
+        """(1, terms): residues are already ints."""
+        return 1, terms
+
+    def from_scaled(self, v, d):
+        """The residue v itself: an integer form over F_p has d = 1."""
+        return v
+
+    def from_integer_form(self, d, terms):
+        """The term map itself: the inverse of ``integer_form``."""
+        return terms
+
+    def cancelling_pair(self, w, lead):
+        """The cancelling pair of residues w and lead: (1, w/lead)."""
+        return 1, self.div(w, lead)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.characteristic == self.characteristic

@@ -38,6 +38,15 @@ scalar ``*`` too), enters through ``field.coerce``, the one door: an
 element of the field or a plain ``int``, anything else a ``ValueError``.
 Derived values inherit the field, and mixing fields raises
 ``ValueError``, as mixing n does.
+
+The graded product runs the kernel on ints.  Each value keeps one
+integer form (d, T), T = d times its terms with ``int`` coefficients,
+built by its field on first use (``_TermMap.integer_form``); values the
+arithmetic builds start without one.  ``HomogOperator.__mul__`` hands
+the two forms to ``_graded_product`` and turns the product back into
+field elements once, over the denominator d1*d2
+(``field.from_integer_form``).  Over F_p the form is the term map
+itself, so nothing is converted.
 """
 
 from __future__ import annotations
@@ -147,10 +156,11 @@ class _TermMap:
     of one field; the arithmetic shared by every value class here.
 
     ``_lead`` caches the leading term for the last order context that
-    asked for it; ``orders.leading_term`` owns it.
+    asked for it; ``orders.leading_term`` owns it.  ``_int`` caches the
+    integer form; ``integer_form`` owns it.
     """
 
-    __slots__ = ("n", "terms", "field", "_lead")
+    __slots__ = ("n", "terms", "field", "_lead", "_int")
 
     def __init__(self, n: int, terms=None, field=QQ):
         if n < 1:
@@ -166,6 +176,7 @@ class _TermMap:
         self.terms = out
         self.field = field
         self._lead = None
+        self._int = None
 
     @classmethod
     def _trusted(cls, n, terms, field):
@@ -181,6 +192,7 @@ class _TermMap:
         self.terms = terms
         self.field = field
         self._lead = None
+        self._int = None
         return self
 
     @classmethod
@@ -217,6 +229,16 @@ class _TermMap:
 
     def is_zero(self):
         return not self.terms
+
+    def integer_form(self):
+        """(d, T) with ``int`` coefficients, T = d * this value, as the field
+        builds it (``integer_form``): over QQ d is the lcm of the
+        coefficient denominators, over F_p it is 1 and T is the term map
+        itself.  Built on first use and kept, since values are immutable."""
+        form = self._int
+        if form is None:
+            form = self._int = self.field.integer_form(self.terms)
+        return form
 
     def _same_algebra(self, other):
         if self.n != other.n:
@@ -368,8 +390,11 @@ class HomogOperator(_TermMap):
         if not isinstance(other, HomogOperator):
             return self.scale(other)
         self._same_algebra(other)
-        product = _graded_product(self.n, self.field.characteristic, self.terms, other.terms)
-        return HomogOperator._trusted(self.n, product, self.field)
+        field = self.field
+        d1, t1 = self.integer_form()
+        d2, t2 = other.integer_form()
+        product = _graded_product(self.n, field.characteristic, t1, t2)
+        return HomogOperator._trusted(self.n, field.from_integer_form(d1 * d2, product), field)
 
 
 class Polynomial(_TermMap):

@@ -10,7 +10,19 @@ from pathlib import Path
 
 import pytest
 
-from weylstd import InvariantViolation, division, parse_operator, scalars, weyl, weyl_from_obj, homog_from_obj
+from weylstd import (
+    InvariantViolation,
+    LinearForm,
+    OrderContext,
+    divide,
+    division,
+    homog_from_obj,
+    homogenize,
+    parse_operator,
+    scalars,
+    weyl,
+    weyl_from_obj,
+)
 from weylstd.cli import main
 
 
@@ -254,6 +266,20 @@ def test_each_reduction_mod_p_is_needed(monkeypatch, capsys, tmp_path, point):
     seen = list(outcomes())
     assert "invariant-violation" in seen or "differs" in seen, seen
     assert set(seen) <= {"same", "differs", "invariant-violation"}, seen
+
+
+def test_divide_refuses_coefficients_outside_the_field(monkeypatch):
+    # The checked division proves its quotient coefficients are residues:
+    # with a div that does not reduce, the quotient coefficient of
+    # DIVIDE_F7 is 12, which the reconstruction alone (reducing mod 7
+    # again in every product) would let through.
+    f7 = scalars.PrimeField(7)
+    h, d = (homogenize(parse_operator(text, 3, f7)) for text in DIVIDE_F7)
+    ctx = OrderContext(LinearForm.order(3))
+    assert divide(ctx, h, [d]).quotients[0].terms == {(0, 1, 0, 0, 0, 0, 0): 5}
+    _remove_reduction(monkeypatch, *REDUCTIONS["div"])
+    with pytest.raises(InvariantViolation, match="outside its field"):
+        divide(ctx, h, [d])
 
 
 def test_operands_from_file(capsys, order_cfg, tmp_path):

@@ -1,10 +1,12 @@
 """Division with remainder in the graded algebra."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from weylstd import (
+    QQ,
     HomogOperator,
     InvariantViolation,
     LinearForm,
@@ -15,8 +17,11 @@ from weylstd import (
     divide,
     homogenize,
     leading_term,
+    parse_operator,
     reduces_to_zero,
 )
+from weylstd.division import divide_unchecked
+from weylstd.scalars import RationalField
 from weylstd.oracle import random_homog, random_homogeneous, random_linear_form, random_tiebreak
 from weylstd.weyl import vec_add
 
@@ -49,6 +54,12 @@ def test_worked_division():
     assert reduces_to_zero(ctx, Dh * xh, [xh])
     # but x*D is not a left multiple of x here
     assert not reduces_to_zero(ctx, xh * Dh, [xh])
+    # a divisor with denominators: the fraction-free division scales its
+    # working terms by 2 and turns each coefficient back into a Fraction
+    ctx, h, d = _fractional_division()
+    res = divide(ctx, h, [d])
+    assert res.quotients == (HomogOperator.x(1, 1, Fraction(1, 3)),)
+    assert res.remainder == HomogOperator.monomial(1, (2, 1, 0), Fraction(1, 2))
 
 
 def test_division_by_nothing_and_zero():
@@ -166,16 +177,57 @@ def test_injected_elimination_fault_is_caught(monkeypatch, fault, message):
 
     original = division._eliminate
 
-    def faulty(quotient, m, c, lead, divisor, field):
-        piece = original(quotient, m, c, lead, divisor, field)
+    def faulty(quotient, offset, f, form, den, n, field):
+        piece = original(quotient, offset, f, form, den, n, field)
         if fault == "quotient":
-            offset = next(iter(quotient))
             quotient[offset] = quotient[offset] + 1
             return piece
-        return piece.scale(2)
+        return {k: 2 * v for k, v in piece.items()}
 
     monkeypatch.setattr(division, "_eliminate", faulty)
     ctx = _ctx()
     xh, Dh = homogenize(WeylOperator.x(1, 1)), homogenize(WeylOperator.d(1, 1))
     with pytest.raises(InvariantViolation, match=message):
         divide(ctx, Dh * xh, [Dh])
+
+
+def _fractional_division():
+    # (x1^2*D1 + 2/3*x1) / (3*x1*D1 + 1/2): quotient 1/3*x1, remainder 1/2*x1*t^2
+    h, d = (homogenize(parse_operator(text, 1)) for text in ("x1^2*D1 + 2/3*x1", "3*x1*D1 + 1/2"))
+    return _ctx(), h, d
+
+
+def test_injected_content_factor_fault_is_caught(monkeypatch):
+    # An integer form that drops its content factor, T = the numerators
+    # instead of d * the coefficients, divides the wrong operators.  The
+    # unchecked division returns a wrong result; the checked one refuses.
+    ctx, h, d = _fractional_division()
+    right = divide_unchecked(ctx, h, [d])
+    original = RationalField.integer_form
+
+    def without_content(self, terms):
+        den, _ = original(self, terms)
+        return den, {k: c.numerator for k, c in terms.items()}
+
+    monkeypatch.setattr(RationalField, "integer_form", without_content)
+    ctx, h, d = _fractional_division()
+    assert divide_unchecked(ctx, h, [d])[1:] != right[1:]
+    ctx, h, d = _fractional_division()
+    with pytest.raises(InvariantViolation, match="division reconstruction failed"):
+        divide(ctx, h, [d])
+
+
+def test_integer_form_is_cached_per_operator():
+    _, h, d = _fractional_division()
+    form = d.integer_form()
+    assert form == (2, {(0, 1, 1): 6, (2, 0, 0): 1})
+    assert d.integer_form() is form
+    assert h.integer_form() == (3, {(0, 2, 1): 3, (2, 1, 0): 2})
+    # values the arithmetic makes start without one
+    _, quotients, remainder = divide_unchecked(_ctx(), h, [d])
+    made = [d * d, d + h, d - h, -d, d.scale(3), d.t_shift(1), remainder, *quotients]
+    assert all(op._int is None for op in made)
+    # over F_p the form is the term map itself
+    g = homogenize(parse_operator("3*x1*D1 + 1/2", 1, PrimeField(7)))
+    assert g.integer_form() == (1, g.terms) and g.integer_form()[1] is g.terms
+    assert QQ.integer_form({}) == (1, {})

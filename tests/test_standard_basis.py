@@ -29,7 +29,7 @@ from weylstd import (
     semisyzygy,
 )
 import weylstd.standard_basis as standard_basis
-from weylstd.oracle import random_weyl
+from weylstd.oracle import random_tiebreak, random_weyl
 from weylstd.standard_basis import CompletionResult
 from weylstd.weyl import vec_leq, vec_max
 
@@ -206,6 +206,33 @@ def test_gkz4_pair_counts_are_pinned():
     # the certificate reduces 79 of the final basis's 253 pairs
     leads = [leading_term(ctx, b).exponent for b in report.homog_basis]
     assert len(standard_basis._minimal_pairs(leads)) == 79
+
+
+F32003 = PrimeField(32003)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_staircase_is_the_same_over_qq_and_f32003(seed):
+    # Away from unlucky primes the staircase does not depend on the field
+    # (Arnold, "Modular algorithms for computing Groebner bases", 2003):
+    # two to three operators in n <= 2 variables with coefficients in
+    # [-5, 5], under the order or the Bernstein form and a random tiebreak.
+    rng = random.Random(seed)
+    n = rng.randint(1, 2)
+    ctx = OrderContext(rng.choice((LinearForm.order, LinearForm.bernstein))(n), random_tiebreak(rng, n))
+    ops = [random_weyl(rng, n, terms=4, degree=1, coeff=5) for _ in range(rng.randint(2, 3))]
+    rational = compute_standard_basis(ctx, ops).staircase
+    same_ops = [WeylOperator(n, {k: c.numerator for k, c in op.terms.items()}, F32003) for op in ops]
+    modular = compute_standard_basis(ctx, same_ops).staircase
+    assert rational == modular, f"seed {seed}: {rational} over QQ, {modular} over F_32003"
+
+
+def test_gkz4_staircase_is_the_same_over_qq_and_f32003():
+    ctx = _ctx(4)
+    rational = compute_standard_basis(ctx, [parse_operator(text, 4) for text in GKZ4])
+    modular = compute_standard_basis(ctx, [parse_operator(text, 4, F32003) for text in GKZ4])
+    assert rational.staircase == modular.staircase
+    assert len(rational.homog_basis) == len(modular.homog_basis) == 23
 
 
 def test_gkz5_certificate_pair_count_is_pinned():
