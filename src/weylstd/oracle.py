@@ -5,15 +5,13 @@ machinery than the thing they check.
 
 The truncation witness spans the graded left ideal up to a degree bound
 by brute force: every monomial multiple of every generator, swept into
-row echelon form over the scalar field, one degree at a time (rows are
-homogeneous, so degrees never mix) on integer rows keyed by each
-exponent's graded key, computed once.  In normal order the monomial
-t^k x^a D^beta is the product (t^k x^a) D^beta, so its multiple of g is
-t^k x^a (D^beta g): one Leibniz product per (generator, beta).  A left
-factor with no D contracts with nothing, so each row is that product
-with (k, a) added to every key.  The pivot exponents are then exactly
-the leading exponents the ideal achieves below the bound, with no
-completion logic involved.  Comparing them against a computed
+row echelon form over the scalar field.  t is central of weight 0, so a
+multiple by t^k is a row of a lower degree lifted by t, with the same
+order among its terms; only the t-free rows x^a (D^beta g) are built
+(one Leibniz product per (generator, beta)), and one elimination over
+plain exponents serves every degree.  The pivot exponents are then
+exactly the leading exponents the ideal achieves below the bound, with
+no completion logic involved.  Comparing them against a computed
 staircase is the closest thing to ground truth available without a
 second implementation.
 
@@ -26,9 +24,9 @@ product must make it fail.
 from __future__ import annotations
 
 import random
-from collections import defaultdict
 from dataclasses import dataclass, field
-from math import gcd, lcm
+from math import comb, gcd, lcm
+from operator import itemgetter
 
 from .errors import InvariantViolation, OracleSizeError
 from .division import RegionPartition, divide
@@ -62,33 +60,34 @@ def truncation_witness(ctx, ops, degree_bound, max_rows=50_000) -> TruncationWit
     """Echelonize all monomial multiples of the homogenized generators
     with product degree at most ``degree_bound``.
 
-    Each (monomial, generator) job makes one homogeneous row, and the
-    graded key leads with the degree, so rows of different degrees never
-    meet: the jobs are swept one degree block at a time, and a block's
-    pivots are dropped when it is done.  Within a block each distinct
-    exponent's graded key is computed once and the rows are keyed by it,
-    so a row's lead is its largest key.
+    t is central of weight 0, so the row of t^k x^a D^beta and g is t^k
+    times the row of x^a D^beta and g, and the graded key of (k, e) at
+    degree d is d followed by the weighted key of the plain e.  So only
+    the t-free rows are built, keyed by plain exponent: the span at
+    degree d is that of every t-free row of degree at most d, lifted by
+    t.  The rows run in increasing degree through one pivot map, and a
+    pivot of plain lead e born at degree b gives the lead (d - |e|, e) at
+    every degree d from b to the bound.  Columns are the distinct plain
+    exponents, ranked once by the weighted key, so a row maps int ranks
+    to int coefficients and its lead is ``max(row)``.
 
-    The row of monomial t^k x^a D^beta and generator g is
-    t^k x^a D^beta g = t^k x^a (D^beta g).  The product D^beta g is made
-    once per (generator, beta), with the graded product, and kept; each
-    row adds (k, a) to the t and x part of its keys.  No contraction is
-    lost by this: contractions come only from a D of the left factor
-    meeting an x of the right one, and t^k x^a has no D, so that left
-    product is a plain key shift.  Over F_p the kept product is already
-    reduced, so a term whose weight vanishes mod p is gone from every
-    row built on it, as it is from the full product.
+    The row of x^a D^beta and g is x^a (D^beta g).  The product D^beta g
+    is made once per (generator, beta), with the graded product, and
+    kept; each row adds a to the x part of its exponents.  No contraction
+    is lost by this: contractions come only from a D of the left factor
+    meeting an x of the right one, and x^a has no D.  Over F_p the kept
+    product is already reduced, so a term whose weight vanishes mod p is
+    gone from every row built on it, as it is from the full product.
 
     Rows hold Python ints.  Over QQ each homogenized generator is first
     scaled by the lcm of its denominators; a nonzero scalar multiple
-    generates the same left ideal, so every block spans the same space
-    and the pivot set is unchanged.  Over F_p the rows hold residues.
-    Both fields eliminate with one loop, by cross-multiplication:
-    ``row := (pc/d)*row - (c/d)*pivot`` with ``d = gcd(c, pc)`` clears
-    the lead c of the row against the lead pc of its pivot.  Over F_p
-    everything is reduced mod p and pivots are stored monic (so pc = 1
-    and the row is never scaled); over QQ pivots are stored divided by
-    their content.
+    generates the same left ideal, so the pivot set is unchanged.  Over
+    F_p the rows hold residues.  Both fields eliminate with one loop, by
+    cross-multiplication: ``row := (pc/d)*row - (c/d)*pivot`` with
+    ``d = gcd(c, pc)`` clears the lead c of the row against the lead pc
+    of its pivot.  Over F_p everything is reduced mod p and pivots are
+    stored monic (so pc = 1 and the row is never scaled); over QQ pivots
+    are stored divided by their content.
     """
     ops = [op for op in ops if not op.is_zero()]
     gens = [homogenize(op) for op in ops]
@@ -103,13 +102,8 @@ def truncation_witness(ctx, ops, degree_bound, max_rows=50_000) -> TruncationWit
         gens = [g.scale(lcm(*(c.denominator for c in g.terms.values()))) for g in gens]
 
     n = ctx.n
-    width = 2 * n + 1
-    blocks = defaultdict(list)  # product degree -> its (monomial, generator index) jobs
-    for i, g in enumerate(gens):
-        d = graded_degree(g)
-        for m in _monomials_up_to(width, degree_bound - d):
-            blocks[d + sum(m)].append((m, i))
-    rows = sum(map(len, blocks.values()))
+    width = 2 * n + 1  # the limit counts the rows of a sweep over every monomial in t, x and D
+    rows = sum(comb(width + degree_bound - graded_degree(g), width) for g in gens)
     if rows > max_rows:
         raise OracleSizeError(
             f"{rows} candidate rows exceed the limit of {max_rows}; "
@@ -117,54 +111,56 @@ def truncation_witness(ctx, ops, degree_bound, max_rows=50_000) -> TruncationWit
         )
 
     one = fld.one()
-    no_head = (0,) * (n + 1)
-    products = {}  # (generator index, beta) -> D^beta * g as (head, tail, lifted coefficient)
-    for i, g in enumerate(gens):
-        for beta in _monomials_up_to(n, degree_bound - graded_degree(g)):
+    no_d = (0,) * n
+    jobs = []  # (degree, x^a as a plain exponent, D^beta g as (plain exponent, int coefficient) terms)
+    for g in gens:
+        d = graded_degree(g)
+        for beta in _monomials_up_to(n, degree_bound - d):
             # beta comes from _monomials_up_to, so the key is well formed
-            product = HomogOperator._trusted(n, {no_head + beta: one}, fld) * g
-            products[i, beta] = [(e[: n + 1], e[n + 1 :], c.numerator) for e, c in product.terms.items()]
+            product = HomogOperator._trusted(n, {(0,) + no_d + beta: one}, fld) * g
+            terms = [(e[1:], c.numerator) for e, c in product.terms.items()]
+            top = d + sum(beta)
+            jobs += [(top + sum(a), a + no_d, terms) for a in _monomials_up_to(n, degree_bound - top)]
+    jobs.sort(key=itemgetter(0))
+    columns = sorted({vec_add(a, e) for _, a, terms in jobs for e, _ in terms}, key=ctx.weighted_key)
+    rank = {e: r for r, e in enumerate(columns)}
 
-    leading = set()
-    for degree in sorted(blocks):
-        keys = {}  # exponent -> graded key
-        pivots = {}  # lead key -> reduced row
-        for m, i in blocks[degree]:
-            head = m[: n + 1]
-            row = {}
-            for h, tail, c in products[i, m[n + 1 :]]:
-                e = vec_add(head, h) + tail
-                k = keys.get(e)
-                if k is None:
-                    k = keys[e] = ctx.graded_key(e)
-                row[k] = c
-            while row:
-                lead = max(row)
-                c = row[lead]
-                pivot = pivots.get(lead)
-                if pivot is None:
-                    if p:
-                        inv = pow(c, -1, p)
-                        pivots[lead] = {k: v * inv % p for k, v in row.items()}
-                    else:
-                        content = gcd(*row.values())
-                        pivots[lead] = {k: v // content for k, v in row.items()}
-                    break
-                pc = pivot[lead]
-                common = gcd(c, pc)
-                b = c // common
-                if pc != common:
-                    a = pc // common
-                    row = {k: a * v for k, v in row.items()}
-                for k, v in pivot.items():
-                    s = row.get(k, 0) - b * v
-                    if p:
-                        s %= p
-                    if s:
-                        row[k] = s
-                    else:  # b and v are nonzero (mod p), so k was in the row
-                        del row[k]
-        leading.update(e for e, k in keys.items() if k in pivots)
+    pivots = {}  # lead rank -> reduced row
+    born = {}  # lead rank -> degree of the row that made it
+    for degree, a, terms in jobs:
+        row = {rank[vec_add(a, e)]: c for e, c in terms}
+        while row:
+            lead = max(row)
+            c = row[lead]
+            pivot = pivots.get(lead)
+            if pivot is None:
+                if p:
+                    inv = pow(c, -1, p)
+                    pivots[lead] = {k: v * inv % p for k, v in row.items()}
+                else:
+                    content = gcd(*row.values())
+                    pivots[lead] = {k: v // content for k, v in row.items()}
+                born[lead] = degree
+                break
+            pc = pivot[lead]
+            common = gcd(c, pc)
+            b = c // common
+            if pc != common:
+                scale = pc // common
+                row = {k: scale * v for k, v in row.items()}
+            for k, v in pivot.items():
+                s = row.get(k, 0) - b * v
+                if p:
+                    s %= p
+                if s:
+                    row[k] = s
+                else:  # b and v are nonzero (mod p), so k was in the row
+                    del row[k]
+    leading = {
+        (d - sum(columns[r]),) + columns[r]
+        for r, birth in born.items()
+        for d in range(birth, degree_bound + 1)
+    }
     return TruncationWitness(degree_bound, frozenset(leading), len(leading))
 
 

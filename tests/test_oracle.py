@@ -1,7 +1,9 @@
 """Brute-force witness and randomized self-checks."""
 
 import dataclasses
+import inspect
 import random
+import textwrap
 from fractions import Fraction
 
 import pytest
@@ -21,6 +23,7 @@ from weylstd import (
     staircase_oracle,
     truncation_witness,
 )
+from weylstd import oracle
 from weylstd.homogenize import graded_degree, homogenize
 from weylstd.oracle import _monomials_up_to, random_linear_form, random_tiebreak, random_weyl
 
@@ -145,6 +148,66 @@ GKZ3_FORMS = [
 @pytest.mark.parametrize("form", GKZ3_FORMS, ids=["order", "bernstein", "v_form", "l_form"])
 def test_witness_matches_reference_on_gkz3(form, fld):
     _assert_witness_matches_reference(OrderContext(form), _gens(3, *GKZ3, fld=fld), 6)
+
+
+@pytest.mark.parametrize(
+    "form, fld",
+    [(GKZ3_FORMS[0], QQ)] + [(form, PrimeField(2)) for form in GKZ3_FORMS],
+    ids=["order-QQ", "order-F_2", "bernstein-F_2", "v_form-F_2", "l_form-F_2"],
+)
+def test_witness_matches_reference_on_gkz3_at_the_workload_bound(form, fld):
+    _assert_witness_matches_reference(OrderContext(form), _gens(3, *GKZ3, fld=fld), 8)
+
+
+# Graded degrees 1 and 4: at bound 4 a pivot born at degree 1 is carried
+# up through t to degrees 2, 3 and 4.
+MIXED_DEGREES = ("x1 + 2*D2", "D1^2*D2^2 - 3*x1*x2*D2 + x2 - 5")
+
+
+@pytest.mark.parametrize("bound", [4, 6])
+@pytest.mark.parametrize("fld", [QQ, PrimeField(3)], ids=lambda f: repr(f))
+def test_witness_matches_reference_on_mixed_degrees(fld, bound):
+    ops = _gens(2, *MIXED_DEGREES, fld=fld)
+    assert sorted(graded_degree(homogenize(op)) for op in ops) == [1, 4]
+    _assert_witness_matches_reference(OrderContext(LinearForm.order(2)), ops, bound)
+
+
+# Two faults in carrying pivots up through t, each as (the code as
+# written, the faulty code): the pivot map reset at each degree, and a
+# lead recorded only at the degree where its pivot is born.
+CARRY_FAULTS = {
+    "reset-pivots": (
+        "    for degree, a, terms in jobs:\n",
+        "    last = None\n    for degree, a, terms in jobs:\n"
+        "        if degree != last:\n            pivots, last = {}, degree\n",
+    ),
+    "lead-at-birth-only": ("for d in range(birth, degree_bound + 1)", "for d in (birth,)"),
+}
+
+
+def _faulty_witness(written, faulty):
+    """``truncation_witness`` rebuilt from its source with ``written``
+    replaced by ``faulty``."""
+    source = textwrap.dedent(inspect.getsource(oracle.truncation_witness))
+    assert source.count(written) == 1, f"truncation_witness no longer reads {written!r}"
+    namespace = dict(vars(oracle))
+    exec(compile(source.replace(written, faulty), "<faulty truncation_witness>", "exec"), namespace)
+    return namespace["truncation_witness"]
+
+
+@pytest.mark.parametrize("fld", [QQ, PrimeField(7)], ids=lambda f: repr(f))
+@pytest.mark.parametrize("fault", sorted(CARRY_FAULTS))
+def test_witness_carry_faults_disagree_with_reference(fld, fault):
+    ctx = OrderContext(GKZ3_FORMS[0])
+    ops = _gens(3, *GKZ3, fld=fld)
+
+    def seen(witness):
+        out = witness(ctx, ops, 6)
+        return out.leading_exponents, out.matrix_rank
+
+    expected = _reference_witness(ctx, ops, 6)
+    assert seen(truncation_witness) == expected
+    assert seen(_faulty_witness(*CARRY_FAULTS[fault])) != expected
 
 
 @pytest.mark.parametrize("fld", [QQ, PrimeField(2)], ids=lambda f: repr(f))
