@@ -70,7 +70,6 @@ from .oracle import (
     TruncationWitness,
     algebra_fuzz,
     oracle_pipeline_agree,
-    staircase_oracle,
     truncation_witness,
 )
 from .expressions import format_operator, parse_operator
@@ -127,7 +126,6 @@ __all__ = [
     "project_exponent",
     "reduces_to_zero",
     "semisyzygy",
-    "staircase_oracle",
     "truncation_witness",
     "weyl_from_obj",
 ]

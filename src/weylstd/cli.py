@@ -267,15 +267,14 @@ def _run_verify(seed, cfg, ctx, fld):
     for gens in corpus:
         ops = [parse_operator(g, cfg.n, fld) for g in gens]
         report = compute_standard_basis(ctx, ops, degree_cap=cfg.degree_cap)
-        agreement = oracle_pipeline_agree(ctx, ops, report, degree_bound=6)
-        agreements.append((gens, agreement))
+        agreements.append((gens, _agree_within_guard(ctx, ops, report)))
 
     ok = fuzz.ok and all(a.ok for _, a in agreements)
     doc = {
         "checks": fuzz.checks,
         "failures": [list(f) for f in fuzz.failures],
         "oracle_cases": [
-            {"generators": list(gens), "ok": a.ok, "window": a.window}
+            {"generators": list(gens), "ok": a.ok, "degree_bound": a.witness.degree_bound}
             for gens, a in agreements
         ],
         "ok": ok,
@@ -285,13 +284,24 @@ def _run_verify(seed, cfg, ctx, fld):
         lines.append(f"  FAIL {f[0]}: " + "; ".join(f[1:]))
     for gens, a in agreements:
         status = "agrees" if a.ok else "MISMATCH"
-        lines.append(f"oracle on {', '.join(gens)}: {status} (window {a.window})")
+        lines.append(f"oracle on {', '.join(gens)}: {status} (degree bound {a.witness.degree_bound})")
     lines.append("verify: " + ("ok" if ok else "FAILED"))
     if cfg.output == "json":
         print(json.dumps(doc, indent=2))
     else:
         print("\n".join(lines))
     return 0 if ok else 4
+
+
+def _agree_within_guard(ctx, ops, report):
+    """Oracle agreement at the largest degree bound up to 6 whose witness
+    the row guard admits; bound 2 fits every n up to MAX_N."""
+    for bound in (6, 5, 4, 3):
+        try:
+            return oracle_pipeline_agree(ctx, ops, report, bound)
+        except OracleSizeError:
+            pass
+    return oracle_pipeline_agree(ctx, ops, report, 2)
 
 
 def _verify_corpus(n):

@@ -10,10 +10,9 @@ multiple by t^k is a row of a lower degree lifted by t, with the same
 order among its terms; only the t-free rows x^a (D^beta g) are built
 (one Leibniz product per (generator, beta)), and one elimination over
 plain exponents serves every degree.  The pivot exponents are then
-exactly the leading exponents the ideal achieves below the bound, with
-no completion logic involved.  Comparing them against a computed
-staircase is the closest thing to ground truth available without a
-second implementation.
+exactly the graded leading exponents the ideal achieves up to the
+bound, with no completion logic involved: for a standard basis, exactly
+the multiples of its leads, which is what the agreement check asks.
 
 The fuzz driver replays the algebra's defining identities on seeded
 random inputs.  Its multiplication entry points can be swapped out,
@@ -25,8 +24,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from math import comb, gcd, lcm
-from operator import itemgetter
+from itertools import combinations_with_replacement
+from math import comb, gcd
+from operator import itemgetter, sub
 
 from .errors import InvariantViolation, OracleSizeError
 from .division import RegionPartition, divide
@@ -46,17 +46,18 @@ class TruncationWitness:
     matrix_rank: int
 
 
+MAX_WITNESS_ROWS = 50_000  # candidate rows; past it, lower the degree bound
+
+
 def _monomials_up_to(width, total):
-    if width == 1:
-        for k in range(total + 1):
-            yield (k,)
-        return
-    for k in range(total + 1):
-        for rest in _monomials_up_to(width - 1, total - k):
-            yield (k,) + rest
+    """Every exponent of ``width`` entries summing to at most ``total``, in
+    increasing lexicographic order, without recursion: the partial sums of
+    such an exponent run through each nondecreasing sequence in 0..total."""
+    for sums in combinations_with_replacement(range(total + 1), width):
+        yield tuple(map(sub, sums, (0,) + sums))
 
 
-def truncation_witness(ctx, ops, degree_bound, max_rows=50_000) -> TruncationWitness:
+def truncation_witness(ctx, ops, degree_bound) -> TruncationWitness:
     """Echelonize all monomial multiples of the homogenized generators
     with product degree at most ``degree_bound``.
 
@@ -79,10 +80,10 @@ def truncation_witness(ctx, ops, degree_bound, max_rows=50_000) -> TruncationWit
     product is already reduced, so a term whose weight vanishes mod p is
     gone from every row built on it, as it is from the full product.
 
-    Rows hold Python ints.  Over QQ each homogenized generator is first
-    scaled by the lcm of its denominators; a nonzero scalar multiple
-    generates the same left ideal, so the pivot set is unchanged.  Over
-    F_p the rows hold residues.  Both fields eliminate with one loop, by
+    Rows hold Python ints: each homogenized generator is first scaled by
+    the d of its integer form (the lcm of its denominators over QQ, 1
+    over F_p); a nonzero scalar multiple generates the same left ideal,
+    so the pivot set is unchanged.  Both fields eliminate with one loop, by
     cross-multiplication: ``row := (pc/d)*row - (c/d)*pivot`` with
     ``d = gcd(c, pc)`` clears the lead c of the row against the lead pc
     of its pivot.  Over F_p everything is reduced mod p and pivots are
@@ -96,17 +97,16 @@ def truncation_witness(ctx, ops, degree_bound, max_rows=50_000) -> TruncationWit
         if graded_degree(g) > degree_bound:
             raise ValueError("degree bound is below a generator's degree")
 
+    gens = [g.scale(g.integer_form()[0]) for g in gens]
     fld = gens[0].field if gens else QQ
     p = fld.characteristic
-    if not p:
-        gens = [g.scale(lcm(*(c.denominator for c in g.terms.values()))) for g in gens]
 
     n = ctx.n
     width = 2 * n + 1  # the limit counts the rows of a sweep over every monomial in t, x and D
     rows = sum(comb(width + degree_bound - graded_degree(g), width) for g in gens)
-    if rows > max_rows:
+    if rows > MAX_WITNESS_ROWS:
         raise OracleSizeError(
-            f"{rows} candidate rows exceed the limit of {max_rows}; "
+            f"{rows} candidate rows exceed the limit of {MAX_WITNESS_ROWS}; "
             "lower the degree bound"
         )
 
@@ -164,55 +164,45 @@ def truncation_witness(ctx, ops, degree_bound, max_rows=50_000) -> TruncationWit
     return TruncationWitness(degree_bound, frozenset(leading), len(leading))
 
 
-def staircase_oracle(ctx, ops, degree_bound, max_rows=50_000):
-    """Project the witness exponents down to the plain algebra: the set of
-    weighted leading exponents the ideal provably achieves up to degree."""
-    witness = truncation_witness(ctx, ops, degree_bound, max_rows=max_rows)
-    return {project_exponent(m) for m in witness.leading_exponents}
-
-
 @dataclass(frozen=True)
 class AgreementReport:
-    """Outcome of checking a computed staircase against the witness.
-
-    Containment of the witness exponents in the computed staircase holds
-    with no caveats.  The reverse direction is only decidable below the
-    window: an exponent of weight w is certified reachable by shifting a
-    basis element, which needs w plus the largest basis degree to fit
-    under the witness bound.
-    """
+    """Outcome of comparing a pipeline report with the witness."""
 
     ok: bool
-    window: int
     mismatches: tuple
     witness: TruncationWitness
 
 
-def _in_upper_set(m, corners):
-    return any(vec_leq(c, m) for c in corners)
+def oracle_pipeline_agree(ctx, ops, report, degree_bound) -> AgreementReport:
+    """Compare a pipeline report with the truncation witness exactly.
 
+    The witness must hold (k, e) exactly when a lead of the report's
+    ``homog_basis`` divides it and k + |e| is at most the bound: for each
+    plain e, every k from k_e, the least t power a basis lead divides, to
+    bound - |e|.  The staircase must be the minimal projected leads."""
+    witness = truncation_witness(ctx, ops, degree_bound)
+    leads = [leading_term(ctx, g).exponent for g in report.homog_basis]
+    least = {}  # plain exponent e -> k_e
+    for lead in leads:
+        k, e = lead[0], lead[1:]
+        for s in _monomials_up_to(2 * ctx.n, degree_bound - sum(lead)):
+            m = vec_add(e, s)
+            if least.get(m, k + 1) > k:
+                least[m] = k
 
-def oracle_pipeline_agree(ctx, ops, report, degree_bound, max_rows=50_000) -> AgreementReport:
-    """Compare a pipeline report's staircase with the truncation witness."""
-    witness = truncation_witness(ctx, ops, degree_bound, max_rows=max_rows)
-    projected = {project_exponent(m) for m in witness.leading_exponents}
-    oracle_corners = minimal_staircase(projected)
-    mismatches = []
-
-    for m in sorted(projected):
-        if not _in_upper_set(m, report.staircase):
-            mismatches.append(("witness exponent outside computed staircase", m))
-
-    top = max((graded_degree(g) for g in report.homog_basis), default=0)
-    window = degree_bound - top
-    # a negative window certifies nothing, and the sweep below it is empty
-    for m in _monomials_up_to(2 * ctx.n, window):
-        in_computed = _in_upper_set(m, report.staircase)
-        in_witness = _in_upper_set(m, oracle_corners)
-        if in_computed != in_witness:
-            mismatches.append(("staircase membership differs below window", m))
-
-    return AgreementReport(not mismatches, window, tuple(mismatches), witness)
+    found = witness.leading_exponents
+    stray = sorted(m for m in found if sum(m) > degree_bound or m[0] < least.get(m[1:], degree_bound + 1))
+    mismatches = [("witness lead is no multiple of a basis lead", m) for m in stray]
+    if len(found) - len(mismatches) != sum(degree_bound - sum(e) - k + 1 for e, k in least.items()):
+        mismatches += [
+            ("multiple of a basis lead missing from the witness", (d,) + e)
+            for e, k in sorted(least.items())
+            for d in range(k, degree_bound - sum(e) + 1)
+            if (d,) + e not in found
+        ]
+    if report.staircase != minimal_staircase(project_exponent(lead) for lead in leads):
+        mismatches.append(("staircase is not the projection of the basis leads", report.staircase))
+    return AgreementReport(not mismatches, tuple(mismatches), witness)
 
 
 def random_weyl(rng, n, terms=3, degree=3, coeff=5, fld=QQ):

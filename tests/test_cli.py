@@ -505,6 +505,7 @@ def test_verify_ok(capsys, order_cfg):
     status, out, _ = _run(capsys, "--config", order_cfg, "verify")
     assert status == 0
     assert "verify: ok" in out
+    assert "oracle on x1, D1: agrees (degree bound 6)" in out
 
 
 def test_verify_over_prime_field(capsys, fp_cfg):
@@ -526,6 +527,19 @@ def test_verify_json(capsys, order_cfg):
     assert doc["ok"] is True
     assert doc["checks"] > 0
     assert all(case["ok"] for case in doc["oracle_cases"])
+    assert [case["degree_bound"] for case in doc["oracle_cases"]] == [6, 6, 6, 6]
+
+
+def test_verify_lowers_the_bound_to_fit_the_row_guard(capsys, tmp_path):
+    # at n = 8 the witness of (D1, D8) at bound 6 sweeps 52,668 candidate
+    # rows, above the guard's 50,000; the case runs at bound 5 instead
+    cfg = tmp_path / "n8.cfg"
+    cfg.write_text("n = 8\n")
+    status, out, _ = _run(capsys, "--config", str(cfg), "--output", "json", "verify")
+    assert status == 0
+    doc = json.loads(out)
+    assert doc["ok"] is True
+    assert [case["degree_bound"] for case in doc["oracle_cases"]] == [5, 5, 6]
 
 
 def test_verify_reports_failures(capsys, order_cfg, monkeypatch):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import inspect
+import itertools
 import random
 import textwrap
 from fractions import Fraction
@@ -20,11 +21,10 @@ from weylstd import (
     compute_standard_basis,
     oracle_pipeline_agree,
     parse_operator,
-    staircase_oracle,
     truncation_witness,
 )
 from weylstd import oracle
-from weylstd.homogenize import graded_degree, homogenize
+from weylstd.homogenize import graded_degree, homogenize, project_exponent
 from weylstd.oracle import _monomials_up_to, random_linear_form, random_tiebreak, random_weyl
 
 
@@ -68,23 +68,28 @@ def _assert_witness_matches_reference(ctx, ops, bound):
     assert (witness.leading_exponents, witness.matrix_rank) == _reference_witness(ctx, ops, bound)
 
 
+def _projected_leads(ctx, ops, degree_bound):
+    """The witness's leads with the t exponent forgotten."""
+    return {project_exponent(m) for m in truncation_witness(ctx, ops, degree_bound).leading_exponents}
+
+
 def test_witness_on_whole_algebra_ideal():
     # t^2 = Dx - xD lies in the span at degree 2, so (0,0) projects out
     ctx = OrderContext(LinearForm.order(1))
-    stair = staircase_oracle(ctx, _gens(1, "x1", "D1"), 2)
+    stair = _projected_leads(ctx, _gens(1, "x1", "D1"), 2)
     assert (0, 0) in stair
 
 
 def test_witness_on_principal_ideal():
     ctx = OrderContext(LinearForm.order(1))
-    stair = staircase_oracle(ctx, _gens(1, "x1^2"), 4)
+    stair = _projected_leads(ctx, _gens(1, "x1^2"), 4)
     assert min(stair, key=sum) == (2, 0)
     assert all(m[0] >= 2 for m in stair)
 
 
 def test_witness_sees_unit_for_hyperplane_form_ideal():
     ctx = OrderContext(LinearForm.v_form(1))
-    stair = staircase_oracle(ctx, _gens(1, "1 + x1^2*D1"), 6)
+    stair = _projected_leads(ctx, _gens(1, "1 + x1^2*D1"), 6)
     assert (0, 0) in stair
 
 
@@ -98,18 +103,30 @@ def test_witness_grows_monotonically():
     assert all(sum(m) <= 4 for m in small.leading_exponents)
 
 
-def test_witness_preconditions():
+def test_witness_preconditions(monkeypatch):
     ctx = OrderContext(LinearForm.order(1))
     with pytest.raises(ValueError):
         truncation_witness(ctx, _gens(1, "x1^3"), 2)  # bound below generator degree
+    monkeypatch.setattr(oracle, "MAX_WITNESS_ROWS", 3)
     with pytest.raises(OracleSizeError):
-        truncation_witness(ctx, _gens(1, "x1"), 8, max_rows=3)
+        truncation_witness(ctx, _gens(1, "x1"), 8)
     # the limit counts one row per monomial of degree <= 8 - deg(g) in the
     # 3 variables t, x1, D1: C(10, 3) = 120 for x1 and C(9, 3) = 84 for D1^2
     gens = _gens(1, "x1", "D1^2")
+    monkeypatch.setattr(oracle, "MAX_WITNESS_ROWS", 203)
     with pytest.raises(OracleSizeError, match="^204 candidate rows exceed the limit of 203;"):
-        truncation_witness(ctx, gens, 8, max_rows=203)
-    assert truncation_witness(ctx, gens, 8, max_rows=204).matrix_rank > 0
+        truncation_witness(ctx, gens, 8)
+    monkeypatch.setattr(oracle, "MAX_WITNESS_ROWS", 204)
+    assert truncation_witness(ctx, gens, 8).matrix_rank > 0
+
+
+def test_monomials_are_every_exponent_in_lexicographic_order():
+    for width in range(1, 5):
+        for total in range(-1, 5):
+            every = [m for m in itertools.product(range(total + 1), repeat=width) if sum(m) <= total]
+            assert list(_monomials_up_to(width, total)) == every
+    # no recursion per variable: the width of the witness at n = 1000
+    assert sum(1 for _ in _monomials_up_to(2001, 1)) == 2002
 
 
 # Over F_2 and F_3 some contraction weights vanish, so a product loses
@@ -197,7 +214,7 @@ def _faulty_witness(written, faulty):
 
 @pytest.mark.parametrize("fld", [QQ, PrimeField(7)], ids=lambda f: repr(f))
 @pytest.mark.parametrize("fault", sorted(CARRY_FAULTS))
-def test_witness_carry_faults_disagree_with_reference(fld, fault):
+def test_witness_carry_faults_disagree_with_reference(monkeypatch, fld, fault):
     ctx = OrderContext(GKZ3_FORMS[0])
     ops = _gens(3, *GKZ3, fld=fld)
 
@@ -206,8 +223,19 @@ def test_witness_carry_faults_disagree_with_reference(fld, fault):
         return out.leading_exponents, out.matrix_rank
 
     expected = _reference_witness(ctx, ops, 6)
+    faulty = _faulty_witness(*CARRY_FAULTS[fault])
     assert seen(truncation_witness) == expected
-    assert seen(_faulty_witness(*CARRY_FAULTS[fault])) != expected
+    assert seen(faulty) != expected
+
+    # the agreement check refuses the faulty witness on its own, under
+    # every form, and accepts the real one
+    for form in GKZ3_FORMS:
+        form_ctx = OrderContext(form)
+        report = compute_standard_basis(form_ctx, ops)
+        assert oracle_pipeline_agree(form_ctx, ops, report, 6).ok
+        monkeypatch.setattr(oracle, "truncation_witness", faulty)
+        assert not oracle_pipeline_agree(form_ctx, ops, report, 6).ok, form
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("fld", [QQ, PrimeField(2)], ids=lambda f: repr(f))
@@ -250,19 +278,18 @@ def test_agreement_on_small_corpus():
         report = compute_standard_basis(ctx, gens)
         agreement = oracle_pipeline_agree(ctx, gens, report, bound)
         assert agreement.ok, agreement.mismatches
-        assert agreement.window >= 0
 
 
-def test_agreement_skips_sweep_below_negative_window():
-    # the basis of (x1, D1) reaches degree 2, so bound 1 leaves window -1:
-    # nothing below it is certified, and nothing may be reported
+def test_agreement_below_the_top_basis_degree():
+    # the basis of (x1, D1) reaches degree 2: at bound 1 only the degree-1
+    # leads and their multiples are in reach, and still both sides agree
     ctx = OrderContext(LinearForm.order(1))
     gens = _gens(1, "x1", "D1")
     report = compute_standard_basis(ctx, gens)
+    assert max(graded_degree(g) for g in report.homog_basis) == 2
     for bound in (1, 2, 3):
         agreement = oracle_pipeline_agree(ctx, gens, report, bound)
         assert agreement.ok, (bound, agreement.mismatches)
-        assert agreement.window == bound - 2
 
 
 @pytest.mark.parametrize("fld", [QQ, PrimeField(7)], ids=lambda f: repr(f))
@@ -272,15 +299,41 @@ def test_agreement_catches_wrong_staircases(fld):
     report = compute_standard_basis(ctx, gens)
     assert report.staircase == ((1, 1), (2, 0))
     assert oracle_pipeline_agree(ctx, gens, report, 8).ok
-    wrong = [
-        (report.staircase[1:], "witness exponent outside computed staircase"),
-        (report.staircase[:1], "witness exponent outside computed staircase"),
-        (report.staircase + ((1, 0),), "staircase membership differs below window"),
-    ]
-    for staircase, label in wrong:
+    for staircase in (report.staircase[1:], report.staircase[:1], report.staircase + ((1, 0),)):
         agreement = oracle_pipeline_agree(ctx, gens, dataclasses.replace(report, staircase=staircase), 8)
-        assert not agreement.ok, staircase
-        assert label in {kind for kind, _ in agreement.mismatches}
+        assert agreement.mismatches == (("staircase is not the projection of the basis leads", staircase),)
+
+
+@pytest.mark.parametrize("fld", [QQ, PrimeField(7)], ids=lambda f: repr(f))
+def test_agreement_catches_a_missing_basis_element(fld):
+    # without one element the basis leads miss some witness leads
+    ctx = OrderContext(LinearForm.bernstein(1))
+    gens = _gens(1, "x1^3", "x1*D1 + 2", fld=fld)
+    report = compute_standard_basis(ctx, gens)
+    for i in range(len(report.homog_basis)):
+        basis = report.homog_basis[:i] + report.homog_basis[i + 1:]
+        agreement = oracle_pipeline_agree(ctx, gens, dataclasses.replace(report, homog_basis=basis), 8)
+        assert not agreement.ok, i
+        assert "witness lead is no multiple of a basis lead" in {kind for kind, _ in agreement.mismatches}
+
+
+@pytest.mark.parametrize("edit", ["drop-top-lead", "add-lead-above-bound"])
+def test_agreement_catches_a_witness_off_by_one_lead(monkeypatch, edit):
+    ctx = OrderContext(LinearForm.bernstein(1))
+    gens = _gens(1, "x1^3", "x1*D1 + 2")
+    report = compute_standard_basis(ctx, gens)
+    witness = truncation_witness(ctx, gens, 8)
+    top = max(witness.leading_exponents)
+    assert sum(top) == 8
+    if edit == "drop-top-lead":
+        leads = witness.leading_exponents - {top}
+        expected = ("multiple of a basis lead missing from the witness", top)
+    else:  # t times the top lead: a multiple of a basis lead, but of degree 9
+        leads = witness.leading_exponents | {(top[0] + 1,) + top[1:]}
+        expected = ("witness lead is no multiple of a basis lead", (top[0] + 1,) + top[1:])
+    faulty = dataclasses.replace(witness, leading_exponents=leads)
+    monkeypatch.setattr(oracle, "truncation_witness", lambda *args: faulty)
+    assert oracle_pipeline_agree(ctx, gens, report, 8).mismatches == (expected,)
 
 
 def test_fuzz_clean_run():
