@@ -9,9 +9,12 @@ row echelon form over the scalar field.  t is central of weight 0, so a
 multiple by t^k is a row of a lower degree lifted by t, with the same
 order among its terms; only the t-free rows x^a (D^beta g) are built
 (one Leibniz product per (generator, beta)), and one elimination over
-plain exponents serves every degree.  The pivot exponents are then
-exactly the graded leading exponents the ideal achieves up to the
-bound, with no completion logic involved: for a standard basis, exactly
+plain exponents serves every degree.  Plain exponents are packed into
+ints whose order is the weighted order, so a row is built by int
+additions, and an x-shift of a row that reduced to zero is skipped,
+since it lies in the span of the rows before it.  The pivot exponents
+are then exactly the graded leading exponents the ideal achieves up to
+the bound, with no completion logic involved: for a standard basis, exactly
 the multiples of its leads, which is what the agreement check asks.
 
 The fuzz driver replays the algebra's defining identities on seeded
@@ -24,9 +27,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, compress, count
 from math import comb, gcd
-from operator import itemgetter, sub
+from operator import mul, sub
 
 from .errors import InvariantViolation, OracleSizeError
 from .division import RegionPartition, divide
@@ -57,6 +60,43 @@ def _monomials_up_to(width, total):
         yield tuple(map(sub, sums, (0,) + sums))
 
 
+def _pack(units, e):
+    """The packed int of exponent ``e``: the sum of e_i * units[i] over its
+    nonzero entries only."""
+    return sum(map(mul, compress(units, e), filter(None, e)))
+
+
+def _exponent_packing(ctx, bound):
+    """The units u_i that pack a plain exponent e of degree at most
+    ``bound`` as the int sum of e_i * u_i, and the decoder of a packed int.
+
+    u_i = (c_i << H) + (1 << s*i).  c_i is ``ctx.weighted_key`` of the
+    i-th unit exponent read as balanced digits in radix R = 2^r.  The key
+    is linear in e, so c.e is the key of e read in that radix; each of
+    its digits is at most the bound times the largest key entry in size,
+    below R/2, so c.e orders exponents exactly as the key does, and so
+    does the packed int.  Its low H = s*2n bits hold e itself in s-bit
+    fields, which only the decoder reads."""
+    width = 2 * ctx.n
+    sparse = []  # per unit exponent: places and values of its nonzero key entries
+    for i in range(width):
+        key = ctx.weighted_key((0,) * i + (1,) + (0,) * (width - 1 - i))
+        sparse.append((tuple(compress(count(len(key) - 1, -1), key)), tuple(filter(None, key))))
+    r = (2 * bound * max(abs(v) for _, digits in sparse for v in digits)).bit_length()
+    w = (bound.bit_length() + 7) // 8 or 1  # bytes per field of e, s = 8w
+    low_bits = 8 * w * width
+    units = [
+        (sum(v << r * k for k, v in zip(places, digits)) << low_bits) + (1 << 8 * w * i)
+        for i, (places, digits) in enumerate(sparse)
+    ]
+
+    def unpack(packed):
+        low = (packed & ((1 << low_bits) - 1)).to_bytes(w * width, "little")
+        return tuple(low) if w == 1 else tuple(int.from_bytes(low[j:j + w], "little") for j in range(0, len(low), w))
+
+    return units, unpack
+
+
 def truncation_witness(ctx, ops, degree_bound) -> TruncationWitness:
     """Echelonize all monomial multiples of the homogenized generators
     with product degree at most ``degree_bound``.
@@ -68,17 +108,30 @@ def truncation_witness(ctx, ops, degree_bound) -> TruncationWitness:
     degree d is that of every t-free row of degree at most d, lifted by
     t.  The rows run in increasing degree through one pivot map, and a
     pivot of plain lead e born at degree b gives the lead (d - |e|, e) at
-    every degree d from b to the bound.  Columns are the distinct plain
-    exponents, ranked once by the weighted key, so a row maps int ranks
-    to int coefficients and its lead is ``max(row)``.
+    every degree d from b to the bound.  Columns are plain exponents
+    packed into ints (``_exponent_packing``) whose int order is the
+    weighted order, so a row maps ints to int coefficients, its lead is
+    ``max(row)`` and only a pivot's lead is ever decoded.
 
     The row of x^a D^beta and g is x^a (D^beta g).  The product D^beta g
     is made once per (generator, beta), with the graded product, and
-    kept; each row adds a to the x part of its exponents.  No contraction
-    is lost by this: contractions come only from a D of the left factor
-    meeting an x of the right one, and x^a has no D.  Over F_p the kept
-    product is already reduced, so a term whose weight vanishes mod p is
-    gone from every row built on it, as it is from the full product.
+    kept; each row adds the packed x^a to its packed exponents.  No
+    contraction is lost by this: contractions come only from a D of the
+    left factor meeting an x of the right one, and x^a has no D.  Over
+    F_p the kept product is already reduced, so a term whose weight
+    vanishes mod p is gone from every row built on it, as it is from the
+    full product.
+
+    Rows run in the order: degree, then generator, then beta, then a in
+    increasing lexicographic order; the shift a -> a + e_j keeps it.  A
+    row x^(a + e_j) (D^beta g) is skipped, unbuilt, when the row
+    x^a (D^beta g) reduced to zero or was itself skipped.  This loses
+    nothing: a row r that reduced to zero is a combination of rows before
+    it, so x_j r is the same combination of their x_j-shifts, each of
+    which comes before x_j r and lies within the bound.  By induction
+    along the order, a skipped row lies in the span of the rows before
+    it, so the span at every degree, and with it every pivot lead and its
+    birth degree, is unchanged.  The a = 0 row is never skipped.
 
     Rows hold Python ints: each homogenized generator is first scaled by
     the d of its integer form (the lcm of its denominators over QQ, 1
@@ -110,55 +163,67 @@ def truncation_witness(ctx, ops, degree_bound) -> TruncationWitness:
             "lower the degree bound"
         )
 
+    units, unpack = _exponent_packing(ctx, degree_bound)
+    x_units = units[:n]
+    shifts = [[] for _ in range(degree_bound + 1)]  # |a| -> (packed x^a, packed x^(a - e_j) for each a_j > 0)
+    for a in _monomials_up_to(n, degree_bound - min(map(graded_degree, gens), default=degree_bound)):
+        packed = _pack(x_units, a)
+        shifts[sum(a)].append((packed, [packed - x_units[j] for j in compress(range(n), a)]))
+
     one = fld.one()
     no_d = (0,) * n
-    jobs = []  # (degree, x^a as a plain exponent, D^beta g as (plain exponent, int coefficient) terms)
+    products = []  # (degree, D^beta g as (packed plain exponent, int coefficient) terms, packed x^a of zero rows)
     for g in gens:
         d = graded_degree(g)
         for beta in _monomials_up_to(n, degree_bound - d):
             # beta comes from _monomials_up_to, so the key is well formed
             product = HomogOperator._trusted(n, {(0,) + no_d + beta: one}, fld) * g
-            terms = [(e[1:], c.numerator) for e, c in product.terms.items()]
-            top = d + sum(beta)
-            jobs += [(top + sum(a), a + no_d, terms) for a in _monomials_up_to(n, degree_bound - top)]
-    jobs.sort(key=itemgetter(0))
-    columns = sorted({vec_add(a, e) for _, a, terms in jobs for e, _ in terms}, key=ctx.weighted_key)
-    rank = {e: r for r, e in enumerate(columns)}
+            terms = [(_pack(units, e[1:]), c.numerator) for e, c in product.terms.items()]
+            products.append((d + sum(beta), terms, set()))
 
-    pivots = {}  # lead rank -> reduced row
-    born = {}  # lead rank -> degree of the row that made it
-    for degree, a, terms in jobs:
-        row = {rank[vec_add(a, e)]: c for e, c in terms}
-        while row:
-            lead = max(row)
-            c = row[lead]
-            pivot = pivots.get(lead)
-            if pivot is None:
-                if p:
-                    inv = pow(c, -1, p)
-                    pivots[lead] = {k: v * inv % p for k, v in row.items()}
+    pivots = {}  # packed lead -> reduced row
+    born = {}  # packed lead -> degree of the row that made it
+    for degree in range(degree_bound + 1):
+        for top, terms, zeros in products:
+            if top > degree:
+                continue
+            for a, below in shifts[degree - top]:
+                if not zeros.isdisjoint(below):
+                    zeros.add(a)
+                    continue
+                row = {a + e: c for e, c in terms}
+                while row:
+                    lead = max(row)
+                    c = row[lead]
+                    pivot = pivots.get(lead)
+                    if pivot is None:
+                        if p:
+                            inv = pow(c, -1, p)
+                            pivots[lead] = {k: v * inv % p for k, v in row.items()}
+                        else:
+                            content = gcd(*row.values())
+                            pivots[lead] = {k: v // content for k, v in row.items()}
+                        born[lead] = degree
+                        break
+                    pc = pivot[lead]
+                    common = gcd(c, pc)
+                    b = c // common
+                    if pc != common:
+                        scale = pc // common
+                        row = {k: scale * v for k, v in row.items()}
+                    for k, v in pivot.items():
+                        s = row.get(k, 0) - b * v
+                        if p:
+                            s %= p
+                        if s:
+                            row[k] = s
+                        else:  # b and v are nonzero (mod p), so k was in the row
+                            del row[k]
                 else:
-                    content = gcd(*row.values())
-                    pivots[lead] = {k: v // content for k, v in row.items()}
-                born[lead] = degree
-                break
-            pc = pivot[lead]
-            common = gcd(c, pc)
-            b = c // common
-            if pc != common:
-                scale = pc // common
-                row = {k: scale * v for k, v in row.items()}
-            for k, v in pivot.items():
-                s = row.get(k, 0) - b * v
-                if p:
-                    s %= p
-                if s:
-                    row[k] = s
-                else:  # b and v are nonzero (mod p), so k was in the row
-                    del row[k]
+                    zeros.add(a)
     leading = {
-        (d - sum(columns[r]),) + columns[r]
-        for r, birth in born.items()
+        (d - sum(e),) + e
+        for e, birth in zip(map(unpack, born), born.values())
         for d in range(birth, degree_bound + 1)
     }
     return TruncationWitness(degree_bound, frozenset(leading), len(leading))

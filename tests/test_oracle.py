@@ -3,6 +3,7 @@
 import dataclasses
 import inspect
 import itertools
+import math
 import random
 import textwrap
 from fractions import Fraction
@@ -16,6 +17,7 @@ from weylstd import (
     OracleSizeError,
     OrderContext,
     PrimeField,
+    TieBreak,
     WeylOperator,
     algebra_fuzz,
     compute_standard_basis,
@@ -25,7 +27,16 @@ from weylstd import (
 )
 from weylstd import oracle
 from weylstd.homogenize import graded_degree, homogenize, project_exponent
-from weylstd.oracle import _monomials_up_to, random_linear_form, random_tiebreak, random_weyl
+from weylstd.oracle import (
+    MAX_WITNESS_ROWS,
+    _exponent_packing,
+    _monomials_up_to,
+    _pack,
+    random_linear_form,
+    random_tiebreak,
+    random_weyl,
+)
+from weylstd.orders import TIEBREAK_KINDS
 
 
 def _gens(n, *texts, fld=QQ):
@@ -129,6 +140,36 @@ def test_monomials_are_every_exponent_in_lexicographic_order():
     assert sum(1 for _ in _monomials_up_to(2001, 1)) == 2002
 
 
+def _assert_packing_is_the_weighted_order(ctx, bound):
+    exps = list(_monomials_up_to(2 * ctx.n, bound))
+    units, unpack = _exponent_packing(ctx, bound)
+    packed = [_pack(units, e) for e in exps]
+    assert [e for _, e in sorted(zip(packed, exps))] == sorted(exps, key=ctx.weighted_key)
+    assert list(map(unpack, packed)) == exps
+
+
+@pytest.mark.parametrize("kind", TIEBREAK_KINDS)
+def test_packed_exponents_sort_by_the_weighted_key_and_decode(kind):
+    rng = random.Random(f"packing:{kind}")
+    for n in (1, 2, 3):
+        forms = [LinearForm.order(n), LinearForm.bernstein(n), LinearForm.v_form(n), LinearForm.l_form(n, 1, 2)]
+        forms += [random_linear_form(rng, n, bound=3) for _ in range(3)]
+        for form in forms:
+            perm = list(range(2 * n))
+            rng.shuffle(perm)
+            _assert_packing_is_the_weighted_order(OrderContext(form, TieBreak(kind, tuple(perm))), 8)
+
+
+def test_packed_exponents_at_the_largest_bounds():
+    # a constant generator at n = 1 has C(3 + b, 3) candidate rows; past
+    # bound 255, which a generator of high degree admits, each entry of
+    # the decoded exponent takes two bytes
+    largest = max(b for b in range(100) if math.comb(3 + b, 3) <= MAX_WITNESS_ROWS)
+    assert largest == 64
+    for bound in (largest, 300):
+        _assert_packing_is_the_weighted_order(OrderContext(LinearForm.l_form(1, 2, 3), TieBreak("lex", (1, 0))), bound)
+
+
 # Over F_2 and F_3 some contraction weights vanish, so a product loses
 # terms that it keeps over QQ.
 WITNESS_FIELDS = [QQ, PrimeField(2), PrimeField(3), PrimeField(5), PrimeField(7), PrimeField(32003)]
@@ -148,6 +189,27 @@ def test_witness_matches_reference_on_random_ideals(fld):
             ]
         top = max((graded_degree(homogenize(op)) for op in ops if not op.is_zero()), default=0)
         _assert_witness_matches_reference(ctx, ops, top + (3 if n == 1 else 2))
+
+
+@pytest.mark.parametrize("fld", [QQ, PrimeField(2), PrimeField(3)], ids=lambda f: repr(f))
+def test_witness_matches_reference_on_random_ideals_in_three_variables(fld):
+    # two or three generators of degree at most 2 at bound 5: the skip of
+    # zero rows' x-shifts then runs across products of different
+    # generators and betas
+    def draw():
+        while True:
+            op = random_weyl(rng, 3, terms=3, degree=1, coeff=6, fld=fld)
+            if not op.is_zero() and op.total_degree() <= 2:
+                return op
+
+    rng = random.Random(f"witness-n3:{fld!r}")
+    skipped = 0
+    for _ in range(4):
+        ctx = OrderContext(random_linear_form(rng, 3), random_tiebreak(rng, 3))
+        ops = [draw() for _ in range(rng.randint(2, 3))]
+        _assert_witness_matches_reference(ctx, ops, 5)
+        skipped += sum(_witness_skips(ctx, ops, 5))
+    assert skipped > 0
 
 
 # The GKZ system H_A(beta) for A = [[1,1,1],[0,1,2]], beta = (3/5, 7/11),
@@ -194,20 +256,24 @@ def test_witness_matches_reference_on_mixed_degrees(fld, bound):
 # lead recorded only at the degree where its pivot is born.
 CARRY_FAULTS = {
     "reset-pivots": (
-        "    for degree, a, terms in jobs:\n",
-        "    last = None\n    for degree, a, terms in jobs:\n"
-        "        if degree != last:\n            pivots, last = {}, degree\n",
+        "    for degree in range(degree_bound + 1):\n",
+        "    for degree in range(degree_bound + 1):\n        pivots = {}\n",
     ),
     "lead-at-birth-only": ("for d in range(birth, degree_bound + 1)", "for d in (birth,)"),
 }
 
+# The skip of x-shifts of zero rows, as written, and the same test
+# recording each row's verdict in ``skips``.
+SKIP_TEST = "if not zeros.isdisjoint(below):"
+COUNTED_SKIP_TEST = "if skips.append(not zeros.isdisjoint(below)) or skips[-1]:"
 
-def _faulty_witness(written, faulty):
+
+def _faulty_witness(written, faulty, **names):
     """``truncation_witness`` rebuilt from its source with ``written``
-    replaced by ``faulty``."""
+    replaced by ``faulty``, seeing ``names`` as globals."""
     source = textwrap.dedent(inspect.getsource(oracle.truncation_witness))
     assert source.count(written) == 1, f"truncation_witness no longer reads {written!r}"
-    namespace = dict(vars(oracle))
+    namespace = dict(vars(oracle), **names)
     exec(compile(source.replace(written, faulty), "<faulty truncation_witness>", "exec"), namespace)
     return namespace["truncation_witness"]
 
@@ -236,6 +302,39 @@ def test_witness_carry_faults_disagree_with_reference(monkeypatch, fld, fault):
         monkeypatch.setattr(oracle, "truncation_witness", faulty)
         assert not oracle_pipeline_agree(form_ctx, ops, report, 6).ok, form
         monkeypatch.undo()
+
+
+def _witness_skips(ctx, ops, bound):
+    """The skip verdict of every row the witness reaches, in order."""
+    skips = []
+    _faulty_witness(SKIP_TEST, COUNTED_SKIP_TEST, skips=skips)(ctx, ops, bound)
+    return skips
+
+
+@pytest.mark.parametrize("bound, rows, skipped", [(6, 630, 54), (8, 2772, 507)])
+def test_witness_skips_x_shifts_of_zero_rows_on_gkz3(bound, rows, skipped):
+    ctx = OrderContext(GKZ3_FORMS[0])
+    ops = _gens(3, *GKZ3)
+    skips = _witness_skips(ctx, ops, bound)
+    assert (len(skips), sum(skips)) == (rows, skipped)
+    # with the skip removed every row is built, and the witness is the same
+    unskipped = _faulty_witness(SKIP_TEST, "if False:")(ctx, ops, bound)
+    assert unskipped == truncation_witness(ctx, ops, bound)
+
+
+@pytest.mark.parametrize("fld", [QQ, PrimeField(7)], ids=lambda f: repr(f))
+@pytest.mark.parametrize("form", GKZ3_FORMS, ids=["order", "bernstein", "v_form", "l_form"])
+def test_witness_marking_every_row_zero_disagrees(monkeypatch, form, fld):
+    # a row that became a pivot marked zero as well: its x-shifts are
+    # skipped although they may hold new leads
+    ctx = OrderContext(form)
+    ops = _gens(3, *GKZ3, fld=fld)
+    faulty = _faulty_witness("                else:\n                    zeros.add(a)\n", "                zeros.add(a)\n")
+    out = faulty(ctx, ops, 6)
+    assert (out.leading_exponents, out.matrix_rank) != _reference_witness(ctx, ops, 6)
+    report = compute_standard_basis(ctx, ops)
+    monkeypatch.setattr(oracle, "truncation_witness", faulty)
+    assert not oracle_pipeline_agree(ctx, ops, report, 6).ok
 
 
 @pytest.mark.parametrize("fld", [QQ, PrimeField(2)], ids=lambda f: repr(f))
