@@ -10,12 +10,15 @@ multiple by t^k is a row of a lower degree lifted by t, with the same
 order among its terms; only the t-free rows x^a (D^beta g) are built
 (one Leibniz product per (generator, beta)), and one elimination over
 plain exponents serves every degree.  Plain exponents are packed into
-ints whose order is the weighted order, so a row is built by int
-additions, and an x-shift of a row that reduced to zero is skipped,
-since it lies in the span of the rows before it.  The pivot exponents
-are then exactly the graded leading exponents the ideal achieves up to
-the bound, with no completion logic involved: for a standard basis, exactly
-the multiples of its leads, which is what the agreement check asks.
+ints whose order is the weighted order.  An x-shift of a row that
+reduced to zero is skipped, since it lies in the span of the rows before
+it, and every other x-shift starts from x_j times the reduced row of its
+x-parent.  The witness is the birth map: each packed plain lead e and
+the least degree b at which it leads, so the graded leads the ideal
+achieves up to the bound are (d - |e|, e) for d from b to the bound,
+with no completion logic involved.  For a standard basis these are
+exactly the multiples of its leads, which the agreement check asks by
+comparing two birth maps.
 
 The fuzz driver replays the algebra's defining identities on seeded
 random inputs.  Its multiplication entry points can be swapped out,
@@ -27,9 +30,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement, compress, count
+from functools import cached_property
+from itertools import combinations_with_replacement, compress
 from math import comb, gcd
-from operator import mul, sub
+from operator import itemgetter, mul, sub
 
 from .errors import InvariantViolation, OracleSizeError
 from .division import RegionPartition, divide
@@ -42,11 +46,30 @@ from .weyl import HomogOperator, Polynomial, WeylOperator, vec_add, vec_leq
 
 @dataclass(frozen=True)
 class TruncationWitness:
-    """Every leading exponent the graded ideal achieves up to a degree."""
+    """Every leading exponent the graded ideal achieves up to a degree.
+
+    ``births`` maps each packed plain lead e to the least degree b at
+    which it leads; ``packing`` is the ``_exponent_packing`` (units,
+    decoder) it was packed with.  The graded leads are (d - |e|, e) for
+    every d from b to the bound: ``leading_exponents``, decoded on first
+    read, and ``matrix_rank`` counts them.  A birth above the bound, which
+    no witness makes, shows as the one lead of its degree."""
 
     degree_bound: int
-    leading_exponents: frozenset
-    matrix_rank: int
+    births: dict
+    packing: tuple = field(compare=False, repr=False)
+
+    @cached_property
+    def leading_exponents(self):
+        return frozenset(
+            (d - sum(e),) + e
+            for e, birth in zip(map(self.packing[1], self.births), self.births.values())
+            for d in range(birth, max(birth, self.degree_bound) + 1)
+        )
+
+    @property
+    def matrix_rank(self):
+        return (self.degree_bound + 1) * len(self.births) - sum(self.births.values())
 
 
 MAX_WITNESS_ROWS = 50_000  # candidate rows; past it, lower the degree bound
@@ -71,23 +94,22 @@ def _exponent_packing(ctx, bound):
     ``bound`` as the int sum of e_i * u_i, and the decoder of a packed int.
 
     u_i = (c_i << H) + (1 << s*i).  c_i is ``ctx.weighted_key`` of the
-    i-th unit exponent read as balanced digits in radix R = 2^r.  The key
-    is linear in e, so c.e is the key of e read in that radix; each of
-    its digits is at most the bound times the largest key entry in size,
+    i-th unit exponent read as balanced digits in radix R = 2^r, built
+    from its nonzero entries (``ctx.unit_key_columns``).  The key is
+    linear in e, so c.e is the key of e read in that radix; each of its
+    digits is at most the bound times the largest key entry in size,
     below R/2, so c.e orders exponents exactly as the key does, and so
     does the packed int.  Its low H = s*2n bits hold e itself in s-bit
     fields, which only the decoder reads."""
     width = 2 * ctx.n
-    sparse = []  # per unit exponent: places and values of its nonzero key entries
-    for i in range(width):
-        key = ctx.weighted_key((0,) * i + (1,) + (0,) * (width - 1 - i))
-        sparse.append((tuple(compress(count(len(key) - 1, -1), key)), tuple(filter(None, key))))
-    r = (2 * bound * max(abs(v) for _, digits in sparse for v in digits)).bit_length()
+    columns = ctx.unit_key_columns()
+    top = len(ctx.weighted_key((0,) * width)) - 1  # the place of the key's first entry
+    r = (2 * bound * max(abs(v) for column in columns for _, v in column)).bit_length()
     w = (bound.bit_length() + 7) // 8 or 1  # bytes per field of e, s = 8w
     low_bits = 8 * w * width
     units = [
-        (sum(v << r * k for k, v in zip(places, digits)) << low_bits) + (1 << 8 * w * i)
-        for i, (places, digits) in enumerate(sparse)
+        (sum(v << r * (top - k) for k, v in column) << low_bits) + (1 << 8 * w * i)
+        for i, column in enumerate(columns)
     ]
 
     def unpack(packed):
@@ -99,7 +121,8 @@ def _exponent_packing(ctx, bound):
 
 def truncation_witness(ctx, ops, degree_bound) -> TruncationWitness:
     """Echelonize all monomial multiples of the homogenized generators
-    with product degree at most ``degree_bound``.
+    with product degree at most ``degree_bound``, and return the birth
+    degree of every plain lead.
 
     t is central of weight 0, so the row of t^k x^a D^beta and g is t^k
     times the row of x^a D^beta and g, and the graded key of (k, e) at
@@ -111,11 +134,11 @@ def truncation_witness(ctx, ops, degree_bound) -> TruncationWitness:
     every degree d from b to the bound.  Columns are plain exponents
     packed into ints (``_exponent_packing``) whose int order is the
     weighted order, so a row maps ints to int coefficients, its lead is
-    ``max(row)`` and only a pivot's lead is ever decoded.
+    ``max(row)`` and nothing is decoded here.
 
     The row of x^a D^beta and g is x^a (D^beta g).  The product D^beta g
     is made once per (generator, beta), with the graded product, and
-    kept; each row adds the packed x^a to its packed exponents.  No
+    kept; the a = 0 row adds nothing to its packed exponents.  No
     contraction is lost by this: contractions come only from a D of the
     left factor meeting an x of the right one, and x^a has no D.  Over
     F_p the kept product is already reduced, so a term whose weight
@@ -133,6 +156,18 @@ def truncation_witness(ctx, ops, degree_bound) -> TruncationWitness:
     it, so the span at every degree, and with it every pivot lead and its
     birth degree, is unchanged.  The a = 0 row is never skipped.
 
+    A row with a != 0 that is not skipped has every x-parent
+    x^(a - e_j) (D^beta g), a_j > 0, reduced to a pivot one degree
+    earlier, and it starts as x_j times the first one's pivot instead of
+    from the product.  This too is exact: that pivot is, up to a nonzero
+    scalar, the parent row minus a combination of rows before it, so x_j
+    times it is x^a (D^beta g) minus the x_j-shifts of those rows, each
+    before x^a (D^beta g) in the order above and within the bound.  The
+    span after every row is again unchanged, and so is every pivot lead
+    and its birth.  Packing is linear, so the shift adds the packed x_j
+    to every key of the pivot.  Each product keeps the pivots of its rows
+    of the previous degree only, keyed by packed x^a.
+
     Rows hold Python ints: each homogenized generator is first scaled by
     the d of its integer form (the lcm of its denominators over QQ, 1
     over F_p); a nonzero scalar multiple generates the same left ideal,
@@ -143,8 +178,7 @@ def truncation_witness(ctx, ops, degree_bound) -> TruncationWitness:
     stored monic (so pc = 1 and the row is never scaled); over QQ pivots
     are stored divided by their content.
     """
-    ops = [op for op in ops if not op.is_zero()]
-    gens = [homogenize(op) for op in ops]
+    gens = [homogenize(op) for op in ops if not op.is_zero()]
     for g in gens:
         check_n(ctx, g)
         if graded_degree(g) > degree_bound:
@@ -172,26 +206,29 @@ def truncation_witness(ctx, ops, degree_bound) -> TruncationWitness:
 
     one = fld.one()
     no_d = (0,) * n
-    products = []  # (degree, D^beta g as (packed plain exponent, int coefficient) terms, packed x^a of zero rows)
+    products = []  # [degree, D^beta g as (packed plain exponent, int coefficient) terms, parent pivots]
     for g in gens:
         d = graded_degree(g)
         for beta in _monomials_up_to(n, degree_bound - d):
             # beta comes from _monomials_up_to, so the key is well formed
             product = HomogOperator._trusted(n, {(0,) + no_d + beta: one}, fld) * g
             terms = [(_pack(units, e[1:]), c.numerator) for e, c in product.terms.items()]
-            products.append((d + sum(beta), terms, set()))
+            products.append([d + sum(beta), terms, {}])
 
     pivots = {}  # packed lead -> reduced row
     born = {}  # packed lead -> degree of the row that made it
     for degree in range(degree_bound + 1):
-        for top, terms, zeros in products:
+        for product in products:
+            top, terms, parents = product
             if top > degree:
                 continue
+            reduced = product[2] = {}  # packed x^a -> pivot of the row x^a (D^beta g), at this degree
             for a, below in shifts[degree - top]:
-                if not zeros.isdisjoint(below):
-                    zeros.add(a)
-                    continue
-                row = {a + e: c for e, c in terms}
+                if not all(map(parents.__contains__, below)):
+                    continue  # an x-parent reduced to zero or was skipped
+                # x_j times the pivot of the x-parent x^(a - e_j) (D^beta g), or at a = 0 the product
+                start, shift = (parents[below[0]].items(), a - below[0]) if below else (terms, a)
+                row = {k + shift: v for k, v in start}
                 while row:
                     lead = max(row)
                     c = row[lead]
@@ -199,10 +236,11 @@ def truncation_witness(ctx, ops, degree_bound) -> TruncationWitness:
                     if pivot is None:
                         if p:
                             inv = pow(c, -1, p)
-                            pivots[lead] = {k: v * inv % p for k, v in row.items()}
+                            row = {k: v * inv % p for k, v in row.items()}
                         else:
                             content = gcd(*row.values())
-                            pivots[lead] = {k: v // content for k, v in row.items()}
+                            row = {k: v // content for k, v in row.items()}
+                        pivots[lead] = reduced[a] = row
                         born[lead] = degree
                         break
                     pc = pivot[lead]
@@ -219,14 +257,7 @@ def truncation_witness(ctx, ops, degree_bound) -> TruncationWitness:
                             row[k] = s
                         else:  # b and v are nonzero (mod p), so k was in the row
                             del row[k]
-                else:
-                    zeros.add(a)
-    leading = {
-        (d - sum(e),) + e
-        for e, birth in zip(map(unpack, born), born.values())
-        for d in range(birth, degree_bound + 1)
-    }
-    return TruncationWitness(degree_bound, frozenset(leading), len(leading))
+    return TruncationWitness(degree_bound, born, (units, unpack))
 
 
 @dataclass(frozen=True)
@@ -244,26 +275,43 @@ def oracle_pipeline_agree(ctx, ops, report, degree_bound) -> AgreementReport:
     The witness must hold (k, e) exactly when a lead of the report's
     ``homog_basis`` divides it and k + |e| is at most the bound: for each
     plain e, every k from k_e, the least t power a basis lead divides, to
-    bound - |e|.  The staircase must be the minimal projected leads."""
-    witness = truncation_witness(ctx, ops, degree_bound)
-    leads = [leading_term(ctx, g).exponent for g in report.homog_basis]
-    least = {}  # plain exponent e -> k_e
-    for lead in leads:
-        k, e = lead[0], lead[1:]
-        for s in _monomials_up_to(2 * ctx.n, degree_bound - sum(lead)):
-            m = vec_add(e, s)
-            if least.get(m, k + 1) > k:
-                least[m] = k
+    bound - |e|.  The staircase must be the minimal projected leads.
 
-    found = witness.leading_exponents
-    stray = sorted(m for m in found if sum(m) > degree_bound or m[0] < least.get(m[1:], degree_bound + 1))
-    mismatches = [("witness lead is no multiple of a basis lead", m) for m in stray]
-    if len(found) - len(mismatches) != sum(degree_bound - sum(e) - k + 1 for e, k in least.items()):
+    Both sides are compared as birth maps over packed plain exponents,
+    with the witness's own packing.  The witness's graded leads at a
+    plain e are (k, e) for k from births[e] - |e| to bound - |e|, and the
+    multiples of basis leads at e are those for k from k_e to the same
+    top; so the two sets are equal exactly when the births are
+    {e: k_e + |e|}, with an entry only where k_e + |e| is at most the
+    bound.  A lead (k, e0) gives each plain multiple e0 + s with
+    k + |e0| + |s| at most the bound the birth k + |e0| + |s|, and the
+    least map keeps the smallest over all leads: at a given plain
+    exponent that is the one of least k, so the leads are written in
+    decreasing order and the last write stands.  The packed s of each
+    extra degree j are the sums of ``combinations_with_replacement`` of
+    the units, for j up to the bound less the smallest lead degree, so
+    only multiples are enumerated, never every monomial up to the bound.
+    Exponents are decoded only on a mismatch, to report the graded leads
+    on either side alone."""
+    witness = truncation_witness(ctx, ops, degree_bound)
+    units = witness.packing[0]
+    leads = [leading_term(ctx, g).exponent for g in report.homog_basis]
+    reach = degree_bound - min(map(sum, leads), default=degree_bound)  # the most extra degrees a multiple takes
+    steps = [list(map(sum, combinations_with_replacement(units, j))) for j in range(reach + 1)]
+    least = {}  # packed plain multiple e of a basis lead -> k_e + |e|
+    for lead in sorted(leads, reverse=True):
+        base = _pack(units, lead[1:])
+        for birth, step in zip(range(sum(lead), degree_bound + 1), steps):
+            least.update(dict.fromkeys(map(base.__add__, step), birth))
+
+    mismatches = []
+    if witness.births != least:
+        found = witness.leading_exponents
+        wanted = TruncationWitness(degree_bound, least, witness.packing).leading_exponents
+        mismatches = [("witness lead is no multiple of a basis lead", m) for m in sorted(found - wanted)]
         mismatches += [
-            ("multiple of a basis lead missing from the witness", (d,) + e)
-            for e, k in sorted(least.items())
-            for d in range(k, degree_bound - sum(e) + 1)
-            if (d,) + e not in found
+            ("multiple of a basis lead missing from the witness", m)
+            for m in sorted(wanted - found, key=itemgetter(slice(1, None), 0))  # by plain exponent, then t power
         ]
     if report.staircase != minimal_staircase(project_exponent(lead) for lead in leads):
         mismatches.append(("staircase is not the projection of the basis leads", report.staircase))
@@ -306,12 +354,10 @@ def random_polynomial(rng, n, terms=3, degree=3, coeff=5, fld=QQ):
 
 
 def random_linear_form(rng, n, bound=2):
-    p = []
-    q = []
+    p, q = [], []
     for _ in range(n):
-        pi = rng.randint(-bound, bound)
-        p.append(pi)
-        q.append(rng.randint(max(-pi, -bound), bound))
+        p.append(rng.randint(-bound, bound))
+        q.append(rng.randint(max(-p[-1], -bound), bound))
     return LinearForm(tuple(p), tuple(q))
 
 
@@ -327,13 +373,7 @@ def _random_exponent(rng, width, degree):
 
 def _random_split(rng, width, total):
     cuts = sorted(rng.randint(0, total) for _ in range(width - 1))
-    parts = []
-    prev = 0
-    for c in cuts:
-        parts.append(c - prev)
-        prev = c
-    parts.append(total - prev)
-    return tuple(parts)
+    return tuple(map(sub, cuts + [total], [0] + cuts))
 
 
 FUZZ_N_MAX = 2
@@ -354,8 +394,8 @@ class FuzzReport:
 
 
 DEFAULT_OPS = {
-    "weyl_mul": lambda a, b: a * b,
-    "homog_mul": lambda a, b: a * b,
+    "weyl_mul": mul,
+    "homog_mul": mul,
     "apply": lambda op, f: op.apply(f),
 }
 

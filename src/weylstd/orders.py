@@ -177,6 +177,19 @@ class OrderContext:
         """Integer tuple key for a flat 2n exponent under the weighted order."""
         return (self.form.value(m),) + self.tiebreak.key(m)
 
+    def unit_key_columns(self):
+        """``weighted_key`` of each unit exponent as its nonzero (index,
+        value) entries, in O(n) all told: the weight, the degree unless the
+        tiebreak is lex, and the one entry ``TieBreak.shape`` gives it."""
+        kind, perm = self.tiebreak.kind, self.tiebreak.perm
+        graded = kind != "lex"
+        place = {i: k for k, i in enumerate(perm if kind == "degrevlex" else perm[::-1], 1 + graded)}
+        last = -1 if kind == "degrevlex" else 1
+        return [
+            ((0, w),) * (w != 0) + ((1, 1),) * graded + ((place[i], last),)
+            for i, w in enumerate(self.form.p + self.form.q)
+        ]
+
     def graded_key(self, m):
         """Integer tuple key for a flat (k, a, b) exponent: degree first."""
         weight = sum(map(mul, self._graded_weights, m))

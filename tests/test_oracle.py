@@ -74,9 +74,13 @@ def _reference_witness(ctx, ops, degree_bound):
     return frozenset(pivots), len(pivots)
 
 
+def _seen(witness):
+    """What the reference gives of a witness: its leading exponents and rank."""
+    return witness.leading_exponents, witness.matrix_rank
+
+
 def _assert_witness_matches_reference(ctx, ops, bound):
-    witness = truncation_witness(ctx, ops, bound)
-    assert (witness.leading_exponents, witness.matrix_rank) == _reference_witness(ctx, ops, bound)
+    assert _seen(truncation_witness(ctx, ops, bound)) == _reference_witness(ctx, ops, bound)
 
 
 def _projected_leads(ctx, ops, degree_bound):
@@ -189,24 +193,31 @@ def test_witness_matches_reference_on_random_ideals(fld):
             ]
         top = max((graded_degree(homogenize(op)) for op in ops if not op.is_zero()), default=0)
         _assert_witness_matches_reference(ctx, ops, top + (3 if n == 1 else 2))
+    # n = 3, with random forms and tiebreaks, at bound 4
+    rng = random.Random(f"witness-n3-draws:{fld!r}")
+    for _ in range(3):
+        ctx = OrderContext(random_linear_form(rng, 3), random_tiebreak(rng, 3))
+        _assert_witness_matches_reference(ctx, [_draw_small(rng, 3, fld) for _ in range(rng.randint(1, 3))], 4)
 
 
-@pytest.mark.parametrize("fld", [QQ, PrimeField(2), PrimeField(3)], ids=lambda f: repr(f))
+def _draw_small(rng, n, fld):
+    """A random nonzero operator of total degree at most 2."""
+    while True:
+        op = random_weyl(rng, n, terms=3, degree=1, coeff=6, fld=fld)
+        if not op.is_zero() and op.total_degree() <= 2:
+            return op
+
+
+@pytest.mark.parametrize("fld", [QQ, PrimeField(2), PrimeField(3), PrimeField(32003)], ids=lambda f: repr(f))
 def test_witness_matches_reference_on_random_ideals_in_three_variables(fld):
     # two or three generators of degree at most 2 at bound 5: the skip of
-    # zero rows' x-shifts then runs across products of different
-    # generators and betas
-    def draw():
-        while True:
-            op = random_weyl(rng, 3, terms=3, degree=1, coeff=6, fld=fld)
-            if not op.is_zero() and op.total_degree() <= 2:
-                return op
-
+    # zero rows' x-shifts and the start from a reduced x-parent then run
+    # across products of different generators and betas
     rng = random.Random(f"witness-n3:{fld!r}")
     skipped = 0
     for _ in range(4):
         ctx = OrderContext(random_linear_form(rng, 3), random_tiebreak(rng, 3))
-        ops = [draw() for _ in range(rng.randint(2, 3))]
+        ops = [_draw_small(rng, 3, fld) for _ in range(rng.randint(2, 3))]
         _assert_witness_matches_reference(ctx, ops, 5)
         skipped += sum(_witness_skips(ctx, ops, 5))
     assert skipped > 0
@@ -223,10 +234,21 @@ GKZ3_FORMS = [
 ]
 
 
-@pytest.mark.parametrize("fld", [QQ, PrimeField(2), PrimeField(3), PrimeField(7)], ids=lambda f: repr(f))
+@pytest.mark.parametrize(
+    "fld", [QQ, PrimeField(2), PrimeField(3), PrimeField(7), PrimeField(32003)], ids=lambda f: repr(f)
+)
 @pytest.mark.parametrize("form", GKZ3_FORMS, ids=["order", "bernstein", "v_form", "l_form"])
 def test_witness_matches_reference_on_gkz3(form, fld):
     _assert_witness_matches_reference(OrderContext(form), _gens(3, *GKZ3, fld=fld), 6)
+
+
+# A second beta, off the resonance hyperplanes of A = [[1,1,1],[0,1,2]].
+GKZ3_SECOND_BETA = ("D1*D3 - D2^2", "x1*D1 + x2*D2 + x3*D3 - 8/7", "x2*D2 + 2*x3*D3 - 19/13")
+
+
+@pytest.mark.parametrize("form", GKZ3_FORMS, ids=["order", "bernstein", "v_form", "l_form"])
+def test_witness_matches_reference_on_gkz3_at_a_second_beta(form):
+    _assert_witness_matches_reference(OrderContext(form), _gens(3, *GKZ3_SECOND_BETA), 8)
 
 
 @pytest.mark.parametrize(
@@ -252,30 +274,75 @@ def test_witness_matches_reference_on_mixed_degrees(fld, bound):
 
 
 # Two faults in carrying pivots up through t, each as (the code as
-# written, the faulty code): the pivot map reset at each degree, and a
-# lead recorded only at the degree where its pivot is born.
+# written, the faulty code): the pivot map reset at each degree, in the
+# witness, and a lead derived only at the degree where its pivot is born,
+# in ``TruncationWitness.leading_exponents``.
 CARRY_FAULTS = {
     "reset-pivots": (
         "    for degree in range(degree_bound + 1):\n",
         "    for degree in range(degree_bound + 1):\n        pivots = {}\n",
     ),
-    "lead-at-birth-only": ("for d in range(birth, degree_bound + 1)", "for d in (birth,)"),
+    "lead-at-birth-only": ("for d in range(birth, max(birth, self.degree_bound) + 1)", "for d in (birth,)"),
 }
+# The agreement compares births and never reads the derived leads, so
+# it is shown instead what the second fault amounts to in the births:
+# a birth recorded one degree late.
+BIRTH_A_DEGREE_LATE = ("born[lead] = degree\n", "born[lead] = degree + 1\n")
 
 # The skip of x-shifts of zero rows, as written, and the same test
 # recording each row's verdict in ``skips``.
-SKIP_TEST = "if not zeros.isdisjoint(below):"
-COUNTED_SKIP_TEST = "if skips.append(not zeros.isdisjoint(below)) or skips[-1]:"
+SKIP_TEST = "if not all(map(parents.__contains__, below)):"
+COUNTED_SKIP_TEST = "if skips.append(not all(map(parents.__contains__, below))) or skips[-1]:"
+
+# The start of a row from the pivot of its x-parent, as written, and the
+# same test recording whether each row built took it.
+REUSE_TEST = " if below else (terms, a)"
+COUNTED_REUSE_TEST = " if reused.append(bool(below)) or below else (terms, a)"
+NO_REUSE = (REUSE_TEST, " if False else (terms, a)")
+
+# Faults in the row reuse, each as edits (the code as written, the
+# faulty code): the parent's pivot shifted by x1 whatever the parent,
+# and one parent map per degree shared by every product.
+REUSE_FAULTS = {
+    "shift-by-x1": [("a - below[0]", "x_units[0]")],
+    "parents-across-products": [
+        ("    pivots = {}  # packed lead -> reduced row\n", "    pivots = {}  # packed lead -> reduced row\n    shared = {}\n"),
+        ("reduced = product[2] = {}", "reduced = product[2] = shared.setdefault(degree, {})"),
+    ],
+}
+# The parent maps kept for every degree instead of the last one.
+PARENTS_OF_EVERY_DEGREE = ("reduced = product[2] = {}", "reduced = parents")
 
 
-def _faulty_witness(written, faulty, **names):
-    """``truncation_witness`` rebuilt from its source with ``written``
-    replaced by ``faulty``, seeing ``names`` as globals."""
-    source = textwrap.dedent(inspect.getsource(oracle.truncation_witness))
-    assert source.count(written) == 1, f"truncation_witness no longer reads {written!r}"
+def _rebuilt(target, *edits, **names):
+    """``target``, a function or class of ``oracle``, rebuilt from its
+    source with each (written, faulty) of ``edits`` replaced, seeing
+    ``names`` as globals."""
+    source = textwrap.dedent(inspect.getsource(target))
+    for written, faulty in edits:
+        assert source.count(written) == 1, f"{target.__name__} no longer reads {written!r}"
+        source = source.replace(written, faulty)
     namespace = dict(vars(oracle), **names)
-    exec(compile(source.replace(written, faulty), "<faulty truncation_witness>", "exec"), namespace)
-    return namespace["truncation_witness"]
+    exec(compile(source, f"<faulty {target.__name__}>", "exec"), namespace)
+    return namespace[target.__name__]
+
+
+def _faulty_witness(*edits, **names):
+    """``truncation_witness`` rebuilt with ``edits``."""
+    return _rebuilt(oracle.truncation_witness, *edits, **names)
+
+
+def _assert_agreement_refuses(monkeypatch, faulty, fld):
+    """The agreement check accepts the real witness and refuses
+    ``faulty`` on its own, under every form, on GKZ3 at bound 6."""
+    ops = _gens(3, *GKZ3, fld=fld)
+    for form in GKZ3_FORMS:
+        ctx = OrderContext(form)
+        report = compute_standard_basis(ctx, ops)
+        assert oracle_pipeline_agree(ctx, ops, report, 6).ok
+        monkeypatch.setattr(oracle, "truncation_witness", faulty)
+        assert not oracle_pipeline_agree(ctx, ops, report, 6).ok, form
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("fld", [QQ, PrimeField(7)], ids=lambda f: repr(f))
@@ -283,31 +350,23 @@ def _faulty_witness(written, faulty, **names):
 def test_witness_carry_faults_disagree_with_reference(monkeypatch, fld, fault):
     ctx = OrderContext(GKZ3_FORMS[0])
     ops = _gens(3, *GKZ3, fld=fld)
-
-    def seen(witness):
-        out = witness(ctx, ops, 6)
-        return out.leading_exponents, out.matrix_rank
-
     expected = _reference_witness(ctx, ops, 6)
-    faulty = _faulty_witness(*CARRY_FAULTS[fault])
-    assert seen(truncation_witness) == expected
-    assert seen(faulty) != expected
-
-    # the agreement check refuses the faulty witness on its own, under
-    # every form, and accepts the real one
-    for form in GKZ3_FORMS:
-        form_ctx = OrderContext(form)
-        report = compute_standard_basis(form_ctx, ops)
-        assert oracle_pipeline_agree(form_ctx, ops, report, 6).ok
-        monkeypatch.setattr(oracle, "truncation_witness", faulty)
-        assert not oracle_pipeline_agree(form_ctx, ops, report, 6).ok, form
-        monkeypatch.undo()
+    real = truncation_witness(ctx, ops, 6)
+    assert _seen(real) == expected
+    if fault == "reset-pivots":
+        faulty = _faulty_witness(CARRY_FAULTS[fault])
+    else:
+        derived = _rebuilt(oracle.TruncationWitness, CARRY_FAULTS[fault])
+        assert _seen(derived(real.degree_bound, real.births, real.packing)) != expected
+        faulty = _faulty_witness(BIRTH_A_DEGREE_LATE)
+    assert _seen(faulty(ctx, ops, 6)) != expected
+    _assert_agreement_refuses(monkeypatch, faulty, fld)
 
 
 def _witness_skips(ctx, ops, bound):
     """The skip verdict of every row the witness reaches, in order."""
     skips = []
-    _faulty_witness(SKIP_TEST, COUNTED_SKIP_TEST, skips=skips)(ctx, ops, bound)
+    _faulty_witness((SKIP_TEST, COUNTED_SKIP_TEST), skips=skips)(ctx, ops, bound)
     return skips
 
 
@@ -317,24 +376,52 @@ def test_witness_skips_x_shifts_of_zero_rows_on_gkz3(bound, rows, skipped):
     ops = _gens(3, *GKZ3)
     skips = _witness_skips(ctx, ops, bound)
     assert (len(skips), sum(skips)) == (rows, skipped)
-    # with the skip removed every row is built, and the witness is the same
-    unskipped = _faulty_witness(SKIP_TEST, "if False:")(ctx, ops, bound)
+    # with the skip and the reuse removed every row is built from its
+    # product, and the witness is the same
+    unskipped = _faulty_witness((SKIP_TEST, "if False:"), NO_REUSE)(ctx, ops, bound)
     assert unskipped == truncation_witness(ctx, ops, bound)
 
 
 @pytest.mark.parametrize("fld", [QQ, PrimeField(7)], ids=lambda f: repr(f))
 @pytest.mark.parametrize("form", GKZ3_FORMS, ids=["order", "bernstein", "v_form", "l_form"])
 def test_witness_marking_every_row_zero_disagrees(monkeypatch, form, fld):
-    # a row that became a pivot marked zero as well: its x-shifts are
-    # skipped although they may hold new leads
+    # a row that became a pivot is not kept as a parent, as if it reduced
+    # to zero: its x-shifts are skipped although they may hold new leads
     ctx = OrderContext(form)
     ops = _gens(3, *GKZ3, fld=fld)
-    faulty = _faulty_witness("                else:\n                    zeros.add(a)\n", "                zeros.add(a)\n")
-    out = faulty(ctx, ops, 6)
-    assert (out.leading_exponents, out.matrix_rank) != _reference_witness(ctx, ops, 6)
+    faulty = _faulty_witness(("pivots[lead] = reduced[a] = row", "pivots[lead] = row"))
+    assert _seen(faulty(ctx, ops, 6)) != _reference_witness(ctx, ops, 6)
     report = compute_standard_basis(ctx, ops)
     monkeypatch.setattr(oracle, "truncation_witness", faulty)
     assert not oracle_pipeline_agree(ctx, ops, report, 6).ok
+
+
+@pytest.mark.parametrize("bound, rows, skipped", [(6, 630, 54), (8, 2772, 507)])
+def test_witness_rows_start_from_reduced_x_parents_on_gkz3(bound, rows, skipped):
+    # every row built past a = 0 starts from its x-parent's pivot: all
+    # rows but the skipped ones and the one a = 0 row of each product
+    ctx = OrderContext(GKZ3_FORMS[0])
+    ops = _gens(3, *GKZ3)
+    reused = []
+    witness = _faulty_witness((REUSE_TEST, COUNTED_REUSE_TEST), reused=reused)(ctx, ops, bound)
+    products = sum(math.comb(3 + bound - graded_degree(homogenize(op)), 3) for op in ops)
+    assert (len(reused), sum(reused)) == (rows - skipped, rows - skipped - products)
+    assert witness == truncation_witness(ctx, ops, bound)
+    # with the reuse removed every row starts from its product, and the
+    # witness is the same; so it is when the parent maps keep every degree,
+    # since the packed x^a of different degrees never collide
+    assert _faulty_witness(NO_REUSE)(ctx, ops, bound) == witness
+    assert _faulty_witness(PARENTS_OF_EVERY_DEGREE)(ctx, ops, bound) == witness
+
+
+@pytest.mark.parametrize("fld", [QQ, PrimeField(7)], ids=lambda f: repr(f))
+@pytest.mark.parametrize("fault", sorted(REUSE_FAULTS))
+def test_witness_reuse_faults_disagree_with_reference(monkeypatch, fld, fault):
+    ctx = OrderContext(GKZ3_FORMS[0])
+    ops = _gens(3, *GKZ3, fld=fld)
+    faulty = _faulty_witness(*REUSE_FAULTS[fault])
+    assert _seen(faulty(ctx, ops, 6)) != _reference_witness(ctx, ops, 6)
+    _assert_agreement_refuses(monkeypatch, faulty, fld)
 
 
 @pytest.mark.parametrize("fld", [QQ, PrimeField(2)], ids=lambda f: repr(f))
@@ -416,21 +503,30 @@ def test_agreement_catches_a_missing_basis_element(fld):
         assert "witness lead is no multiple of a basis lead" in {kind for kind, _ in agreement.mismatches}
 
 
-@pytest.mark.parametrize("edit", ["drop-top-lead", "add-lead-above-bound"])
+@pytest.mark.parametrize("edit", ["drop-top-lead", "birth-a-degree-early", "add-lead-above-bound"])
 def test_agreement_catches_a_witness_off_by_one_lead(monkeypatch, edit):
     ctx = OrderContext(LinearForm.bernstein(1))
     gens = _gens(1, "x1^3", "x1*D1 + 2")
     report = compute_standard_basis(ctx, gens)
     witness = truncation_witness(ctx, gens, 8)
-    top = max(witness.leading_exponents)
-    assert sum(top) == 8
-    if edit == "drop-top-lead":
-        leads = witness.leading_exponents - {top}
-        expected = ("multiple of a basis lead missing from the witness", top)
-    else:  # t times the top lead: a multiple of a basis lead, but of degree 9
-        leads = witness.leading_exponents | {(top[0] + 1,) + top[1:]}
-        expected = ("witness lead is no multiple of a basis lead", (top[0] + 1,) + top[1:])
-    faulty = dataclasses.replace(witness, leading_exponents=leads)
+    units, unpack = witness.packing
+    births = dict(witness.births)
+    graded = lambda m, birth: (birth - sum(unpack(m)),) + unpack(m)
+    if edit == "drop-top-lead":  # a plain lead born at the bound leads there only
+        top = max(births, key=lambda m: (births[m], m))
+        assert births.pop(top) == 8
+        expected = ("multiple of a basis lead missing from the witness", graded(top, 8))
+    elif edit == "birth-a-degree-early":  # t^2 x1^2, born at degree 4, one degree early
+        early = max(births, key=lambda m: births[m] - sum(unpack(m)))
+        assert (unpack(early), births[early]) == ((2, 0), 4)
+        births[early] = 3
+        expected = ("witness lead is no multiple of a basis lead", (1, 2, 0))
+    else:  # x1 times a plain lead born at the bound, born at degree 9
+        above = max(births, key=lambda m: (births[m], m)) + units[0]
+        assert above not in births
+        births[above] = 9
+        expected = ("witness lead is no multiple of a basis lead", graded(above, 9))
+    faulty = dataclasses.replace(witness, births=births)
     monkeypatch.setattr(oracle, "truncation_witness", lambda *args: faulty)
     assert oracle_pipeline_agree(ctx, gens, report, 8).mismatches == (expected,)
 
