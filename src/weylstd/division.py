@@ -23,7 +23,8 @@ once, by ``field.from_scaled``; over F_p that is the residue itself.
 conditions, and that every coefficient is in the field), which turns
 any bug here into a loud ``InvariantViolation`` instead of a silently
 wrong result.  The check is not cheap: the reconstruction multiplies
-out every Q_i P_i again, in ints (``_check_division``).  ``divide_unchecked``
+out every Q_i P_i again, in ints (``check_sum_of_products``, which the
+completion certificate also uses for its cofactor rows).  ``divide_unchecked``
 is the same division without it, for the completion's own divisions,
 whose output the completion certificate proves as a whole (see
 ``standard_basis``).
@@ -168,32 +169,12 @@ def _eliminate(quotient, offset, f, form, den, n, field):
 def _check_division(ctx, h, divisors, partition, quotients, remainder):
     """Refuse a division whose output is not h = sum_i Q_i*P_i + R with
     every Q_i and R over the field, each Q_i inside its region and no
-    term of R divisible by a lead.
-
-    The reconstruction runs on integer forms: with h = H/e, R = R'/e_R,
-    Q_i = Q'_i/e_i and P_i = T_i/d_i, and L the lcm of e, e_R and every
-    e_i*d_i, it tests L/e*H = L/e_R*R' + sum_i L/(e_i*d_i)*Q'_i*T_i in
-    ints.  Each form it reads is first compared with its operator term by
-    term (``_checked_form``), so a cached form that is wrong fails here."""
+    term of R divisible by a lead."""
     field = h.field
     for op in (remainder,) + quotients:
         if not all(c in field for c in op.terms.values()):
             raise InvariantViolation("division output holds a coefficient outside its field")
-    n, p = h.n, field.characteristic
-    e, terms = _checked_form(h)
-    e_r, rem = _checked_form(remainder)
-    pieces = []
-    for q, d in zip(quotients, divisors):
-        if q.terms:
-            e_q, q_terms = _checked_form(q)
-            d_i, d_terms = _checked_form(d)
-            pieces.append((e_q * d_i, _graded_product(n, p, q_terms, d_terms)))
-    common = lcm(e, e_r, *(den for den, _ in pieces))
-    total = dict(_scaled(rem, common // e_r))
-    for den, piece in pieces:
-        add_terms(total, _scaled(piece, common // den).items(), p)
-    if total != _scaled(terms, common // e):
-        raise InvariantViolation("division reconstruction failed")
+    check_sum_of_products(h, zip(quotients, divisors), remainder, "division reconstruction failed")
     for i, (q, lead) in enumerate(zip(quotients, partition.exponents)):
         for m in q.terms:
             if partition.classify(vec_add(lead, m)) != i:
@@ -205,7 +186,33 @@ def _check_division(ctx, h, divisors, partition, quotients, remainder):
             raise InvariantViolation("remainder contains a divisible monomial")
 
 
-def _checked_form(op):
+def check_sum_of_products(target, products, rest, message):
+    """Raise ``InvariantViolation(message)`` unless target = sum a*b + rest
+    over the operator pairs (a, b) of ``products``.
+
+    The sum runs on integer forms: with target = H/e, rest = R/e_R,
+    a = A/e_a and b = B/e_b, and L the lcm of e, e_R and every e_a*e_b,
+    it tests L/e*H = L/e_R*R + sum L/(e_a*e_b)*A*B in ints.  Each form it
+    reads is first compared with its operator term by term
+    (``_checked_form``), so a cached form that is wrong fails here."""
+    n, p = target.n, target.field.characteristic
+    e, terms = _checked_form(target, message)
+    e_r, rem = _checked_form(rest, message)
+    pieces = []
+    for a, b in products:
+        if a.terms:
+            e_a, a_terms = _checked_form(a, message)
+            e_b, b_terms = _checked_form(b, message)
+            pieces.append((e_a * e_b, _graded_product(n, p, a_terms, b_terms)))
+    common = lcm(e, e_r, *(den for den, _ in pieces))
+    total = dict(_scaled(rem, common // e_r))
+    for den, piece in pieces:
+        add_terms(total, _scaled(piece, common // den).items(), p)
+    if total != _scaled(terms, common // e):
+        raise InvariantViolation(message)
+
+
+def _checked_form(op, message):
     """The integer form (d, T) of ``op``, compared with ``op`` term by term:
     T[k]*den(c) = num(c)*d for each coefficient c of ``op``."""
     d, terms = op.integer_form()
@@ -214,7 +221,7 @@ def _checked_form(op):
     if terms.keys() != op.terms.keys() or any(
         terms[k] * c.denominator != c.numerator * d for k, c in op.terms.items()
     ):
-        raise InvariantViolation("division reconstruction failed: an integer form does not match its operator")
+        raise InvariantViolation(f"{message}: an integer form does not match its operator")
     return d, terms
 
 

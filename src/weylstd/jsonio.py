@@ -27,19 +27,27 @@ def operator_to_obj(op, ctx=None):
 
 
 def _from_obj(cls, data, n, field):
-    if not isinstance(data, dict) or "terms" not in data:
+    if not isinstance(data, dict) or not isinstance(data.get("terms"), list):
         raise ValueError("expected an object with a 'terms' array")
     if "n" in data and data["n"] != n:
         raise ValueError(f"operator declares n={data['n']}, context has n={n}")
+    graded = cls is HomogOperator
+    needed = {"alpha", "beta", "coeff"}
+    allowed = needed | {"k"} if graded else needed
     pairs = []
     for entry in data["terms"]:
-        alpha = tuple(entry["alpha"])
-        beta = tuple(entry["beta"])
+        # a plain operator has no t, so a "k" there is refused, not dropped
+        if not isinstance(entry, dict) or not needed <= entry.keys() <= allowed:
+            optional = " and an optional k" if graded else ""
+            raise ValueError(f"a term must be an object with keys alpha, beta and coeff{optional}")
+        alpha, beta = entry["alpha"], entry["beta"]
+        if not isinstance(alpha, list) or not isinstance(beta, list):
+            raise ValueError("term exponents alpha and beta must be arrays")
         if len(alpha) != n or len(beta) != n:
             raise ValueError(f"term has {len(alpha)}+{len(beta)} exponents, expected {n}+{n}")
         coeff = entry["coeff"]
         coeff = field.parse(coeff) if isinstance(coeff, str) else field.coerce(coeff)
-        k = (entry.get("k", 0),) if cls is HomogOperator else ()
+        k = [entry.get("k", 0)] if graded else []
         # checked before add_terms merges it, as (1,) and (True,) are one dict key
         pairs.append((cls._key(n, k + alpha + beta), coeff))
     return cls(n, add_terms({}, pairs, field.characteristic), field)

@@ -6,17 +6,19 @@ the graded companion algebra, where the order becomes a well order.
 Completion is pair-driven in the usual way, except the cancelling
 combination of two elements multiplies by monomials in t, x and D from
 the left, and there is no coprime-leads shortcut: commutators make the
-classical product criterion unsound here.  The chain criterion is
-sound (A_n[t] is a G-algebra under the graded order), so pairs are
-pruned by Gebauer and Möller's update as each element arrives, the
-inputs included: criteria M and F on the new pairs, B_k on the pending
-ones (``_PairSet``).
+classical product criterion unsound here.
 
-Pairs are processed by increasing graded degree of their lcm exponent
-(first-in first-out within a degree).  Since all inputs are homogeneous
-and every new element has the degree of the pair that produced it, a
-degree cap bounds the run; hitting it raises rather than returning a
-silently incomplete basis.
+Completion runs degree by degree.  When an element enters, the inputs
+included, each pair it forms has its lcm computed once and is filed
+under the lcm's graded degree.  At degree d the loop reduces the forest
+pairs (``_forest_pairs``) of that degree's lcms, by later element, then
+earlier one.  This is exact: an element the loop makes is fully
+reduced, so no earlier lead divides its lead, so every pair it forms
+has an lcm of higher degree than its own.  So all pairs of lcm degree d,
+and all leads that divide those lcms, are known before degree d begins.
+Since every new element has the degree of its pair, a degree cap bounds
+the run: a degree above the cap that keeps a forest pair raises rather
+than returning a silently incomplete basis.
 
 Every public entry point re-verifies its own output.  The certificate
 has four parts: the final basis is reduced (each element monic, no lead
@@ -25,15 +27,13 @@ recorded cofactors reproduce each basis element from the inputs, the
 basis passes the pair criterion, and the inputs reduce to zero against
 it.  Together they prove the output whatever the completion did on the
 way, so the completion divides through ``divide_unchecked``, while the
-certificate's own divisions are checked ones (``divide``).  The pair
-criterion reduces one spanning forest of pairs per pair lcm m
-of the final leads (``_minimal_pairs``): the leads that divide m are
-joined through pairs whose lcm lies strictly below m, and a pair of lcm
-m is reduced only when it joins two components.  The kept pairs
-generate the syzygies of the leads, which is all Buchberger's criterion
-asks for in a G-algebra such as A_n[t].  The rule reads the final leads
-alone, so that a fault in the completion's pair bookkeeping cannot hide
-itself.
+certificate's own divisions are checked ones (``divide``) and its
+cofactor sum runs in ints (``check_sum_of_products``).  The pair
+criterion reduces the forest pairs of the final leads, read from those
+leads alone (``_minimal_pairs``), so a pair the loop skipped or a
+remainder it got wrong cannot hide itself.  A fault in the rule itself
+skips the same pairs in both: the tests' slow forest and the truncation
+oracle (``oracle.oracle_pipeline_agree``) catch it, not the certificate.
 
 Each element's cofactor row is a tuple with one operator per input,
 from the moment the element enters the basis; ``_reduce`` folds the
@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from operator import sub
 
 from .errors import DegreeCapExceeded, InvariantViolation
-from .division import divide, divide_unchecked
+from .division import check_sum_of_products, divide, divide_unchecked
 from .homogenize import dehomogenize, graded_degree, homogenize, is_homogeneous, project_exponent
 from .orders import leading_term, principal_symbol
 from .weyl import HomogOperator, vec_leq, vec_max, vec_sub
@@ -113,13 +113,20 @@ def buchberger(ctx, gens, degree_cap=DEFAULT_DEGREE_CAP) -> CompletionResult:
 
     basis = []
     rows = []  # rows[i][j]: cofactor of gens[j] in basis[i]
-    pairs = _PairSet()
+    leads = []
+    lcm = {}  # (i, j) -> lcm of leads[i] and leads[j], for i < j
+    pending = {}  # lcm degree -> {lcm: its pairs (i, j), in (j, i) order}
 
     def enter(h, row):
         h, row = _monic(ctx, h, row)
+        lead = leading_term(ctx, h).exponent
+        j = len(leads)
+        for i, e in enumerate(leads):
+            m = lcm[i, j] = vec_max(e, lead)
+            pending.setdefault(sum(m), {}).setdefault(m, []).append((i, j))
         basis.append(h)
         rows.append(row)
-        pairs.add(leading_term(ctx, h).exponent)
+        leads.append(lead)
 
     for j, g in enumerate(gens):
         zero, one = HomogOperator.zero(g.n, g.field), HomogOperator.constant(g.n, 1, g.field)
@@ -128,67 +135,31 @@ def buchberger(ctx, gens, degree_cap=DEFAULT_DEGREE_CAP) -> CompletionResult:
     max_degree = max((graded_degree(g) for g in gens), default=0)
     processed = 0
     zeros = 0
-    while pairs:
-        degree, i, j = pairs.pop()
+    while pending:
+        degree = min(pending)
+        pairs = sorted(_forest_pairs(leads, lcm, pending.pop(degree)), key=lambda ij: (ij[1], ij[0]))
+        if not pairs:
+            continue
         if degree > degree_cap:
             raise DegreeCapExceeded(degree, degree_cap)
         max_degree = max(max_degree, degree)
-        processed += 1
+        for i, j in pairs:
+            processed += 1
+            lcm_ij, f_i, f_j = _pair_factors(ctx, basis[i], basis[j])
+            s = _cancel_leads(ctx, basis[i], basis[j], lcm_ij, f_i, f_j)
+            reduced = None if s.is_zero() else _reduce(ctx, s, basis, rows)
+            if reduced is None:
+                zeros += 1
+                continue
+            r, taken = reduced
+            enter(r, tuple(f_i * a - f_j * b - t for a, b, t in zip(rows[i], rows[j], taken)))
 
-        lcm, f_i, f_j = _pair_factors(ctx, basis[i], basis[j])
-        s = _cancel_leads(ctx, basis[i], basis[j], lcm, f_i, f_j)
-        reduced = None if s.is_zero() else _reduce(ctx, s, basis, rows)
-        if reduced is None:
-            zeros += 1
-            continue
-
-        r, taken = reduced
-        enter(r, tuple(f_i * a - f_j * b - t for a, b, t in zip(rows[i], rows[j], taken)))
-
+    lcm.clear()  # every pair is done with: free the map before interreduction and the certificate
     basis, rows = _interreduce(ctx, basis, rows)
     stats = CompletionStats(processed, zeros, max_degree)
     result = CompletionResult(tuple(basis), tuple(rows), stats)
     _check_completion(ctx, gens, result)
     return result
-
-
-class _PairSet:
-    """The pending pairs of a completion, pruned by Gebauer and Möller's
-    update as each element arrives, and popped by (lcm degree, arrival).
-
-    A new pair (k, new) is kept only when no other new pair's lcm
-    strictly divides its lcm (criterion M) and no earlier new pair has
-    the same lcm (criterion F).  A pending pair (i, j) is dropped when
-    the new lead divides its lcm and neither (i, new) nor (j, new) has
-    that lcm (criterion B_k).  All three are instances of the chain
-    criterion.  There is no product criterion: it is unsound here.
-
-    The pending map is the queue; ``pop`` scans its few dozen pairs."""
-
-    def __init__(self):
-        self._leads = []
-        self._lcms = {}  # pending (i, j) -> lcm of their leads
-
-    def __bool__(self):
-        return bool(self._lcms)
-
-    def add(self, lead):
-        new = len(self._leads)
-        lcms = [vec_max(e, lead) for e in self._leads]
-        for (i, j), m in list(self._lcms.items()):
-            if vec_leq(lead, m) and lcms[i] != m and lcms[j] != m:
-                del self._lcms[i, j]
-        for k, m in enumerate(lcms):
-            if any(vec_leq(m2, m) and (m2 != m or k2 < k) for k2, m2 in enumerate(lcms) if k2 != k):
-                continue
-            self._lcms[k, new] = m
-        self._leads.append(lead)
-
-    def pop(self):
-        """The next pending pair as (degree, i, j)."""
-        lcms = self._lcms
-        i, j = min(lcms, key=lambda ij: (sum(lcms[ij]), ij[1], ij[0]))
-        return sum(lcms.pop((i, j))), i, j
 
 
 def _reduce(ctx, h, divisors, rows):
@@ -245,11 +216,8 @@ def _check_completion(ctx, gens, result):
     basis = result.basis
     _check_reduced(ctx, basis)
     for b, row in zip(basis, result.cofactors):
-        total = HomogOperator.zero(b.n, b.field)
-        for c, g in zip(row, gens):
-            total = total + c * g
-        if total != b:
-            raise InvariantViolation("cofactor bookkeeping does not reproduce the basis")
+        zero = HomogOperator.zero(b.n, b.field)
+        check_sum_of_products(b, zip(row, gens), zero, "cofactor bookkeeping does not reproduce the basis")
     _check_pairs(ctx, basis)
     for g in gens:
         if not divide(ctx, g, basis).remainder.is_zero():
@@ -282,30 +250,38 @@ def _check_pairs(ctx, basis):
 
 def _minimal_pairs(leads):
     """The pairs (i, j) of ``leads`` whose semisyzygies the certificate
-    reduces: one spanning forest per lcm m of the pairs.
-
-    The vertices at m are the leads that divide m.  Two of them are
-    joined when their lcm lies strictly below m; a pair whose lcm equals
-    m joins nothing.  The pairs of lcm m, taken in (i, j) order, are
-    kept when they join two components not joined yet.  A pair that is
-    not kept has its ends linked by a path of kept pairs of lcm m and of
-    pairs of strictly smaller lcm, and its syzygy of leading monomials
-    is the sum of theirs, each lifted by a monomial onto m.  So the kept
-    pairs generate the syzygies of the leads (for minimal leads, as a
-    reduced basis has, the count per m is the first Betti number of the
-    lead ideal there: Miller and Sturmfels, Combinatorial Commutative
-    Algebra, Thm 1.34), and by induction on lcm divisibility every pair has a
-    standard representation once the kept ones reduce to zero, the same
-    argument as the chain criterion's.  Read from the final leads alone,
-    with nothing taken from the completion's own pair bookkeeping."""
-    if len(leads) < 2:
-        return []
+    reduces: ``_forest_pairs`` over every pair lcm of the final leads,
+    read from the leads alone, with nothing taken from the completion's
+    own pair bookkeeping."""
     lcm = {}
     by_lcm = {}
     for i, a in enumerate(leads):
         for j in range(i + 1, len(leads)):
             m = lcm[i, j] = vec_max(a, leads[j])
             by_lcm.setdefault(m, []).append((i, j))
+    return sorted(_forest_pairs(leads, lcm, by_lcm))
+
+
+def _forest_pairs(leads, lcm, by_lcm):
+    """The pairs to reduce at the lcms in ``by_lcm``: one spanning forest
+    per lcm m, where ``lcm[i, j]`` (i < j) holds the lcm of every pair of
+    ``leads`` and ``by_lcm[m]`` the pairs of lcm m.
+
+    The vertices at m are the leads that divide m.  Two of them are
+    joined when their lcm lies strictly below m; a pair whose lcm equals
+    m joins nothing.  The pairs of lcm m, taken in the order
+    ``by_lcm[m]`` lists them, are kept when they join two components not
+    joined yet.  A pair that is not kept has its ends linked by a path of
+    kept pairs of lcm m and of pairs of strictly smaller lcm, and its
+    syzygy of leading monomials is the sum of theirs, each lifted by a
+    monomial onto m.  So the kept pairs generate the syzygies of the
+    leads (for minimal leads, as a reduced basis has, the count per m is
+    the first Betti number of the lead ideal there: Miller and
+    Sturmfels, Combinatorial Commutative Algebra, Thm 1.34), and by
+    induction on lcm divisibility every pair has a standard
+    representation once the kept ones reduce to zero, the same argument
+    as the chain criterion's, which is sound in a G-algebra such as
+    A_n[t] (forests of pairs: Caboara, Kreuzer and Robbiano, JSC 2004)."""
 
     def find(k):
         while root[k] != k:
@@ -325,7 +301,7 @@ def _minimal_pairs(leads):
             if ri != rj:
                 root[ri] = rj
                 kept.append((i, j))
-    return sorted(kept)
+    return kept
 
 
 @dataclass(frozen=True)

@@ -98,6 +98,31 @@ def test_shape_errors():
         homog_from_obj({"n": 1, "terms": [{"k": True, "alpha": [0], "beta": [0], "coeff": 1}]}, 1)
 
 
+TERM = {"alpha": [0], "beta": [1], "coeff": "1"}
+
+
+@pytest.mark.parametrize(
+    "reader, terms",
+    [
+        (weyl_from_obj, {"alpha": [0], "beta": [1]}),
+        (weyl_from_obj, {"alpha": [0], "coeff": "1"}),
+        (homog_from_obj, {"k": 0, "beta": [1], "coeff": "1"}),
+        (weyl_from_obj, [TERM, "x1"]),
+        (weyl_from_obj, "x1"),
+        (weyl_from_obj, {"alpha": 0, "beta": [1], "coeff": "1"}),
+        (homog_from_obj, {"k": 0, "alpha": [0], "beta": "1", "coeff": "1"}),
+        # a plain reader refuses a t power instead of merging it away
+        (weyl_from_obj, dict(TERM, k=1)),
+        (weyl_from_obj, dict(TERM, k=-1)),
+        (homog_from_obj, dict(TERM, k=-1)),
+        (weyl_from_obj, dict(TERM, note="")),
+    ],
+)
+def test_malformed_terms_are_value_errors(reader, terms):
+    with pytest.raises(ValueError):
+        reader({"n": 1, "terms": terms if isinstance(terms, (list, str)) else [terms]}, 1)
+
+
 FOREIGN_COEFFS = [1.5, True, None, [1], "1.5", "1e2", "1_0", "3/-2", "1/0"]
 
 

@@ -15,6 +15,7 @@ from weylstd import (
     OrderContext,
     PrimeField,
     QQ,
+    TieBreak,
     WeylOperator,
     buchberger,
     compute_standard_basis,
@@ -169,6 +170,8 @@ def test_prime_field_run():
         assert all(type(c) is int and 0 <= c < 5 for c in g.terms.values())
 
 
+TWO_GENERATORS = ("x1^2*D1 - 1", "D1^2 + x1")
+
 # GKZ system H_A(beta) for A = [[1,1,1],[0,1,2]], beta = (3/5, 7/11)
 GKZ3 = ("D1*D3 - D2^2", "x1*D1 + x2*D2 + x3*D3 - 3/5", "x2*D2 + 2*x3*D3 - 7/11")
 
@@ -208,6 +211,12 @@ def test_gkz4_pair_counts_are_pinned():
     assert len(standard_basis._minimal_pairs(leads)) == 79
 
 
+def test_gkz4_lex_pair_counts_are_pinned():
+    ctx = OrderContext(LinearForm.order(4), TieBreak("lex", tuple(range(8))))
+    report = compute_standard_basis(ctx, [parse_operator(text, 4) for text in GKZ4])
+    assert report.stats == CompletionStats(142, 111, 13)
+
+
 F32003 = PrimeField(32003)
 
 
@@ -245,33 +254,51 @@ def test_gkz5_certificate_pair_count_is_pinned():
     assert len(standard_basis._minimal_pairs(leads)) == 136
 
 
-def test_pair_set_pops_by_degree_then_arrival():
-    # leads of degrees 1-3, many pairs tied in lcm degree, so the arrival
-    # order (j, i) decides among them; criteria M, F and B_k prune some
-    pairs = standard_basis._PairSet()
-    for lead in [(0, 3, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1), (2, 0, 0), (0, 2, 1)]:
-        pairs.add(lead)
-    popped = []
-    while pairs:
-        popped.append(pairs.pop())
-    assert popped == [(2, 1, 3), (3, 1, 2), (3, 1, 4), (3, 2, 4), (3, 1, 5), (4, 0, 1), (4, 0, 2)]
+def _loop_pairs(monkeypatch, ctx, gens):
+    """Run ``buchberger`` on ``gens`` and return the (lcm degree, i, j) of
+    each pair its loop reduced, in order, where i and j count the
+    elements in the order they entered the basis."""
+    entered, reduced, in_loop = [], [], [True]
+    monic, pair_factors, interreduce = (
+        standard_basis._monic, standard_basis._pair_factors, standard_basis._interreduce
+    )
 
-    # pops between arrivals: a pair pending alone leaves first whatever its degree
-    pairs = standard_basis._PairSet()
-    popped = []
-    leads = [
-        (0, 1, 0, 0, 1), (0, 0, 1, 1, 0), (0, 1, 1, 0, 0), (0, 0, 0, 1, 1),
-        (1, 0, 0, 0, 1), (0, 1, 0, 1, 0), (0, 0, 1, 0, 1),
+    def entering(ctx, h, row):
+        out = monic(ctx, h, row)
+        if in_loop:
+            entered.append(out[0])
+        return out
+
+    def recording(ctx, h1, h2):
+        out = pair_factors(ctx, h1, h2)
+        if in_loop:
+            i, j = (next(k for k, e in enumerate(entered) if e is h) for h in (h1, h2))
+            reduced.append((sum(out[0]), i, j))
+        return out
+
+    def leaving(*args):
+        in_loop.clear()
+        return interreduce(*args)
+
+    monkeypatch.setattr(standard_basis, "_monic", entering)
+    monkeypatch.setattr(standard_basis, "_pair_factors", recording)
+    monkeypatch.setattr(standard_basis, "_interreduce", leaving)
+    buchberger(ctx, gens)
+    return reduced
+
+
+def test_loop_reduces_forest_pairs_by_degree_then_arrival(monkeypatch):
+    # within a degree the forest pairs go by their later element, then
+    # their earlier one: the order in which the pairs arose
+    gens = [homogenize(parse_operator(t, 1)) for t in TWO_GENERATORS]
+    assert _loop_pairs(monkeypatch, _ctx(), gens) == [
+        (4, 0, 1), (5, 0, 2), (5, 1, 2), (6, 1, 3), (6, 2, 3), (6, 0, 4),
+        (7, 0, 5), (7, 4, 5), (7, 2, 6), (8, 5, 6), (8, 3, 7), (8, 6, 7),
     ]
-    for k, lead in enumerate(leads):
-        pairs.add(lead)
-        if k % 2:
-            popped.append(pairs.pop())
-    while pairs:
-        popped.append(pairs.pop())
-    assert popped == [
-        (4, 0, 1), (3, 0, 2), (3, 1, 2), (3, 0, 3), (3, 1, 3), (3, 0, 4),
-        (3, 3, 4), (3, 0, 5), (3, 1, 5), (3, 0, 6), (3, 1, 6), (3, 4, 6),
+    gens = [homogenize(parse_operator(t, 3)) for t in GKZ3]
+    assert _loop_pairs(monkeypatch, _ctx(3), gens) == [
+        (2, 1, 2), (3, 0, 3), (4, 0, 1), (4, 1, 3), (4, 1, 4), (4, 3, 4),
+        (5, 0, 5), (5, 1, 5), (5, 3, 5), (6, 3, 6), (6, 4, 6),
     ]
 
 
@@ -316,10 +343,24 @@ def test_injected_cofactor_fault_is_caught(monkeypatch):
 
     monkeypatch.setattr(standard_basis, "_reduce", dropping_reduce)
     ctx = _ctx()
-    gens = [homogenize(parse_operator(t, 1)) for t in ("x1^2*D1 - 1", "D1^2 + x1")]
+    gens = [homogenize(parse_operator(t, 1)) for t in TWO_GENERATORS]
     with pytest.raises(InvariantViolation, match="cofactor bookkeeping"):
         buchberger(ctx, gens)
     assert fired
+
+
+def test_wrong_cached_form_on_a_cofactor_entry_is_refused():
+    # the certificate sums the rows in ints, so it must compare each form
+    # it reads with its operator: a row entry whose cached form is twice
+    # its operator fails there
+    ctx = _ctx()
+    gens = [homogenize(parse_operator(t, 1)) for t in TWO_GENERATORS]
+    result = buchberger(ctx, gens)
+    entry = next(c for row in result.cofactors for c in row if not c.is_zero())
+    d, terms = entry.integer_form()
+    entry._int = (d, {k: 2 * v for k, v in terms.items()})
+    with pytest.raises(InvariantViolation, match="cofactor bookkeeping does not reproduce the basis: an integer form"):
+        standard_basis._check_completion(ctx, gens, result)
 
 
 def _passes_pair_criterion(ctx, basis):
@@ -344,30 +385,48 @@ def _every_pair_reduces(ctx, basis):
 
 
 def test_injected_dropped_pair_is_caught(monkeypatch):
-    # a pair set that loses the pair (0, 4), whose semisyzygy adds a basis
-    # element, must leave a basis the certificate rejects
-    original = standard_basis._PairSet.add
+    # the loop loses the pair (0, 4), whose semisyzygy adds a basis
+    # element; the certificate, which reads the rule afresh from the final
+    # leads, must reject what is left
+    original = standard_basis._forest_pairs
     fired = []
 
-    def dropping_add(self, lead):
-        original(self, lead)
-        if self._lcms.pop((0, 4), None) is not None:
+    def dropping_once(leads, lcm, by_lcm):
+        pairs = original(leads, lcm, by_lcm)
+        if not fired and (0, 4) in pairs:
             fired.append(True)
+            pairs.remove((0, 4))
+        return pairs
 
-    monkeypatch.setattr(standard_basis._PairSet, "add", dropping_add)
-    ctx = _ctx()
-    gens = [homogenize(parse_operator(t, 1)) for t in ("x1^2*D1 - 1", "D1^2 + x1")]
+    monkeypatch.setattr(standard_basis, "_forest_pairs", dropping_once)
+    gens = [homogenize(parse_operator(t, 1)) for t in TWO_GENERATORS]
     with pytest.raises(InvariantViolation, match="fails the pair criterion"):
-        buchberger(ctx, gens)
+        buchberger(_ctx(), gens)
     assert fired
+
+
+def test_a_fault_in_the_shared_pair_rule_is_caught_outside_the_certificate(monkeypatch):
+    # the loop and the certificate both take their pairs from
+    # ``_forest_pairs``, so a rule that drops the first pair it keeps at
+    # every call skips the same pairs in both.  The slow forest of the
+    # tests below and the truncation oracle must catch what the
+    # certificate may pass.
+    original = standard_basis._forest_pairs
+    monkeypatch.setattr(standard_basis, "_forest_pairs", lambda *args: original(*args)[1:])
+    ctx = _ctx()
+    ops = [parse_operator(t, 1) for t in TWO_GENERATORS]
+    verdict = oracle_pipeline_agree(ctx, ops, compute_standard_basis(ctx, ops), degree_bound=6)
+    assert not verdict.ok
+    assert ("witness lead is no multiple of a basis lead", (1, 4, 0)) in verdict.mismatches
+    with pytest.raises(InvariantViolation, match="an input generator does not reduce to zero"):
+        compute_standard_basis(_ctx(3), [parse_operator(t, 3) for t in GKZ3])
+    leads = [(1, 0, 0), (0, 1, 0), (1, 1, 1)]
+    assert standard_basis._minimal_pairs(leads) != _forest_pairs(leads)
 
 
 # The completion divides through ``divide_unchecked``; only the final
 # certificate proves its output.  Each fault below is injected where
 # ``_reduce`` calls that core, and must be caught by one certificate part.
-TWO_GENERATORS = ("x1^2*D1 - 1", "D1^2 + x1")
-
-
 def _complete_with_faulty_core(monkeypatch, fault):
     """Run ``buchberger`` on ``TWO_GENERATORS`` with ``fault`` applied to
     the core's (quotients, remainder) at every call, and return the
