@@ -29,8 +29,9 @@ def operator_to_obj(op, ctx=None):
 def _from_obj(cls, data, n, field):
     if not isinstance(data, dict) or not isinstance(data.get("terms"), list):
         raise ValueError("expected an object with a 'terms' array")
-    if "n" in data and data["n"] != n:
-        raise ValueError(f"operator declares n={data['n']}, context has n={n}")
+    # JSON true and 1.0 equal 1 in Python, but neither is a declared n
+    if "n" in data and (type(data["n"]) is not int or data["n"] != n):
+        raise ValueError(f"operator declares n={data['n']!r}, context has n={n}")
     graded = cls is HomogOperator
     needed = {"alpha", "beta", "coeff"}
     allowed = needed | {"k"} if graded else needed

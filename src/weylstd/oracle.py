@@ -10,15 +10,17 @@ multiple by t^k is a row of a lower degree lifted by t, with the same
 order among its terms; only the t-free rows x^a (D^beta g) are built
 (one Leibniz product per (generator, beta)), and one elimination over
 plain exponents serves every degree.  Plain exponents are packed into
-ints whose order is the weighted order.  An x-shift of a row that
-reduced to zero is skipped, since it lies in the span of the rows before
-it, and every other x-shift starts from x_j times the reduced row of its
-x-parent.  The witness is the birth map: each packed plain lead e and
-the least degree b at which it leads, so the graded leads the ideal
-achieves up to the bound are (d - |e|, e) for d from b to the bound,
-with no completion logic involved.  For a standard basis these are
-exactly the multiples of its leads, which the agreement check asks by
-comparing two birth maps.
+ints whose order is the weighted order.  The x-shifts of a row that
+reduced to zero are skipped, and so is the product D_j D^beta g when the
+row D^beta g did, since each lies in the span of the rows before it.
+Every other x-shift starts from x_j times the reduced row of its
+x-parent, a pivot kept as a shifted view of an earlier row; when its
+lead is free it is a pivot as it stands, and no row is built.  The
+witness is the birth map: each packed plain lead e and the least degree
+b at which it leads, so the graded leads the ideal achieves up to the
+bound are (d - |e|, e) for d from b to the bound, with no completion
+logic involved.  For a standard basis these are exactly the multiples of
+its leads, which the agreement check asks by comparing two birth maps.
 
 The fuzz driver replays the algebra's defining identities on seeded
 random inputs.  Its multiplication entry points can be swapped out,
@@ -137,24 +139,29 @@ def truncation_witness(ctx, ops, degree_bound) -> TruncationWitness:
     ``max(row)`` and nothing is decoded here.
 
     The row of x^a D^beta and g is x^a (D^beta g).  The product D^beta g
-    is made once per (generator, beta), with the graded product, and
-    kept; the a = 0 row adds nothing to its packed exponents.  No
-    contraction is lost by this: contractions come only from a D of the
-    left factor meeting an x of the right one, and x^a has no D.  Over
-    F_p the kept product is already reduced, so a term whose weight
-    vanishes mod p is gone from every row built on it, as it is from the
-    full product.
+    is made once per (generator, beta), with the graded product, at the
+    degree of its a = 0 row, and kept; the a = 0 row adds nothing to its
+    packed exponents.  No contraction is lost by this: contractions come
+    only from a D of the left factor meeting an x of the right one, and
+    x^a has no D.  Over F_p the kept product is already reduced, so a
+    term whose weight vanishes mod p is gone from every row built on it,
+    as it is from the full product.
 
     Rows run in the order: degree, then generator, then beta, then a in
-    increasing lexicographic order; the shift a -> a + e_j keeps it.  A
-    row x^(a + e_j) (D^beta g) is skipped, unbuilt, when the row
-    x^a (D^beta g) reduced to zero or was itself skipped.  This loses
-    nothing: a row r that reduced to zero is a combination of rows before
-    it, so x_j r is the same combination of their x_j-shifts, each of
-    which comes before x_j r and lies within the bound.  By induction
+    increasing lexicographic order; the shifts a -> a + e_j and
+    beta -> beta + e_j keep it.  A row x^(a + e_j) (D^beta g) is skipped,
+    unbuilt, when the row x^a (D^beta g) reduced to zero or was itself
+    skipped.  This loses nothing: a row r that reduced to zero is a
+    combination of rows before it, so x_j r is the same combination of
+    their x_j-shifts, each of which comes before x_j r and lies within
+    the bound.  Likewise D^(beta + e_j) g is not made, and all its rows
+    are skipped, when the row D^beta g reduced to zero or was skipped:
+    D_j (x^a' D^beta' g') = x^a' D^(beta' + e_j) g'
+    + a'_j t^2 x^(a' - e_j) D^beta' g', so D_j times a row before D^beta g
+    is a sum of rows, lifted by t, before D^(beta + e_j) g.  By induction
     along the order, a skipped row lies in the span of the rows before
     it, so the span at every degree, and with it every pivot lead and its
-    birth degree, is unchanged.  The a = 0 row is never skipped.
+    birth degree, is unchanged.  Every product of beta = 0 is made.
 
     A row with a != 0 that is not skipped has every x-parent
     x^(a - e_j) (D^beta g), a_j > 0, reduced to a pivot one degree
@@ -165,8 +172,14 @@ def truncation_witness(ctx, ops, degree_bound) -> TruncationWitness:
     before x^a (D^beta g) in the order above and within the bound.  The
     span after every row is again unchanged, and so is every pivot lead
     and its birth.  Packing is linear, so the shift adds the packed x_j
-    to every key of the pivot.  Each product keeps the pivots of its rows
-    of the previous degree only, keyed by packed x^a.
+    to every key of the pivot, which keeps their int order: x_j times a
+    pivot leads at its lead plus x_j, and is as content-free (QQ) or
+    monic (F_p) as the pivot.  So a pivot is kept as a shifted view
+    (base row, base lead, packed shift) of the row {k + shift: v}, and a
+    shifted row whose lead no pivot holds is a pivot as it stands, with
+    no row built; only a row whose lead is taken is built and reduced.
+    Each product keeps the pivots of its rows of the previous degree
+    only, keyed by packed x^a.
 
     Rows hold Python ints: each homogenized generator is first scaled by
     the d of its integer form (the lcm of its denominators over QQ, 1
@@ -199,57 +212,78 @@ def truncation_witness(ctx, ops, degree_bound) -> TruncationWitness:
 
     units, unpack = _exponent_packing(ctx, degree_bound)
     x_units = units[:n]
-    shifts = [[] for _ in range(degree_bound + 1)]  # |a| -> (packed x^a, packed x^(a - e_j) for each a_j > 0)
+    monomials = []  # (a, packed x^a, packed x^(a - e_j) for each a_j > 0), a in lex order
     for a in _monomials_up_to(n, degree_bound - min(map(graded_degree, gens), default=degree_bound)):
         packed = _pack(x_units, a)
-        shifts[sum(a)].append((packed, [packed - x_units[j] for j in compress(range(n), a)]))
+        monomials.append((a, packed, [packed - x_units[j] for j in compress(range(n), a)]))
+    shifts = [[] for _ in range(degree_bound + 1)]  # |a| -> (packed x^a, its x-parents)
+    for a, packed, below in monomials:
+        shifts[sum(a)].append((packed, below))
+
+    # [degree, generator, beta, (generator index, packed beta), the same of its D-parents,
+    #  D^beta g as (packed plain exponent, int coefficient) terms once made, parent pivots]
+    products = []
+    for i, g in enumerate(gens):
+        d = graded_degree(g)
+        products += (
+            [d + sum(beta), g, beta, (i, packed), [(i, k) for k in below], None, {}]
+            for beta, packed, below in monomials if d + sum(beta) <= degree_bound
+        )
 
     one = fld.one()
     no_d = (0,) * n
-    products = []  # [degree, D^beta g as (packed plain exponent, int coefficient) terms, parent pivots]
-    for g in gens:
-        d = graded_degree(g)
-        for beta in _monomials_up_to(n, degree_bound - d):
-            # beta comes from _monomials_up_to, so the key is well formed
-            product = HomogOperator._trusted(n, {(0,) + no_d + beta: one}, fld) * g
-            terms = [(_pack(units, e[1:]), c.numerator) for e, c in product.terms.items()]
-            products.append([d + sum(beta), terms, {}])
-
-    pivots = {}  # packed lead -> reduced row
+    pivots = {}  # packed lead -> (base row, base lead, packed shift), the row {k + shift: v for k, v in base}
     born = {}  # packed lead -> degree of the row that made it
+    heads = set()  # (generator index, packed beta) whose a = 0 row became a pivot
     for degree in range(degree_bound + 1):
         for product in products:
-            top, terms, parents = product
-            if top > degree:
-                continue
-            reduced = product[2] = {}  # packed x^a -> pivot of the row x^a (D^beta g), at this degree
+            top, g, beta, key, d_parents, terms, parents = product
+            if top == degree and all(map(heads.__contains__, d_parents)):
+                # beta comes from _monomials_up_to, so the key is well formed
+                made = HomogOperator._trusted(n, {(0,) + no_d + beta: one}, fld) * g
+                terms = product[5] = [(_pack(units, e[1:]), c.numerator) for e, c in made.terms.items()]
+            if terms is None:
+                continue  # made at a later degree, or skipped with a D-parent's a = 0 row
+            reduced = product[6] = {}  # packed x^a -> pivot of the row x^a (D^beta g), at this degree
             for a, below in shifts[degree - top]:
                 if not all(map(parents.__contains__, below)):
                     continue  # an x-parent reduced to zero or was skipped
-                # x_j times the pivot of the x-parent x^(a - e_j) (D^beta g), or at a = 0 the product
-                start, shift = (parents[below[0]].items(), a - below[0]) if below else (terms, a)
-                row = {k + shift: v for k, v in start}
+                if below:  # x_j times the pivot of the x-parent x^(a - e_j) (D^beta g)
+                    base, base_lead, shift = parents[below[0]]
+                    shift += a - below[0]
+                    lead = base_lead + shift
+                    if lead not in pivots:
+                        pivots[lead] = reduced[a] = (base, base_lead, shift)
+                        born[lead] = degree  # a pivot made without building a row
+                        continue
+                    row = {k + shift: v for k, v in base.items()}
+                else:
+                    row = dict(terms)
                 while row:
                     lead = max(row)
                     c = row[lead]
                     pivot = pivots.get(lead)
                     if pivot is None:
                         if p:
-                            inv = pow(c, -1, p)
-                            row = {k: v * inv % p for k, v in row.items()}
+                            if c != 1:
+                                inv = pow(c, -1, p)
+                                row = {k: v * inv % p for k, v in row.items()}
                         else:
                             content = gcd(*row.values())
-                            row = {k: v // content for k, v in row.items()}
-                        pivots[lead] = reduced[a] = row
+                            if content != 1:
+                                row = {k: v // content for k, v in row.items()}
+                        pivots[lead] = reduced[a] = (row, lead, 0)
                         born[lead] = degree
                         break
-                    pc = pivot[lead]
+                    base, base_lead, shift = pivot
+                    pc = base[base_lead]
                     common = gcd(c, pc)
                     b = c // common
                     if pc != common:
                         scale = pc // common
                         row = {k: scale * v for k, v in row.items()}
-                    for k, v in pivot.items():
+                    for k, v in base.items():
+                        k += shift
                         s = row.get(k, 0) - b * v
                         if p:
                             s %= p
@@ -257,6 +291,8 @@ def truncation_witness(ctx, ops, degree_bound) -> TruncationWitness:
                             row[k] = s
                         else:  # b and v are nonzero (mod p), so k was in the row
                             del row[k]
+            if top == degree and reduced:
+                heads.add(key)
     return TruncationWitness(degree_bound, born, (units, unpack))
 
 

@@ -123,6 +123,15 @@ def test_malformed_terms_are_value_errors(reader, terms):
         reader({"n": 1, "terms": terms if isinstance(terms, (list, str)) else [terms]}, 1)
 
 
+@pytest.mark.parametrize("reader", [weyl_from_obj, homog_from_obj])
+@pytest.mark.parametrize("declared", [True, 1.0, "1", None, [1]])
+def test_declared_n_must_be_an_int(reader, declared):
+    # JSON true and 1.0 compare equal to 1 in Python; neither declares n = 1
+    with pytest.raises(ValueError, match="declares n="):
+        reader({"n": declared, "terms": [TERM]}, 1)
+    assert reader({"n": 1, "terms": [TERM]}, 1) == reader({"terms": [TERM]}, 1)
+
+
 FOREIGN_COEFFS = [1.5, True, None, [1], "1.5", "1e2", "1_0", "3/-2", "1/0"]
 
 

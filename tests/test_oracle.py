@@ -286,19 +286,33 @@ CARRY_FAULTS = {
 }
 # The agreement compares births and never reads the derived leads, so
 # it is shown instead what the second fault amounts to in the births:
-# a birth recorded one degree late.
-BIRTH_A_DEGREE_LATE = ("born[lead] = degree\n", "born[lead] = degree + 1\n")
+# a birth recorded one degree late, at both places a pivot is made.
+BIRTH_A_DEGREE_LATE = [
+    ("born[lead] = degree\n", "born[lead] = degree + 1\n"),
+    ("born[lead] = degree  #", "born[lead] = degree + 1  #"),
+]
 
 # The skip of x-shifts of zero rows, as written, and the same test
 # recording each row's verdict in ``skips``.
 SKIP_TEST = "if not all(map(parents.__contains__, below)):"
 COUNTED_SKIP_TEST = "if skips.append(not all(map(parents.__contains__, below))) or skips[-1]:"
+# The D-skip, as written: D^beta g is made only when the a = 0 row of
+# every D-parent became a pivot.
+D_SKIP_TEST = "all(map(heads.__contains__, d_parents))"
+COUNTED_D_SKIP_TEST = "(d_made.append(all(map(heads.__contains__, d_parents))) or d_made[-1])"
+NO_D_SKIP = (D_SKIP_TEST, "True")
 
 # The start of a row from the pivot of its x-parent, as written, and the
 # same test recording whether each row built took it.
-REUSE_TEST = " if below else (terms, a)"
-COUNTED_REUSE_TEST = " if reused.append(bool(below)) or below else (terms, a)"
-NO_REUSE = (REUSE_TEST, " if False else (terms, a)")
+REUSE_TEST = "if below:  # x_j times"
+COUNTED_REUSE_TEST = "if reused.append(bool(below)) or below:  # x_j times"
+NO_REUSE = [(REUSE_TEST, "if False:  # x_j times"), ("row = dict(terms)", "row = {k + a: v for k, v in terms}")]
+
+# A shifted row whose lead is free kept as a pivot as it stands, as
+# written, and the same test recording each shifted row's verdict.
+LAZY_TEST = "if lead not in pivots:"
+COUNTED_LAZY_TEST = "if lazy.append(lead not in pivots) or lazy[-1]:"
+NO_LAZY = (LAZY_TEST, "if False:")
 
 # Faults in the row reuse, each as edits (the code as written, the
 # faulty code): the parent's pivot shifted by x1 whatever the parent,
@@ -306,12 +320,29 @@ NO_REUSE = (REUSE_TEST, " if False else (terms, a)")
 REUSE_FAULTS = {
     "shift-by-x1": [("a - below[0]", "x_units[0]")],
     "parents-across-products": [
-        ("    pivots = {}  # packed lead -> reduced row\n", "    pivots = {}  # packed lead -> reduced row\n    shared = {}\n"),
-        ("reduced = product[2] = {}", "reduced = product[2] = shared.setdefault(degree, {})"),
+        ("    pivots = {}  # packed lead ->", "    shared = {}\n    pivots = {}  # packed lead ->"),
+        ("reduced = product[6] = {}", "reduced = product[6] = shared.setdefault(degree, {})"),
     ],
 }
 # The parent maps kept for every degree instead of the last one.
-PARENTS_OF_EVERY_DEGREE = ("reduced = product[2] = {}", "reduced = parents")
+PARENTS_OF_EVERY_DEGREE = ("reduced = product[6] = {}", "reduced = parents")
+
+# Faults in the shifted pivots and the D-skip: a shifted pivot filed
+# under its base lead, as if its lead dropped the shift; a shifted pivot
+# kept as a parent without its shift (filed so in the pivot map, its
+# lead would never cancel and the elimination would not end); and a
+# D-skip that fires for every product with a D-parent, also when the
+# D-parent's a = 0 row became a pivot.
+SHIFT_FAULTS = {
+    "lead-drops-shift": [("pivots[lead] = reduced[a] = (base,", "pivots[base_lead] = reduced[a] = (base,")],
+    "parent-without-shift": [
+        (
+            "pivots[lead] = reduced[a] = (base, base_lead, shift)",
+            "pivots[lead], reduced[a] = (base, base_lead, shift), (base, base_lead, 0)",
+        )
+    ],
+    "d-skip-on-pivot-heads": [(D_SKIP_TEST, "not d_parents")],
+}
 
 
 def _rebuilt(target, *edits, **names):
@@ -358,7 +389,7 @@ def test_witness_carry_faults_disagree_with_reference(monkeypatch, fld, fault):
     else:
         derived = _rebuilt(oracle.TruncationWitness, CARRY_FAULTS[fault])
         assert _seen(derived(real.degree_bound, real.births, real.packing)) != expected
-        faulty = _faulty_witness(BIRTH_A_DEGREE_LATE)
+        faulty = _faulty_witness(*BIRTH_A_DEGREE_LATE)
     assert _seen(faulty(ctx, ops, 6)) != expected
     _assert_agreement_refuses(monkeypatch, faulty, fld)
 
@@ -370,47 +401,62 @@ def _witness_skips(ctx, ops, bound):
     return skips
 
 
-@pytest.mark.parametrize("bound, rows, skipped", [(6, 630, 54), (8, 2772, 507)])
+@pytest.mark.parametrize("bound, rows, skipped", [(6, 594, 36), (8, 2422, 225)])
 def test_witness_skips_x_shifts_of_zero_rows_on_gkz3(bound, rows, skipped):
+    # the rows of a product the D-skip left unmade are never reached
     ctx = OrderContext(GKZ3_FORMS[0])
     ops = _gens(3, *GKZ3)
     skips = _witness_skips(ctx, ops, bound)
     assert (len(skips), sum(skips)) == (rows, skipped)
-    # with the skip and the reuse removed every row is built from its
-    # product, and the witness is the same
-    unskipped = _faulty_witness((SKIP_TEST, "if False:"), NO_REUSE)(ctx, ops, bound)
-    assert unskipped == truncation_witness(ctx, ops, bound)
+    # with the D-skip removed every product is made, and the witness is
+    # the same; so it is with both skips, the shifted pivots and the
+    # reuse removed, when every row is built from its product and reduced
+    witness = truncation_witness(ctx, ops, bound)
+    assert _faulty_witness(NO_D_SKIP)(ctx, ops, bound) == witness
+    unskipped = _faulty_witness((SKIP_TEST, "if False:"), NO_D_SKIP, NO_LAZY, *NO_REUSE)
+    assert unskipped(ctx, ops, bound) == witness
 
 
 @pytest.mark.parametrize("fld", [QQ, PrimeField(7)], ids=lambda f: repr(f))
 @pytest.mark.parametrize("form", GKZ3_FORMS, ids=["order", "bernstein", "v_form", "l_form"])
 def test_witness_marking_every_row_zero_disagrees(monkeypatch, form, fld):
-    # a row that became a pivot is not kept as a parent, as if it reduced
-    # to zero: its x-shifts are skipped although they may hold new leads
+    # a row that became a pivot, built or shifted, is not kept as a
+    # parent, as if it reduced to zero: its x-shifts are skipped although
+    # they may hold new leads
     ctx = OrderContext(form)
     ops = _gens(3, *GKZ3, fld=fld)
-    faulty = _faulty_witness(("pivots[lead] = reduced[a] = row", "pivots[lead] = row"))
+    faulty = _faulty_witness(
+        ("pivots[lead] = reduced[a] = (row,", "pivots[lead] = (row,"),
+        ("pivots[lead] = reduced[a] = (base,", "pivots[lead] = (base,"),
+    )
     assert _seen(faulty(ctx, ops, 6)) != _reference_witness(ctx, ops, 6)
     report = compute_standard_basis(ctx, ops)
     monkeypatch.setattr(oracle, "truncation_witness", faulty)
     assert not oracle_pipeline_agree(ctx, ops, report, 6).ok
 
 
-@pytest.mark.parametrize("bound, rows, skipped", [(6, 630, 54), (8, 2772, 507)])
-def test_witness_rows_start_from_reduced_x_parents_on_gkz3(bound, rows, skipped):
+@pytest.mark.parametrize(
+    "bound, rows, skipped, products, shifted", [(6, 594, 36, 87, 416), (8, 2422, 225, 184, 1799)]
+)
+def test_witness_rows_start_from_reduced_x_parents_on_gkz3(bound, rows, skipped, products, shifted):
     # every row built past a = 0 starts from its x-parent's pivot: all
     # rows but the skipped ones and the one a = 0 row of each product
+    # made; of those, ``shifted`` have a free lead and become pivots as
+    # they stand, with no row built
     ctx = OrderContext(GKZ3_FORMS[0])
     ops = _gens(3, *GKZ3)
-    reused = []
-    witness = _faulty_witness((REUSE_TEST, COUNTED_REUSE_TEST), reused=reused)(ctx, ops, bound)
-    products = sum(math.comb(3 + bound - graded_degree(homogenize(op)), 3) for op in ops)
+    reused, lazy = [], []
+    witness = _faulty_witness(
+        (REUSE_TEST, COUNTED_REUSE_TEST), (LAZY_TEST, COUNTED_LAZY_TEST), reused=reused, lazy=lazy
+    )(ctx, ops, bound)
     assert (len(reused), sum(reused)) == (rows - skipped, rows - skipped - products)
+    assert (len(lazy), sum(lazy)) == (rows - skipped - products, shifted)
     assert witness == truncation_witness(ctx, ops, bound)
-    # with the reuse removed every row starts from its product, and the
-    # witness is the same; so it is when the parent maps keep every degree,
-    # since the packed x^a of different degrees never collide
-    assert _faulty_witness(NO_REUSE)(ctx, ops, bound) == witness
+    # with the reuse or the shifted pivots removed the witness is the
+    # same; so it is when the parent maps keep every degree, since the
+    # packed x^a of different degrees never collide
+    assert _faulty_witness(*NO_REUSE)(ctx, ops, bound) == witness
+    assert _faulty_witness(NO_LAZY)(ctx, ops, bound) == witness
     assert _faulty_witness(PARENTS_OF_EVERY_DEGREE)(ctx, ops, bound) == witness
 
 
@@ -424,32 +470,73 @@ def test_witness_reuse_faults_disagree_with_reference(monkeypatch, fld, fault):
     _assert_agreement_refuses(monkeypatch, faulty, fld)
 
 
+@pytest.mark.parametrize("fld", [QQ, PrimeField(7)], ids=lambda f: repr(f))
+@pytest.mark.parametrize("fault", sorted(SHIFT_FAULTS))
+def test_witness_shift_faults_disagree_with_reference(monkeypatch, fld, fault):
+    ctx = OrderContext(GKZ3_FORMS[0])
+    ops = _gens(3, *GKZ3, fld=fld)
+    faulty = _faulty_witness(*SHIFT_FAULTS[fault])
+    assert _seen(faulty(ctx, ops, 6)) != _reference_witness(ctx, ops, 6)
+    _assert_agreement_refuses(monkeypatch, faulty, fld)
+
+
+@pytest.mark.parametrize("fld", [QQ, PrimeField(2), PrimeField(32003)], ids=lambda f: repr(f))
+def test_witness_skips_and_shifted_pivots_keep_births_across_fields(fld):
+    # the four GKZ3 forms at bound 6 and seeded random ideals in one and
+    # two variables: the witness matches the reference and has the births
+    # of the sweep without skips, shifted pivots or reuse, while the
+    # D-skip and the shifted pivots both act
+    rng = random.Random(f"witness-skips:{fld!r}")
+    cases = [(OrderContext(form), _gens(3, *GKZ3, fld=fld), 6) for form in GKZ3_FORMS]
+    for _ in range(12):
+        n = rng.randint(1, 2)
+        ctx = OrderContext(random_linear_form(rng, n), random_tiebreak(rng, n))
+        ops = [random_weyl(rng, n, terms=4, degree=2, coeff=6, fld=fld) for _ in range(rng.randint(1, 3))]
+        top = max((graded_degree(homogenize(op)) for op in ops if not op.is_zero()), default=0)
+        cases.append((ctx, ops, top + (3 if n == 1 else 2)))
+    plain = _faulty_witness((SKIP_TEST, "if False:"), NO_D_SKIP, NO_LAZY, *NO_REUSE)
+    d_made, lazy = [], []
+    counted = _faulty_witness(
+        (D_SKIP_TEST, COUNTED_D_SKIP_TEST), (LAZY_TEST, COUNTED_LAZY_TEST), d_made=d_made, lazy=lazy
+    )
+    for ctx, ops, bound in cases:
+        witness = truncation_witness(ctx, ops, bound)
+        assert _seen(witness) == _reference_witness(ctx, ops, bound)
+        assert witness.births == plain(ctx, ops, bound).births
+        assert counted(ctx, ops, bound) == witness
+    assert not all(d_made) and any(lazy)
+
+
 @pytest.mark.parametrize("fld", [QQ, PrimeField(2)], ids=lambda f: repr(f))
 def test_witness_makes_one_product_per_generator_and_beta(monkeypatch, fld):
     # t^k x^a D^beta g = t^k x^a (D^beta g): each row is a key shift of
-    # one D^beta g product, made once however many rows share it
-    made = []
-    mul = HomogOperator.__mul__
-
-    def counting(self, other):
-        made.append((tuple(self.terms), tuple(sorted(other.terms))))
-        return mul(self, other)
-
-    monkeypatch.setattr(HomogOperator, "__mul__", counting)
+    # one D^beta g product, made once however many rows share it, and
+    # only when no D-parent's a = 0 row reduced to zero or was skipped
     ops = _gens(3, *GKZ3, fld=fld)
-    witness = truncation_witness(OrderContext(GKZ3_FORMS[0]), ops, 8)
-    monkeypatch.undo()
-
+    ctx = OrderContext(GKZ3_FORMS[0])
     gens = [homogenize(op) for op in ops]
     jobs = {
-        (i, m[4:])
-        for i, g in enumerate(gens)
+        (tuple(sorted(g.terms)), m[4:])
+        for g in gens
         for m in _monomials_up_to(7, 8 - graded_degree(g))
     }
-    assert len(made) == len(set(made)) == len(jobs) == 252
-    # every left factor is a bare D^beta
-    assert all(len(keys) == 1 and not any(keys[0][:4]) for keys, _ in made)
-    assert witness.matrix_rank == 4194
+    mul = HomogOperator.__mul__
+    for witness_fn, count in ((truncation_witness, 184), (_faulty_witness(NO_D_SKIP), 252)):
+        made = []
+
+        def counting(self, other):
+            made.append((tuple(self.terms), tuple(sorted(other.terms))))
+            return mul(self, other)
+
+        monkeypatch.setattr(HomogOperator, "__mul__", counting)
+        witness = witness_fn(ctx, ops, 8)
+        monkeypatch.undo()
+        assert len(made) == len(set(made)) == count
+        # every left factor is a bare D^beta of one (generator, beta)
+        assert all(len(keys) == 1 and not any(keys[0][:4]) for keys, _ in made)
+        assert {(right, keys[0][4:]) for keys, right in made} <= jobs
+        assert witness.matrix_rank == 4194
+    assert len(jobs) == 252
 
 
 def test_agreement_on_small_corpus():
