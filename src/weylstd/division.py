@@ -25,9 +25,9 @@ any bug here into a loud ``InvariantViolation`` instead of a silently
 wrong result.  The check is not cheap: the reconstruction multiplies
 out every Q_i P_i again, in ints (``check_sum_of_products``, which the
 completion certificate also uses for its cofactor rows).  ``divide_unchecked``
-is the same division without it, for the completion's own divisions,
-whose output the completion certificate proves as a whole (see
-``standard_basis``).
+is the same division without it, for the completion's echelon and
+tail pass, whose output the completion certificate proves as a whole
+(see ``standard_basis``).
 """
 
 from __future__ import annotations

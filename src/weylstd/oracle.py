@@ -291,6 +291,8 @@ def truncation_witness(ctx, ops, degree_bound) -> TruncationWitness:
                             row[k] = s
                         else:  # b and v are nonzero (mod p), so k was in the row
                             del row[k]
+                    if lead in row:  # a pivot whose stored lead is not its row's would spin here
+                        raise InvariantViolation("a witness pivot did not cancel the lead of the row it reduced")
             if top == degree and reduced:
                 heads.add(key)
     return TruncationWitness(degree_bound, born, (units, unpack))

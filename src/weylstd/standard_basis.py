@@ -8,45 +8,50 @@ combination of two elements multiplies by monomials in t, x and D from
 the left, and there is no coprime-leads shortcut: commutators make the
 classical product criterion unsound here.
 
-Completion runs degree by degree.  When an element enters, the inputs
-included, each pair it forms has its lcm computed once and is filed
-under the lcm's graded degree.  At degree d the loop reduces the forest
-pairs (``_forest_pairs``) of that degree's lcms, by later element, then
-earlier one.  This is exact: an element the loop makes is fully
-reduced, so no earlier lead divides its lead, so every pair it forms
-has an lcm of higher degree than its own.  So all pairs of lcm degree d,
-and all leads that divide those lcms, are known before degree d begins.
-Since every new element has the degree of its pair, a degree cap bounds
-the run: a degree above the cap that keeps a forest pair raises rather
-than returning a silently incomplete basis.
+Completion runs degree by degree, and an element is final once it
+enters.  This is exact.  A lead of degree d divides no term of lower
+degree, so later elements never reduce earlier ones.  A new element's
+lead is divisible by no earlier lead, so every pair it forms has an lcm
+of degree above its own: the pairs of lcm degree d, and the leads that
+divide those lcms, are known before degree d begins, and at each lcm
+their spanning forest (``_forest_pairs``) is the final basis's.  And two
+checked divisions to zero against final elements, of a semisyzygy s to r
+by the elements of lower degree, then of r by those of degree d, write s
+with every lead at most that of s: a standard representation.
+
+At degree d the loop divides the inputs of degree d and the
+semisyzygies of that degree's forest pairs by the basis so far, with
+``divide``; a zero remainder records its pair as certified.  The other
+remainders are echelonized among themselves, which is linear algebra,
+since same-degree leads divide only equal monomials.  One that reduces
+to zero is dropped; one that is kept has its cofactor row folded once
+and is made monic.  A tail pass (``_interreduce``) reduces the kept ones
+against each other, they enter in graded-key order, and each pair still
+open is certified by dividing its remainder by the basis so far.  Since
+every new element has the degree of its pair, a degree cap bounds the
+run: a degree above the cap that keeps a forest pair raises rather than
+returning a silently incomplete basis.
 
 Every public entry point re-verifies its own output.  The certificate
 has four parts: the final basis is reduced (each element monic, no lead
 divisible by another lead, no other term divisible by any lead), the
-recorded cofactors reproduce each basis element from the inputs, the
-basis passes the pair criterion, and the inputs reduce to zero against
-it.  Together they prove the output whatever the completion did on the
-way, so the completion divides through ``divide_unchecked``, while the
-certificate's own divisions are checked ones (``divide``) and its
-cofactor sum runs in ints (``check_sum_of_products``).  The pair
-criterion reduces the forest pairs of the final leads, read from those
-leads alone (``_minimal_pairs``), so a pair the loop skipped or a
-remainder it got wrong cannot hide itself.  A fault in the rule itself
-skips the same pairs in both: the tests' slow forest and the truncation
-oracle (``oracle.oracle_pipeline_agree``) catch it, not the certificate.
-
-Each element's cofactor row is a tuple with one operator per input,
-from the moment the element enters the basis; ``_reduce`` folds the
-rows of the divisors a reduction used into the row of what it took off.
+recorded cofactors reproduce each basis element from the inputs (summed
+in ints, ``check_sum_of_products``), the basis passes the pair
+criterion, and the inputs reduce to zero against it.  The pair criterion
+reads the forest pairs from the final leads alone (``_minimal_pairs``)
+and divides each one the loop did not record, so a pair the loop skipped
+cannot hide itself.  The records are trusted bookkeeping: a record for a
+pair whose remainder was lost, or a fault in the forest rule, which
+skips the same pairs in both, is caught by the truncation oracle
+(``oracle.oracle_pipeline_agree``), not the certificate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import sub
 
 from .errors import DegreeCapExceeded, InvariantViolation
-from .division import check_sum_of_products, divide, divide_unchecked
+from .division import DivisionResult, check_sum_of_products, divide, divide_unchecked
 from .homogenize import dehomogenize, graded_degree, homogenize, is_homogeneous, project_exponent
 from .orders import leading_term, principal_symbol
 from .weyl import HomogOperator, vec_leq, vec_max, vec_sub
@@ -105,76 +110,94 @@ class CompletionResult:
 def buchberger(ctx, gens, degree_cap=DEFAULT_DEGREE_CAP) -> CompletionResult:
     """Complete homogeneous generators to a reduced standard basis."""
     gens = tuple(gens)
-    for g in gens:
+    inputs = {}  # graded degree -> the indices of the inputs of that degree
+    for j, g in enumerate(gens):
         if g.is_zero():
             raise ValueError("generators must be nonzero")
         if not is_homogeneous(g):
             raise ValueError("generators must be homogeneous")
+        inputs.setdefault(graded_degree(g), []).append(j)
 
-    basis = []
+    basis = []  # final elements, in graded-key order
     rows = []  # rows[i][j]: cofactor of gens[j] in basis[i]
     leads = []
     lcm = {}  # (i, j) -> lcm of leads[i] and leads[j], for i < j
-    pending = {}  # lcm degree -> {lcm: its pairs (i, j), in (j, i) order}
+    pending = {d: {} for d in inputs}  # degree -> {lcm of that degree: its pairs (i, j)}
+    certified = set()  # pairs whose semisyzygy reduced to zero in checked divisions
 
-    def enter(h, row):
-        h, row = _monic(ctx, h, row)
-        lead = leading_term(ctx, h).exponent
-        j = len(leads)
-        for i, e in enumerate(leads):
-            m = lcm[i, j] = vec_max(e, lead)
-            pending.setdefault(sum(m), {}).setdefault(m, []).append((i, j))
-        basis.append(h)
-        rows.append(row)
-        leads.append(lead)
-
-    for j, g in enumerate(gens):
-        zero, one = HomogOperator.zero(g.n, g.field), HomogOperator.constant(g.n, 1, g.field)
-        enter(g, tuple(one if k == j else zero for k in range(len(gens))))
-
-    max_degree = max((graded_degree(g) for g in gens), default=0)
+    max_degree = max(inputs, default=0)
     processed = 0
-    zeros = 0
+    added = 0  # pairs whose remainder became a basis element
     while pending:
         degree = min(pending)
         pairs = sorted(_forest_pairs(leads, lcm, pending.pop(degree)), key=lambda ij: (ij[1], ij[0]))
-        if not pairs:
+        if not pairs and degree not in inputs:
             continue
-        if degree > degree_cap:
-            raise DegreeCapExceeded(degree, degree_cap)
-        max_degree = max(max_degree, degree)
+        if pairs:
+            if degree > degree_cap:
+                raise DegreeCapExceeded(degree, degree_cap)
+            max_degree = max(max_degree, degree)
+        processed += len(pairs)
+        candidates = [(gens[j], None, _unit_row(gens, j)) for j in inputs.pop(degree, ())]
         for i, j in pairs:
-            processed += 1
             lcm_ij, f_i, f_j = _pair_factors(ctx, basis[i], basis[j])
-            s = _cancel_leads(ctx, basis[i], basis[j], lcm_ij, f_i, f_j)
-            reduced = None if s.is_zero() else _reduce(ctx, s, basis, rows)
-            if reduced is None:
-                zeros += 1
-                continue
-            r, taken = reduced
-            enter(r, tuple(f_i * a - f_j * b - t for a, b, t in zip(rows[i], rows[j], taken)))
+            candidates.append((_cancel_leads(ctx, basis[i], basis[j], lcm_ij, f_i, f_j), (i, j), (f_i, f_j)))
 
-    lcm.clear()  # every pair is done with: free the map before interreduction and the certificate
-    basis, rows = _interreduce(ctx, basis, rows)
-    stats = CompletionStats(processed, zeros, max_degree)
-    result = CompletionResult(tuple(basis), tuple(rows), stats)
-    _check_completion(ctx, gens, result)
+        new, new_rows, open_pairs = [], [], []
+        for h, pair, start in candidates:
+            below = divide(ctx, h, basis) if basis else DivisionResult((), h)
+            r = below.remainder
+            if r.is_zero():
+                if pair:
+                    certified.add(pair)
+                continue
+            if pair:
+                open_pairs.append((pair, r))
+            _, echelon, rest = divide_unchecked(ctx, r, new) if new else (None, (), r)
+            if rest.is_zero():
+                continue
+            if pair:
+                added += 1
+                (i, j), (f_i, f_j) = pair, start
+                start = tuple(f_i * a - f_j * b for a, b in zip(rows[i], rows[j]))
+            h, row = _monic(ctx, rest, _fold(_fold(start, below.quotients, rows), echelon, new_rows))
+            new.append(h)
+            new_rows.append(row)
+
+        new, new_rows = _interreduce(ctx, new, new_rows)
+        for h, row in sorted(zip(new, new_rows), key=lambda hr: ctx.graded_key(leading_term(ctx, hr[0]).exponent)):
+            lead = leading_term(ctx, h).exponent
+            j = len(leads)
+            for i, e in enumerate(leads):
+                m = lcm[i, j] = vec_max(e, lead)
+                pending.setdefault(sum(m), {}).setdefault(m, []).append((i, j))
+            basis.append(h)
+            rows.append(row)
+            leads.append(lead)
+        for pair, r in open_pairs:
+            if divide(ctx, r, basis).remainder.is_zero():
+                certified.add(pair)
+
+    lcm.clear()  # every pair is done with: free the map before the certificate
+    result = CompletionResult(tuple(basis), tuple(rows), CompletionStats(processed, processed - added, max_degree))
+    _check_completion(ctx, gens, result, certified)
     return result
 
 
-def _reduce(ctx, h, divisors, rows):
-    """Divide ``h`` by ``divisors``, whose cofactor rows are ``rows``.
+def _unit_row(gens, j):
+    """The cofactor row of ``gens[j]`` itself."""
+    zero, one = HomogOperator.zero(gens[j].n, gens[j].field), HomogOperator.constant(gens[j].n, 1, gens[j].field)
+    return tuple(one if k == j else zero for k in range(len(gens)))
 
-    None when the remainder is zero; otherwise the remainder and the row
-    sum_i q_i * rows[i] of what the division took off ``h``."""
-    _, quotients, remainder = divide_unchecked(ctx, h, divisors)
-    if remainder.is_zero():
-        return None
-    taken = (HomogOperator.zero(h.n, h.field),) * len(rows[0])
-    for q, row in zip(quotients, rows):
+
+def _fold(row, quotients, rows):
+    """``row`` less sum_i quotients[i] * rows[i]: the cofactor row of what
+    is left after a division took sum_i q_i * divisor_i off an element
+    whose row is ``row``, where ``rows`` are the divisors' rows."""
+    for q, taken in zip(quotients, rows):
         if not q.is_zero():
-            taken = tuple(t + q * c for t, c in zip(taken, row))
-    return remainder, taken
+            row = tuple(a - q * c for a, c in zip(row, taken))
+    return row
 
 
 def _monic(ctx, h, row):
@@ -184,41 +207,30 @@ def _monic(ctx, h, row):
 
 
 def _interreduce(ctx, basis, rows):
-    """Drop elements with dominated leads, then reduce every tail once.
-    With the leads minimal and fixed this yields the reduced basis."""
-    order = sorted(range(len(basis)), key=lambda i: ctx.graded_key(leading_term(ctx, basis[i]).exponent))
-    kept = []
-    for i in order:
-        lead = leading_term(ctx, basis[i]).exponent
-        if any(vec_leq(leading_term(ctx, basis[k]).exponent, lead) for k in kept):
-            continue
-        kept.append(i)
-
-    out = [basis[i] for i in kept]
-    out_rows = [rows[i] for i in kept]
-    for idx in range(len(out)):
-        others = out[:idx] + out[idx + 1 :]
-        if not others:
-            continue
-        reduced = _reduce(ctx, out[idx], others, out_rows[:idx] + out_rows[idx + 1 :])
-        if reduced is None:
-            raise InvariantViolation("minimal basis element reduced to zero")
-        r, taken = reduced
-        out[idx], out_rows[idx] = _monic(ctx, r, tuple(map(sub, out_rows[idx], taken)))
-    return out, out_rows
+    """The tail pass of one degree: reduce each element once by the others.
+    Their leads are distinct monomials of one degree, so each lead stays,
+    and once an element is reduced no later step puts a lead back into it."""
+    basis, rows = list(basis), list(rows)
+    for idx, h in enumerate(basis):
+        others = basis[:idx] + basis[idx + 1 :]
+        if any(leading_term(ctx, b).exponent in h.terms for b in others):
+            _, quotients, basis[idx] = divide_unchecked(ctx, h, others)
+            rows[idx] = _fold(rows[idx], quotients, rows[:idx] + rows[idx + 1 :])
+    return basis, rows
 
 
-def _check_completion(ctx, gens, result):
+def _check_completion(ctx, gens, result, certified=()):
     """The certificate: the basis is reduced, the cofactors reproduce it
     from ``gens``, it passes the pair criterion, and ``gens`` reduce to
     zero against it.  The checks run in that order, the ones that need
-    no division first."""
+    no division first.  ``certified`` holds the pairs the completion's own
+    checked divisions took to zero; the pair criterion divides the rest."""
     basis = result.basis
     _check_reduced(ctx, basis)
     for b, row in zip(basis, result.cofactors):
         zero = HomogOperator.zero(b.n, b.field)
         check_sum_of_products(b, zip(row, gens), zero, "cofactor bookkeeping does not reproduce the basis")
-    _check_pairs(ctx, basis)
+    _check_pairs(ctx, basis, certified)
     for g in gens:
         if not divide(ctx, g, basis).remainder.is_zero():
             raise InvariantViolation("an input generator does not reduce to zero")
@@ -240,17 +252,20 @@ def _check_reduced(ctx, basis):
         raise InvariantViolation(f"completed basis is not reduced: element {i} {fault}")
 
 
-def _check_pairs(ctx, basis):
-    """Refuse a basis that fails the pair criterion over ``_minimal_pairs``."""
+def _check_pairs(ctx, basis, certified=()):
+    """Refuse a basis that fails the pair criterion over ``_minimal_pairs``,
+    dividing each pair not in ``certified``."""
     for i, j in _minimal_pairs([leading_term(ctx, b).exponent for b in basis]):
+        if (i, j) in certified:
+            continue
         s = semisyzygy(ctx, basis[i], basis[j])
         if not s.is_zero() and not divide(ctx, s, basis).remainder.is_zero():
             raise InvariantViolation("completed basis fails the pair criterion")
 
 
 def _minimal_pairs(leads):
-    """The pairs (i, j) of ``leads`` whose semisyzygies the certificate
-    reduces: ``_forest_pairs`` over every pair lcm of the final leads,
+    """The pairs (i, j) of ``leads`` that the certificate requires
+    certified or divides: ``_forest_pairs`` over every pair lcm of the final leads,
     read from the leads alone, with nothing taken from the completion's
     own pair bookkeeping."""
     lcm = {}
@@ -269,9 +284,9 @@ def _forest_pairs(leads, lcm, by_lcm):
 
     The vertices at m are the leads that divide m.  Two of them are
     joined when their lcm lies strictly below m; a pair whose lcm equals
-    m joins nothing.  The pairs of lcm m, taken in the order
-    ``by_lcm[m]`` lists them, are kept when they join two components not
-    joined yet.  A pair that is not kept has its ends linked by a path of
+    m joins nothing.  The pairs of lcm m, taken in (i, j) order whatever
+    order ``by_lcm[m]`` lists them in, are kept when they join two
+    components not joined yet.  A pair that is not kept has its ends linked by a path of
     kept pairs of lcm m and of pairs of strictly smaller lcm, and its
     syzygy of leading monomials is the sum of theirs, each lifted by a
     monomial onto m.  So the kept pairs generate the syzygies of the
@@ -296,7 +311,7 @@ def _forest_pairs(leads, lcm, by_lcm):
             for b in below[pos + 1 :]:
                 if lcm[a, b] != m:
                     root[find(a)] = find(b)
-        for i, j in pairs:
+        for i, j in sorted(pairs):
             ri, rj = find(i), find(j)
             if ri != rj:
                 root[ri] = rj

@@ -5,6 +5,7 @@ import inspect
 import itertools
 import math
 import random
+import signal
 import textwrap
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ import pytest
 from weylstd import (
     QQ,
     HomogOperator,
+    InvariantViolation,
     LinearForm,
     OracleSizeError,
     OrderContext,
@@ -478,6 +480,35 @@ def test_witness_shift_faults_disagree_with_reference(monkeypatch, fld, fault):
     faulty = _faulty_witness(*SHIFT_FAULTS[fault])
     assert _seen(faulty(ctx, ops, 6)) != _reference_witness(ctx, ops, 6)
     _assert_agreement_refuses(monkeypatch, faulty, fld)
+
+
+# A shifted pivot filed in the pivot map without its shift: it stands for
+# its base row, whose lead is not the one it is filed under, so
+# subtracting it never removes the lead of the row it reduces.
+PIVOT_WITHOUT_SHIFT = (
+    "pivots[lead] = reduced[a] = (base, base_lead, shift)",
+    "pivots[lead] = reduced[a] = (base, base_lead, 0)",
+)
+
+
+@pytest.mark.parametrize("fld", [QQ, PrimeField(7)], ids=lambda f: repr(f))
+def test_a_pivot_that_keeps_the_lead_raises_instead_of_spinning(fld):
+    # without the witness's check that each elimination step removes the
+    # lead, this fault loops forever; an alarm turns that into a failure
+    faulty = _faulty_witness(PIVOT_WITHOUT_SHIFT)
+    ctx = OrderContext(GKZ3_FORMS[0])
+
+    def timed_out(signum, frame):
+        raise TimeoutError("the faulty witness spun instead of raising")
+
+    previous = signal.signal(signal.SIGALRM, timed_out)
+    signal.alarm(20)
+    try:
+        with pytest.raises(InvariantViolation, match="did not cancel the lead"):
+            faulty(ctx, _gens(3, *GKZ3, fld=fld), 6)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.mark.parametrize("fld", [QQ, PrimeField(2), PrimeField(32003)], ids=lambda f: repr(f))

@@ -29,8 +29,10 @@ from weylstd import (
     reduces_to_zero,
     semisyzygy,
 )
+import weylstd.division as division
 import weylstd.standard_basis as standard_basis
 from weylstd.oracle import random_tiebreak, random_weyl
+from weylstd.division import DivisionResult
 from weylstd.standard_basis import CompletionResult
 from weylstd.weyl import vec_leq, vec_max
 
@@ -185,7 +187,7 @@ def test_gkz_system_over_prime_field(p):
     rational = compute_standard_basis(ctx, [parse_operator(text, 3, QQ) for text in GKZ3])
     assert report.staircase == rational.staircase
     # the pair criteria read only leads, so the counts agree across fields
-    assert report.stats == rational.stats == CompletionStats(11, 7, 6)
+    assert report.stats == rational.stats == CompletionStats(10, 7, 6)
     assert all(g.field == field for g in report.homog_basis + report.delta_basis)
     assert oracle_pipeline_agree(ctx, ops, report, degree_bound=6).ok
 
@@ -202,19 +204,96 @@ GKZ4 = (
 )
 
 
-def test_gkz4_pair_counts_are_pinned():
+def _self_divided_pairs(monkeypatch, ctx, ops, certified=None):
+    """Run ``compute_standard_basis`` on ``ops`` and return the report and
+    the number of pairs the certificate divided itself.  The loop cancels
+    leads through ``_pair_factors`` and ``_cancel_leads``, so only the
+    certificate calls ``semisyzygy``.  With ``certified`` given, the
+    certificate reads it in place of the loop's records."""
+    calls = []
+    original, check = standard_basis.semisyzygy, standard_basis._check_completion
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    def with_records(ctx, gens, result, loop_records):
+        return check(ctx, gens, result, loop_records if certified is None else certified)
+
+    monkeypatch.setattr(standard_basis, "semisyzygy", counting)
+    monkeypatch.setattr(standard_basis, "_check_completion", with_records)
+    report = compute_standard_basis(ctx, ops)
+    return report, len(calls)
+
+
+def test_gkz4_pair_counts_are_pinned(monkeypatch):
     ctx = _ctx(4)
-    report = compute_standard_basis(ctx, [parse_operator(text, 4) for text in GKZ4])
-    assert report.stats == CompletionStats(80, 62, 10)
-    # the certificate reduces 79 of the final basis's 253 pairs
+    report, divided = _self_divided_pairs(monkeypatch, ctx, [parse_operator(text, 4) for text in GKZ4])
+    assert report.stats == CompletionStats(79, 62, 10)
+    # the loop reduces exactly the 79 forest pairs of the final basis's
+    # 253, and its records leave the certificate none to divide
     leads = [leading_term(ctx, b).exponent for b in report.homog_basis]
     assert len(standard_basis._minimal_pairs(leads)) == 79
+    assert divided == 0
 
 
-def test_gkz4_lex_pair_counts_are_pinned():
+def test_gkz4_lex_pair_counts_are_pinned(monkeypatch):
     ctx = OrderContext(LinearForm.order(4), TieBreak("lex", tuple(range(8))))
-    report = compute_standard_basis(ctx, [parse_operator(text, 4) for text in GKZ4])
-    assert report.stats == CompletionStats(142, 111, 13)
+    report, divided = _self_divided_pairs(monkeypatch, ctx, [parse_operator(text, 4) for text in GKZ4])
+    assert report.stats == CompletionStats(141, 111, 13)
+    assert divided == 0
+
+
+# GKZ system for A = [[1,1,1,1,1],[0,1,2,3,4]], beta = (3/5, 7/11)
+GKZ5 = (
+    "D1*D3 - D2^2",
+    "D1*D4 - D2*D3",
+    "D1*D5 - D2*D4",
+    "D2*D4 - D3^2",
+    "D2*D5 - D3*D4",
+    "D3*D5 - D4^2",
+    "x1*D1 + x2*D2 + x3*D3 + x4*D4 + x5*D5 - 3/5",
+    "x2*D2 + 2*x3*D3 + 3*x4*D4 + 4*x5*D5 - 7/11",
+)
+# the cross-field property's draw at seed 23 (n = 2), whose QQ rows grow large
+SEED_23 = ("-5*x1*x2 + 2*x1*D2 + 3*x2*D1 - 4*D1", "2*x1*x2*D1 + 4*x1*D2 - 3*x2*D1 - 4*x2")
+
+# (n, context, inputs, field, stats): more systems whose completion
+# counts are pinned, besides GKZ4 above.  Each loop reduces exactly the
+# final basis's forest pairs.
+PINNED_SYSTEMS = {
+    "gkz3-order": (3, lambda: _ctx(3), GKZ3, QQ, CompletionStats(10, 7, 6)),
+    "gkz3-bernstein": (3, lambda: _ctx(3, LinearForm.bernstein(3)), GKZ3, QQ, CompletionStats(10, 7, 6)),
+    "gkz3-v_form": (3, lambda: _ctx(3, LinearForm.v_form(3)), GKZ3, QQ, CompletionStats(5, 4, 5)),
+    "gkz3-l_form": (3, lambda: _ctx(3, LinearForm.l_form(3, 1, 1)), GKZ3, QQ, CompletionStats(5, 4, 5)),
+    "gkz5-F_32003": (5, lambda: _ctx(5), GKZ5, PrimeField(32003), CompletionStats(136, 113, 10)),
+    "seed23-F_32003": (2, lambda: OrderContext(LinearForm.order(2), TieBreak("deglex", (3, 1, 2, 0))), SEED_23,
+                       PrimeField(32003), CompletionStats(163, 115, 13)),
+}
+
+
+@pytest.mark.parametrize("system", PINNED_SYSTEMS)
+def test_certificate_divides_no_pair_itself(monkeypatch, system):
+    # the loop's checked divisions certify every forest pair of the final
+    # leads, so the certificate's own pair sweep is empty; a change that
+    # pushes pairs back to it fails here
+    n, make_ctx, texts, field, stats = PINNED_SYSTEMS[system]
+    ctx = make_ctx()
+    report, divided = _self_divided_pairs(monkeypatch, ctx, [parse_operator(t, n, field) for t in texts])
+    assert report.stats == stats
+    leads = [leading_term(ctx, b).exponent for b in report.homog_basis]
+    assert len(standard_basis._minimal_pairs(leads)) == stats.s_pairs_processed
+    assert divided == 0
+
+
+def test_without_records_the_certificate_divides_every_pair_itself(monkeypatch):
+    # the records only spare the certificate work: with none, it divides
+    # all 79 forest pairs of GKZ4 and passes the same basis
+    ctx = _ctx(4)
+    ops = [parse_operator(text, 4) for text in GKZ4]
+    report, divided = _self_divided_pairs(monkeypatch, ctx, ops, certified=frozenset())
+    assert divided == 79
+    assert report.homog_basis == compute_standard_basis(ctx, ops).homog_basis
 
 
 F32003 = PrimeField(32003)
@@ -256,49 +335,40 @@ def test_gkz5_certificate_pair_count_is_pinned():
 
 def _loop_pairs(monkeypatch, ctx, gens):
     """Run ``buchberger`` on ``gens`` and return the (lcm degree, i, j) of
-    each pair its loop reduced, in order, where i and j count the
-    elements in the order they entered the basis."""
-    entered, reduced, in_loop = [], [], [True]
-    monic, pair_factors, interreduce = (
-        standard_basis._monic, standard_basis._pair_factors, standard_basis._interreduce
-    )
-
-    def entering(ctx, h, row):
-        out = monic(ctx, h, row)
-        if in_loop:
-            entered.append(out[0])
-        return out
+    each pair its loop reduced, in order, where i and j index the returned
+    basis: the loop appends each element to it once it is final."""
+    reduced, in_loop = [], [True]
+    pair_factors, check = standard_basis._pair_factors, standard_basis._check_completion
 
     def recording(ctx, h1, h2):
         out = pair_factors(ctx, h1, h2)
         if in_loop:
-            i, j = (next(k for k, e in enumerate(entered) if e is h) for h in (h1, h2))
-            reduced.append((sum(out[0]), i, j))
+            reduced.append((sum(out[0]), h1, h2))
         return out
 
     def leaving(*args):
         in_loop.clear()
-        return interreduce(*args)
+        return check(*args)
 
-    monkeypatch.setattr(standard_basis, "_monic", entering)
     monkeypatch.setattr(standard_basis, "_pair_factors", recording)
-    monkeypatch.setattr(standard_basis, "_interreduce", leaving)
-    buchberger(ctx, gens)
-    return reduced
+    monkeypatch.setattr(standard_basis, "_check_completion", leaving)
+    index = {id(b): k for k, b in enumerate(buchberger(ctx, gens).basis)}
+    return [(d, index[id(h1)], index[id(h2)]) for d, h1, h2 in reduced]
 
 
 def test_loop_reduces_forest_pairs_by_degree_then_arrival(monkeypatch):
     # within a degree the forest pairs go by their later element, then
-    # their earlier one: the order in which the pairs arose
+    # their earlier one: the order in which the pairs arose.  Only final
+    # elements form pairs, so the two GKZ3 inputs of degree 2 form none.
     gens = [homogenize(parse_operator(t, 1)) for t in TWO_GENERATORS]
     assert _loop_pairs(monkeypatch, _ctx(), gens) == [
-        (4, 0, 1), (5, 0, 2), (5, 1, 2), (6, 1, 3), (6, 2, 3), (6, 0, 4),
-        (7, 0, 5), (7, 4, 5), (7, 2, 6), (8, 5, 6), (8, 3, 7), (8, 6, 7),
+        (4, 0, 1), (5, 0, 2), (5, 1, 2), (6, 1, 3), (6, 0, 4), (6, 2, 4),
+        (7, 2, 5), (7, 1, 6), (7, 3, 6), (8, 5, 6), (8, 4, 7), (8, 5, 7),
     ]
     gens = [homogenize(parse_operator(t, 3)) for t in GKZ3]
     assert _loop_pairs(monkeypatch, _ctx(3), gens) == [
-        (2, 1, 2), (3, 0, 3), (4, 0, 1), (4, 1, 3), (4, 1, 4), (4, 3, 4),
-        (5, 0, 5), (5, 1, 5), (5, 3, 5), (6, 3, 6), (6, 4, 6),
+        (3, 0, 2), (4, 0, 1), (4, 1, 2), (4, 0, 3), (4, 1, 3),
+        (5, 0, 4), (5, 1, 4), (5, 2, 4), (6, 0, 5), (6, 3, 5),
     ]
 
 
@@ -327,21 +397,20 @@ def test_stats_are_recorded():
 
 
 def test_injected_cofactor_fault_is_caught(monkeypatch):
-    # drop one nonzero quotient's row from what a reduction took off; the
-    # final cofactor check must notice the broken certificate
-    original = standard_basis._reduce
+    # drop one nonzero quotient's row from a fold of what a division took
+    # off; the final cofactor check must notice the broken certificate
+    original = standard_basis._fold
     fired = []
 
-    def dropping_reduce(ctx, h, divisors, rows):
-        quotients = standard_basis.divide(ctx, h, divisors).quotients
+    def dropping_fold(row, quotients, rows):
         hit = next((i for i, q in enumerate(quotients) if not q.is_zero()), None)
         if hit is not None:
             fired.append(hit)
             rows = list(rows)
-            rows[hit] = (HomogOperator.zero(h.n, h.field),) * len(rows[hit])
-        return original(ctx, h, divisors, rows)
+            rows[hit] = (HomogOperator.zero(1),) * len(rows[hit])
+        return original(row, quotients, rows)
 
-    monkeypatch.setattr(standard_basis, "_reduce", dropping_reduce)
+    monkeypatch.setattr(standard_basis, "_fold", dropping_fold)
     ctx = _ctx()
     gens = [homogenize(parse_operator(t, 1)) for t in TWO_GENERATORS]
     with pytest.raises(InvariantViolation, match="cofactor bookkeeping"):
@@ -385,17 +454,18 @@ def _every_pair_reduces(ctx, basis):
 
 
 def test_injected_dropped_pair_is_caught(monkeypatch):
-    # the loop loses the pair (0, 4), whose semisyzygy adds a basis
-    # element; the certificate, which reads the rule afresh from the final
-    # leads, must reject what is left
+    # the loop loses the pair (0, 1), whose semisyzygy adds the element of
+    # degree 4; the loop holds no record for it, so the certificate, which
+    # reads the rule afresh from the final leads, divides it and must
+    # reject what is left
     original = standard_basis._forest_pairs
     fired = []
 
     def dropping_once(leads, lcm, by_lcm):
         pairs = original(leads, lcm, by_lcm)
-        if not fired and (0, 4) in pairs:
+        if not fired and (0, 1) in pairs:
             fired.append(True)
-            pairs.remove((0, 4))
+            pairs.remove((0, 1))
         return pairs
 
     monkeypatch.setattr(standard_basis, "_forest_pairs", dropping_once)
@@ -407,31 +477,77 @@ def test_injected_dropped_pair_is_caught(monkeypatch):
 
 def test_a_fault_in_the_shared_pair_rule_is_caught_outside_the_certificate(monkeypatch):
     # the loop and the certificate both take their pairs from
-    # ``_forest_pairs``, so a rule that drops the first pair it keeps at
-    # every call skips the same pairs in both.  The slow forest of the
-    # tests below and the truncation oracle must catch what the
-    # certificate may pass.
+    # ``_forest_pairs``, and both see the same forest at each lcm, so a
+    # rule that drops the first pair it keeps at every lcm skips the same
+    # pairs in both.  The inputs enter through the loop's own divisions,
+    # so they reduce to zero against what it returns.  The slow forest of
+    # the tests below and the truncation oracle must catch what the
+    # certificate passes.
     original = standard_basis._forest_pairs
-    monkeypatch.setattr(standard_basis, "_forest_pairs", lambda *args: original(*args)[1:])
-    ctx = _ctx()
-    ops = [parse_operator(t, 1) for t in TWO_GENERATORS]
-    verdict = oracle_pipeline_agree(ctx, ops, compute_standard_basis(ctx, ops), degree_bound=6)
-    assert not verdict.ok
-    assert ("witness lead is no multiple of a basis lead", (1, 4, 0)) in verdict.mismatches
-    with pytest.raises(InvariantViolation, match="an input generator does not reduce to zero"):
-        compute_standard_basis(_ctx(3), [parse_operator(t, 3) for t in GKZ3])
+
+    def dropping_the_first_at_each_lcm(leads, lcm, by_lcm):
+        seen = set()
+        kept = []
+        for i, j in original(leads, lcm, by_lcm):
+            if lcm[i, j] in seen:
+                kept.append((i, j))
+            seen.add(lcm[i, j])
+        return kept
+
+    monkeypatch.setattr(standard_basis, "_forest_pairs", dropping_the_first_at_each_lcm)
+    for n, texts, missed in ((1, TWO_GENERATORS, (1, 4, 0)), (3, GKZ3, (0, 0, 1, 0, 1, 0, 1))):
+        ctx = _ctx(n)
+        ops = [parse_operator(t, n) for t in texts]
+        verdict = oracle_pipeline_agree(ctx, ops, compute_standard_basis(ctx, ops), degree_bound=6)
+        assert not verdict.ok
+        assert ("witness lead is no multiple of a basis lead", missed) in verdict.mismatches
     leads = [(1, 0, 0), (0, 1, 0), (1, 1, 1)]
     assert standard_basis._minimal_pairs(leads) != _forest_pairs(leads)
 
 
-# The completion divides through ``divide_unchecked``; only the final
-# certificate proves its output.  Each fault below is injected where
-# ``_reduce`` calls that core, and must be caught by one certificate part.
-def _complete_with_faulty_core(monkeypatch, fault):
+def test_a_record_for_a_dropped_remainder_passes_the_certificate_and_fails_the_oracle(monkeypatch):
+    # the records are trusted bookkeeping: the loop's checked division of
+    # the pair (0, 1) comes back with a zero remainder, so the pair is
+    # recorded as certified and the element of degree 4 never enters.
+    # The certificate divides no recorded pair, and every other part
+    # holds, so the truncation oracle is what refuses the basis.
+    original, cancel_leads = standard_basis.divide, standard_basis._cancel_leads
+    semisyzygies, fired = [], []
+
+    def recording(*args):
+        semisyzygies.append(cancel_leads(*args))
+        return semisyzygies[-1]
+
+    def losing_once(ctx, h, divisors):
+        out = original(ctx, h, divisors)
+        if fired or not any(h is s for s in semisyzygies) or out.remainder.is_zero():
+            return out
+        fired.append(h)
+        return DivisionResult(out.quotients, HomogOperator.zero(h.n, h.field))
+
+    monkeypatch.setattr(standard_basis, "_cancel_leads", recording)
+    monkeypatch.setattr(standard_basis, "divide", losing_once)
+    ctx = _ctx()
+    ops = [parse_operator(t, 1) for t in TWO_GENERATORS]
+    report = compute_standard_basis(ctx, ops)
+    assert len(fired) == 1
+    assert [leading_term(ctx, b).exponent for b in report.homog_basis] == [(0, 0, 2), (0, 2, 1)]
+    verdict = oracle_pipeline_agree(ctx, ops, report, degree_bound=6)
+    assert ("witness lead is no multiple of a basis lead", (2, 1, 1)) in verdict.mismatches
+
+
+# The completion's own divisions are checked (``divide``), save the
+# echelon of each degree's remainders and the tail pass (``_interreduce``),
+# which go through ``divide_unchecked``; the certificate proves their
+# output.  Each fault below is injected into the core of one of the two,
+# and must be refused by the check or by one certificate part.
+def _complete_with_faulty_core(monkeypatch, owner, fault):
     """Run ``buchberger`` on ``TWO_GENERATORS`` with ``fault`` applied to
-    the core's (quotients, remainder) at every call, and return the
-    exception it raised and how often the fault fired."""
-    original = standard_basis.divide_unchecked
+    the (quotients, remainder) of ``owner.divide_unchecked`` at every
+    call, and return the exception it raised and how often the fault
+    fired.  ``owner`` is ``division``, whose ``divide`` calls that core,
+    or ``standard_basis``, whose echelon and tail pass call it."""
+    original = owner.divide_unchecked
     state = {"interreducing": False, "fired": 0}
 
     def faulty_core(ctx, h, divisors):
@@ -446,9 +562,12 @@ def _complete_with_faulty_core(monkeypatch, fault):
 
     def tracking_interreduce(*args):
         state["interreducing"] = True
-        return interreduce(*args)
+        try:
+            return interreduce(*args)
+        finally:
+            state["interreducing"] = False
 
-    monkeypatch.setattr(standard_basis, "divide_unchecked", faulty_core)
+    monkeypatch.setattr(owner, "divide_unchecked", faulty_core)
     monkeypatch.setattr(standard_basis, "_interreduce", tracking_interreduce)
     gens = [homogenize(parse_operator(t, 1)) for t in TWO_GENERATORS]
     with pytest.raises(InvariantViolation) as info:
@@ -456,37 +575,47 @@ def _complete_with_faulty_core(monkeypatch, fault):
     return str(info.value), state["fired"]
 
 
-def test_injected_loop_remainder_fault_is_caught(monkeypatch):
-    # the first nonzero loop remainder gets one term, the smallest monomial
-    # of its degree, that h - sum Q_i*P_i does not have
-    def add_a_term(state, divisors, quotients, remainder):
-        if state["fired"] or state["interreducing"] or remainder.is_zero():
-            return None
-        t_power = (graded_degree(remainder), 0, 0)
-        assert t_power not in remainder.terms
-        return quotients, remainder + HomogOperator.monomial(1, t_power)
+def _add_a_term(state, divisors, quotients, remainder):
+    """The first nonzero remainder outside the tail pass gets one term of
+    its degree that it lacks, so h - sum Q_i*P_i does not have it."""
+    if state["fired"] or state["interreducing"] or remainder.is_zero():
+        return None
+    d = graded_degree(remainder)
+    absent = next(m for m in ((d - a, a, 0) for a in range(d + 1)) if m not in remainder.terms)
+    return quotients, remainder + HomogOperator.monomial(1, absent)
 
-    message, fired = _complete_with_faulty_core(monkeypatch, add_a_term)
+
+def test_injected_loop_remainder_fault_is_caught(monkeypatch):
+    # a wrong remainder from the loop's division by the elements so far
+    message, fired = _complete_with_faulty_core(monkeypatch, division, _add_a_term)
+    assert fired == 1
+    assert "division reconstruction failed" in message
+
+
+def test_injected_echelon_remainder_fault_is_caught(monkeypatch):
+    # a wrong remainder from the echelon among a degree's remainders
+    message, fired = _complete_with_faulty_core(monkeypatch, standard_basis, _add_a_term)
     assert fired == 1
     assert "cofactor bookkeeping" in message
 
 
 def test_injected_zero_remainder_fault_is_caught(monkeypatch):
-    # the first nonzero loop remainder comes back as zero, so the pair
-    # that needed it adds nothing to the basis
+    # the first nonzero remainder of a pair that the echelon sees (the
+    # inputs have degrees 2 and 3) comes back as zero, so the pair that
+    # needed it adds nothing to the basis, and no record certifies it
     def drop_the_remainder(state, divisors, quotients, remainder):
-        if state["fired"] or state["interreducing"] or remainder.is_zero():
+        if state["fired"] or state["interreducing"] or remainder.is_zero() or graded_degree(remainder) < 4:
             return None
         return quotients, HomogOperator.zero(1)
 
-    message, fired = _complete_with_faulty_core(monkeypatch, drop_the_remainder)
+    message, fired = _complete_with_faulty_core(monkeypatch, standard_basis, drop_the_remainder)
     assert fired == 1
-    assert "fails the pair criterion" in message or "does not reduce to zero" in message
+    assert "fails the pair criterion" in message
 
 
 def test_injected_interreduction_fault_is_caught(monkeypatch):
-    # the first interreduction step that took something off undoes one of
-    # its eliminations: h = sum Q_i*P_i + R still holds, the lead and the
+    # the first tail-pass step that took something off undoes one of its
+    # eliminations: h = sum Q_i*P_i + R still holds, the lead and the
     # cofactors are still right, but R keeps a term a lead divides
     def undo_an_elimination(state, divisors, quotients, remainder):
         hit = next((i for i, q in enumerate(quotients) if not q.is_zero()), None)
@@ -497,7 +626,7 @@ def test_injected_interreduction_fault_is_caught(monkeypatch):
         quotients = quotients[:hit] + (quotients[hit] - back,) + quotients[hit + 1 :]
         return quotients, remainder + back * divisors[hit]
 
-    message, fired = _complete_with_faulty_core(monkeypatch, undo_an_elimination)
+    message, fired = _complete_with_faulty_core(monkeypatch, standard_basis, undo_an_elimination)
     assert fired == 1
     assert "is not reduced" in message and "divisible by a lead" in message
 
