@@ -19,15 +19,14 @@ never is, and f times the monomial times T is subtracted.  Each
 quotient and remainder coefficient is turned back into a field element
 once, by ``field.from_scaled``; over F_p that is the residue itself.
 
-``divide`` re-checks its own output (reconstruction plus the support
-conditions, and that every coefficient is in the field), which turns
-any bug here into a loud ``InvariantViolation`` instead of a silently
-wrong result.  The check is not cheap: the reconstruction multiplies
-out every Q_i P_i again, in ints (``check_sum_of_products``, which the
-completion certificate also uses for its cofactor rows).  ``divide_unchecked``
-is the same division without it, for the completion's echelon and
-tail pass, whose output the completion certificate proves as a whole
-(see ``standard_basis``).
+``divide`` is the one division, and it re-checks its own output
+(reconstruction plus the support conditions, and that every coefficient
+is in the field), which turns any bug here into a loud
+``InvariantViolation`` instead of a silently wrong result.  The check is
+not cheap: the reconstruction multiplies out every Q_i P_i again, in
+ints (``check_sum_of_products``, which the completion certificate also
+uses for its cofactor rows).  The completion's loop and tail pass divide
+through it too (see ``standard_basis``).
 """
 
 from __future__ import annotations
@@ -65,17 +64,8 @@ class DivisionResult:
 
 
 def divide(ctx, h: HomogOperator, divisors) -> DivisionResult:
-    """Divide ``h`` by the sequence ``divisors`` in the graded algebra."""
-    divisors = tuple(divisors)
-    partition, quotients, remainder = divide_unchecked(ctx, h, divisors)
-    _check_division(ctx, h, divisors, partition, quotients, remainder)
-    return DivisionResult(quotients, remainder)
-
-
-def divide_unchecked(ctx, h: HomogOperator, divisors):
-    """``divide`` without the check of its output: the partition by the
-    divisors' leads, the quotients and the remainder.  It still checks
-    that each elimination step cancels the term it eliminates."""
+    """Divide ``h`` by the sequence ``divisors`` in the graded algebra, and
+    check the output (``_check_division``)."""
     divisors = tuple(divisors)
     for i, d in enumerate((h,) + divisors):  # the dividend first; it may be zero
         if not isinstance(d, HomogOperator):
@@ -145,7 +135,8 @@ def divide_unchecked(ctx, h: HomogOperator, divisors):
 
     quotients = tuple(HomogOperator._trusted(n, t, field) for t in quot_terms)
     remainder = HomogOperator._trusted(n, rem_terms, field)
-    return partition, quotients, remainder
+    _check_division(ctx, h, divisors, partition, quotients, remainder)
+    return DivisionResult(quotients, remainder)
 
 
 def _descending(key):

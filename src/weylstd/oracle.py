@@ -191,6 +191,8 @@ def truncation_witness(ctx, ops, degree_bound) -> TruncationWitness:
     stored monic (so pc = 1 and the row is never scaled); over QQ pivots
     are stored divided by their content.
     """
+    if type(degree_bound) is not int or degree_bound < 0:
+        raise ValueError(f"degree bound must be a natural number, got {degree_bound!r}")
     gens = [homogenize(op) for op in ops if not op.is_zero()]
     for g in gens:
         check_n(ctx, g)

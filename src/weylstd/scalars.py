@@ -7,7 +7,7 @@ what those lack: its ``characteristic`` (0 for QQ, p for F_p), modulo
 which the arithmetic reduces, and ``div``, the one division.  Residues
 are reduced at exactly four places: ``weyl.add_terms``, which every sum
 of terms goes through, ``_TermMap.scale``, the working-term update of
-``division.divide_unchecked``, and ``div``.  Integer combinatorial
+``division.divide``, and ``div``.  Integer combinatorial
 weights (binomials, factorials) are computed in arbitrary-precision
 ``int`` and reduced only once multiplied into a coefficient, so they
 stay correct in characteristic p even when p divides them.

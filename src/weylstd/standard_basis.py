@@ -14,20 +14,23 @@ degree, so later elements never reduce earlier ones.  A new element's
 lead is divisible by no earlier lead, so every pair it forms has an lcm
 of degree above its own: the pairs of lcm degree d, and the leads that
 divide those lcms, are known before degree d begins, and at each lcm
-their spanning forest (``_forest_pairs``) is the final basis's.  And two
-checked divisions to zero against final elements, of a semisyzygy s to r
-by the elements of lower degree, then of r by those of degree d, write s
-with every lead at most that of s: a standard representation.
+their spanning forest (``_forest_pairs``) is the final basis's.  And a
+checked division to zero of a semisyzygy s, by the final elements of
+lower degree followed by the kept elements of degree d, writes s with
+every lead at most that of s.  Each kept element is its final one plus
+final ones of smaller lead (the tail pass below), so this is a standard
+representation in final elements too.
 
-At degree d the loop divides the inputs of degree d and the
-semisyzygies of that degree's forest pairs by the basis so far, with
-``divide``; a zero remainder records its pair as certified.  The other
-remainders are echelonized among themselves, which is linear algebra,
-since same-degree leads divide only equal monomials.  One that reduces
-to zero is dropped; one that is kept has its cofactor row folded once
-and is made monic.  A tail pass (``_interreduce``) reduces the kept ones
-against each other, they enter in graded-key order, and each pair still
-open is certified by dividing its remainder by the basis so far.  Since
+At degree d the loop makes that one division, with ``divide``, of each
+input of degree d and each semisyzygy of that degree's forest pairs; a
+zero remainder records its pair as certified.  A kept element's lead is
+divisible by no lower lead, and same-degree leads divide only equal
+monomials, so it eliminates only its own lead, at offset 0: linear
+algebra among the degree's remainders.  A nonzero remainder is kept,
+with its cofactor row folded once, and made monic.  A tail pass
+(``_interreduce``) reduces the kept ones against each other, they enter
+in graded-key order, and each pair whose remainder was kept is
+certified by dividing that remainder by the basis so far.  Since
 every new element has the degree of its pair, a degree cap bounds the
 run: a degree above the cap that keeps a forest pair raises rather than
 returning a silently incomplete basis.
@@ -51,7 +54,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DegreeCapExceeded, InvariantViolation
-from .division import DivisionResult, check_sum_of_products, divide, divide_unchecked
+from .division import DivisionResult, check_sum_of_products, divide
 from .homogenize import dehomogenize, graded_degree, homogenize, is_homogeneous, project_exponent
 from .orders import leading_term, principal_symbol
 from .weyl import HomogOperator, vec_leq, vec_max, vec_sub
@@ -145,22 +148,18 @@ def buchberger(ctx, gens, degree_cap=DEFAULT_DEGREE_CAP) -> CompletionResult:
 
         new, new_rows, open_pairs = [], [], []
         for h, pair, start in candidates:
-            below = divide(ctx, h, basis) if basis else DivisionResult((), h)
-            r = below.remainder
+            division = divide(ctx, h, basis + new) if basis or new else DivisionResult((), h)
+            r = division.remainder
             if r.is_zero():
                 if pair:
                     certified.add(pair)
                 continue
             if pair:
                 open_pairs.append((pair, r))
-            _, echelon, rest = divide_unchecked(ctx, r, new) if new else (None, (), r)
-            if rest.is_zero():
-                continue
-            if pair:
                 added += 1
                 (i, j), (f_i, f_j) = pair, start
                 start = tuple(f_i * a - f_j * b for a, b in zip(rows[i], rows[j]))
-            h, row = _monic(ctx, rest, _fold(_fold(start, below.quotients, rows), echelon, new_rows))
+            h, row = _monic(ctx, r, _fold(start, division.quotients, rows + new_rows))
             new.append(h)
             new_rows.append(row)
 
@@ -214,8 +213,9 @@ def _interreduce(ctx, basis, rows):
     for idx, h in enumerate(basis):
         others = basis[:idx] + basis[idx + 1 :]
         if any(leading_term(ctx, b).exponent in h.terms for b in others):
-            _, quotients, basis[idx] = divide_unchecked(ctx, h, others)
-            rows[idx] = _fold(rows[idx], quotients, rows[:idx] + rows[idx + 1 :])
+            division = divide(ctx, h, others)
+            basis[idx] = division.remainder
+            rows[idx] = _fold(rows[idx], division.quotients, rows[:idx] + rows[idx + 1 :])
     return basis, rows
 
 

@@ -207,7 +207,7 @@ def test_std_basis_gkz5_golden_document(capsys, tmp_path):
 REDUCTIONS = {
     "add_terms": (weyl, "add_terms", "s %= p", "pass"),
     "scale": (weyl._TermMap, "scale", "c * v % p", "c * v"),
-    "division-update": (division, "divide_unchecked", "s %= p", "pass"),
+    "division-update": (division, "divide", "s %= p", "pass"),
     "div": (scalars.PrimeField, "div", "a * pow(b, -1, p) % p", "a * pow(b, -1, p)"),
 }
 

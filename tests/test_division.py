@@ -20,7 +20,7 @@ from weylstd import (
     parse_operator,
     reduces_to_zero,
 )
-from weylstd.division import divide_unchecked
+import weylstd.division as division
 from weylstd.scalars import RationalField
 from weylstd.oracle import random_homog, random_homogeneous, random_linear_form, random_tiebreak
 from weylstd.weyl import vec_add
@@ -147,8 +147,6 @@ def test_left_multiples_of_one_divisor_reduce_to_zero():
 
 def test_invariant_violation_is_loud(monkeypatch):
     # sabotage the internal check hook to prove it actually runs
-    import weylstd.division as division
-
     called = {}
     original = division._check_division
 
@@ -173,8 +171,6 @@ def test_invariant_violation_is_loud(monkeypatch):
     ],
 )
 def test_injected_elimination_fault_is_caught(monkeypatch, fault, message):
-    import weylstd.division as division
-
     original = division._eliminate
 
     def faulty(quotient, offset, f, form, den, n, field):
@@ -199,10 +195,11 @@ def _fractional_division():
 
 def test_injected_content_factor_fault_is_caught(monkeypatch):
     # An integer form that drops its content factor, T = the numerators
-    # instead of d * the coefficients, divides the wrong operators.  The
-    # unchecked division returns a wrong result; the checked one refuses.
+    # instead of d * the coefficients, divides the wrong operators.  With
+    # its check made a no-op the division returns a wrong result; with
+    # the check it refuses.
     ctx, h, d = _fractional_division()
-    right = divide_unchecked(ctx, h, [d])
+    right = divide(ctx, h, [d])
     original = RationalField.integer_form
 
     def without_content(self, terms):
@@ -210,22 +207,26 @@ def test_injected_content_factor_fault_is_caught(monkeypatch):
         return den, {k: c.numerator for k, c in terms.items()}
 
     monkeypatch.setattr(RationalField, "integer_form", without_content)
-    ctx, h, d = _fractional_division()
-    assert divide_unchecked(ctx, h, [d])[1:] != right[1:]
+    with monkeypatch.context() as unchecked:
+        unchecked.setattr(division, "_check_division", lambda *args: None)
+        ctx, h, d = _fractional_division()
+        assert divide(ctx, h, [d]) != right
     ctx, h, d = _fractional_division()
     with pytest.raises(InvariantViolation, match="division reconstruction failed"):
         divide(ctx, h, [d])
 
 
-def test_integer_form_is_cached_per_operator():
+def test_integer_form_is_cached_per_operator(monkeypatch):
     _, h, d = _fractional_division()
     form = d.integer_form()
     assert form == (2, {(0, 1, 1): 6, (2, 0, 0): 1})
     assert d.integer_form() is form
     assert h.integer_form() == (3, {(0, 2, 1): 3, (2, 1, 0): 2})
-    # values the arithmetic makes start without one
-    _, quotients, remainder = divide_unchecked(_ctx(), h, [d])
-    made = [d * d, d + h, d - h, -d, d.scale(3), d.t_shift(1), remainder, *quotients]
+    # values the arithmetic makes start without one (the division's check
+    # reads the forms of its output, so it is a no-op here)
+    monkeypatch.setattr(division, "_check_division", lambda *args: None)
+    out = divide(_ctx(), h, [d])
+    made = [d * d, d + h, d - h, -d, d.scale(3), d.t_shift(1), out.remainder, *out.quotients]
     assert all(op._int is None for op in made)
     # over F_p the form is the term map itself
     g = homogenize(parse_operator("3*x1*D1 + 1/2", 1, PrimeField(7)))

@@ -137,6 +137,20 @@ def test_witness_preconditions(monkeypatch):
     assert truncation_witness(ctx, gens, 8).matrix_rank > 0
 
 
+@pytest.mark.parametrize("bound", [-1, True, False, 2.0, "3", None])
+@pytest.mark.parametrize("texts", [(), ("D1",)])
+def test_degree_bound_must_be_a_natural_number(monkeypatch, bound, texts):
+    # refused before any work, with or without generators, by the witness
+    # and by the agreement that builds one
+    ctx = OrderContext(LinearForm.order(1))
+    ops = [parse_operator(t, 1) for t in texts]
+    report = compute_standard_basis(ctx, ops)
+    monkeypatch.setattr(oracle, "homogenize", None)  # any work would fail otherwise
+    for run in (lambda: truncation_witness(ctx, ops, bound), lambda: oracle_pipeline_agree(ctx, ops, report, bound)):
+        with pytest.raises(ValueError, match="^degree bound must be a natural number, got "):
+            run()
+
+
 def test_monomials_are_every_exponent_in_lexicographic_order():
     for width in range(1, 5):
         for total in range(-1, 5):

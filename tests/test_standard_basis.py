@@ -536,27 +536,25 @@ def test_a_record_for_a_dropped_remainder_passes_the_certificate_and_fails_the_o
     assert ("witness lead is no multiple of a basis lead", (2, 1, 1)) in verdict.mismatches
 
 
-# The completion's own divisions are checked (``divide``), save the
-# echelon of each degree's remainders and the tail pass (``_interreduce``),
-# which go through ``divide_unchecked``; the certificate proves their
-# output.  Each fault below is injected into the core of one of the two,
-# and must be refused by the check or by one certificate part.
-def _complete_with_faulty_core(monkeypatch, owner, fault):
+# Every division the completion makes goes through ``divide``: the loop
+# divides each candidate once, by the elements so far followed by the
+# degree's kept ones, and the tail pass (``_interreduce``) divides too.
+# Each fault below is put into the output of one division as its own
+# check (``division._check_division``) receives it, and that check must
+# refuse it.
+def _complete_with_faulty_division(monkeypatch, fault):
     """Run ``buchberger`` on ``TWO_GENERATORS`` with ``fault`` applied to
-    the (quotients, remainder) of ``owner.divide_unchecked`` at every
-    call, and return the exception it raised and how often the fault
-    fired.  ``owner`` is ``division``, whose ``divide`` calls that core,
-    or ``standard_basis``, whose echelon and tail pass call it."""
-    original = owner.divide_unchecked
+    the (quotients, remainder) that every ``divide`` hands its check, and
+    return the exception it raised and how often the fault fired."""
+    check = division._check_division
     state = {"interreducing": False, "fired": 0}
 
-    def faulty_core(ctx, h, divisors):
-        partition, quotients, remainder = original(ctx, h, divisors)
-        out = fault(state, tuple(divisors), quotients, remainder)
-        if out is None:
-            return partition, quotients, remainder
-        state["fired"] += 1
-        return (partition,) + out
+    def faulty_check(ctx, h, divisors, partition, quotients, remainder):
+        out = fault(state, h, divisors, quotients, remainder)
+        if out is not None:
+            state["fired"] += 1
+            quotients, remainder = out
+        return check(ctx, h, divisors, partition, quotients, remainder)
 
     interreduce = standard_basis._interreduce
 
@@ -567,7 +565,7 @@ def _complete_with_faulty_core(monkeypatch, owner, fault):
         finally:
             state["interreducing"] = False
 
-    monkeypatch.setattr(owner, "divide_unchecked", faulty_core)
+    monkeypatch.setattr(division, "_check_division", faulty_check)
     monkeypatch.setattr(standard_basis, "_interreduce", tracking_interreduce)
     gens = [homogenize(parse_operator(t, 1)) for t in TWO_GENERATORS]
     with pytest.raises(InvariantViolation) as info:
@@ -575,49 +573,64 @@ def _complete_with_faulty_core(monkeypatch, owner, fault):
     return str(info.value), state["fired"]
 
 
-def _add_a_term(state, divisors, quotients, remainder):
-    """The first nonzero remainder outside the tail pass gets one term of
-    its degree that it lacks, so h - sum Q_i*P_i does not have it."""
+def _loop_division(state, h, divisors, remainder, same_degree):
+    """Whether this is a division of the loop, not of the tail pass, with
+    a nonzero remainder, and with (``same_degree``) or without a divisor
+    of the dividend's degree: one of the degree's kept elements."""
     if state["fired"] or state["interreducing"] or remainder.is_zero():
-        return None
-    d = graded_degree(remainder)
-    absent = next(m for m in ((d - a, a, 0) for a in range(d + 1)) if m not in remainder.terms)
-    return quotients, remainder + HomogOperator.monomial(1, absent)
+        return False
+    return same_degree == any(graded_degree(d) == graded_degree(h) for d in divisors)
+
+
+def _add_a_term(same_degree):
+    """The first nonzero remainder of a loop division (by the kept elements
+    too, or by the lower ones only) gets one term of its degree that it
+    lacks, so h - sum Q_i*P_i does not have it."""
+
+    def fault(state, h, divisors, quotients, remainder):
+        if not _loop_division(state, h, divisors, remainder, same_degree):
+            return None
+        d = graded_degree(remainder)
+        absent = next(m for m in ((d - a, a, 0) for a in range(d + 1)) if m not in remainder.terms)
+        return quotients, remainder + HomogOperator.monomial(1, absent)
+
+    return fault
 
 
 def test_injected_loop_remainder_fault_is_caught(monkeypatch):
     # a wrong remainder from the loop's division by the elements so far
-    message, fired = _complete_with_faulty_core(monkeypatch, division, _add_a_term)
+    message, fired = _complete_with_faulty_division(monkeypatch, _add_a_term(same_degree=False))
     assert fired == 1
     assert "division reconstruction failed" in message
 
 
 def test_injected_echelon_remainder_fault_is_caught(monkeypatch):
-    # a wrong remainder from the echelon among a degree's remainders
-    message, fired = _complete_with_faulty_core(monkeypatch, standard_basis, _add_a_term)
+    # a wrong remainder from the first division that a kept element of
+    # the same degree takes part in
+    message, fired = _complete_with_faulty_division(monkeypatch, _add_a_term(same_degree=True))
     assert fired == 1
-    assert "cofactor bookkeeping" in message
+    assert "division reconstruction failed" in message
 
 
 def test_injected_zero_remainder_fault_is_caught(monkeypatch):
-    # the first nonzero remainder of a pair that the echelon sees (the
-    # inputs have degrees 2 and 3) comes back as zero, so the pair that
-    # needed it adds nothing to the basis, and no record certifies it
-    def drop_the_remainder(state, divisors, quotients, remainder):
-        if state["fired"] or state["interreducing"] or remainder.is_zero() or graded_degree(remainder) < 4:
+    # the first nonzero remainder of a pair (the inputs have degrees 2
+    # and 3) from a division that a kept element takes part in comes back
+    # as zero, so the pair would add nothing to the basis
+    def drop_the_remainder(state, h, divisors, quotients, remainder):
+        if not _loop_division(state, h, divisors, remainder, True) or graded_degree(remainder) < 4:
             return None
         return quotients, HomogOperator.zero(1)
 
-    message, fired = _complete_with_faulty_core(monkeypatch, standard_basis, drop_the_remainder)
+    message, fired = _complete_with_faulty_division(monkeypatch, drop_the_remainder)
     assert fired == 1
-    assert "fails the pair criterion" in message
+    assert "division reconstruction failed" in message
 
 
 def test_injected_interreduction_fault_is_caught(monkeypatch):
     # the first tail-pass step that took something off undoes one of its
-    # eliminations: h = sum Q_i*P_i + R still holds, the lead and the
-    # cofactors are still right, but R keeps a term a lead divides
-    def undo_an_elimination(state, divisors, quotients, remainder):
+    # eliminations: h = sum Q_i*P_i + R still holds, but R keeps a term a
+    # lead divides
+    def undo_an_elimination(state, h, divisors, quotients, remainder):
         hit = next((i for i, q in enumerate(quotients) if not q.is_zero()), None)
         if state["fired"] or not state["interreducing"] or hit is None:
             return None
@@ -626,9 +639,9 @@ def test_injected_interreduction_fault_is_caught(monkeypatch):
         quotients = quotients[:hit] + (quotients[hit] - back,) + quotients[hit + 1 :]
         return quotients, remainder + back * divisors[hit]
 
-    message, fired = _complete_with_faulty_core(monkeypatch, standard_basis, undo_an_elimination)
+    message, fired = _complete_with_faulty_division(monkeypatch, undo_an_elimination)
     assert fired == 1
-    assert "is not reduced" in message and "divisible by a lead" in message
+    assert message == "remainder contains a divisible monomial"
 
 
 def test_gkz3_certificate_rejects_incomplete_bases():

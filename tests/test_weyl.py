@@ -228,6 +228,20 @@ def test_vanishing_contraction_weights_mod_p(p):
             assert all(c != 0 for c in product.terms.values())
 
 
+@pytest.mark.parametrize("p", [2, 3, 7])
+def test_pth_powers_are_central_only_in_characteristic_p(p):
+    # [D_i, x_i^p] = p*x_i^(p-1), times t^2 in the graded algebra, and
+    # likewise [D_i^p, x_i]: over F_p the p-th powers of the generators
+    # commute with every generator, over QQ they do not
+    fld = PrimeField(p)
+    for lift in (lambda op: op, homogenize):
+        gens = [lift(parse_operator(v, 2, fld)) for v in ("x1", "x2", "D1", "D2")]
+        for power in (g**p for g in gens):
+            assert all(g * power == power * g for g in gens)
+        x1, D1 = (lift(parse_operator(v, 2)) for v in ("x1", "D1"))
+        assert D1 * x1**p != x1**p * D1
+
+
 def test_mixed_fields_rejected():
     f7 = PrimeField(7)
     with pytest.raises(ValueError, match="field"):
