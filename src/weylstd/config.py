@@ -72,6 +72,11 @@ class RunConfig:
             perm = tuple(variable_position(name, n) for name in self.var_order)
         except ValueError as e:
             raise ConfigError(f"var_order entry is not a variable: {e}") from None
+        first = {}  # flat position -> the entry that named it
+        for name, i in zip(self.var_order, perm):
+            if i in first:
+                raise ConfigError(f'var_order lists {names[i]} twice ("{first[i]}", "{name}")')
+            first[i] = name
         prime = re.fullmatch(r"fp\(([0-9]+)\)", str(self.field))
         if self.field != "rational" and not prime:
             raise ConfigError(f"field must be \"rational\" or \"fp(prime)\", got {self.field!r}")

@@ -40,7 +40,7 @@ from operator import itemgetter, mul, sub
 from .errors import InvariantViolation, OracleSizeError
 from .division import RegionPartition, divide
 from .homogenize import dehomogenize, graded_degree, homogenize, is_homogeneous, project_exponent
-from .orders import LinearForm, OrderContext, TieBreak, TIEBREAK_KINDS, check_n, leading_term, principal_symbol, is_graded_commutative
+from .orders import LinearForm, OrderContext, TieBreak, TIEBREAK_KINDS, check_n, exponent_packing, leading_term, pack_exponent, principal_symbol, is_graded_commutative
 from .scalars import QQ, PrimeField
 from .standard_basis import minimal_staircase
 from .weyl import HomogOperator, Polynomial, WeylOperator, vec_add, vec_leq
@@ -51,7 +51,7 @@ class TruncationWitness:
     """Every leading exponent the graded ideal achieves up to a degree.
 
     ``births`` maps each packed plain lead e to the least degree b at
-    which it leads; ``packing`` is the ``_exponent_packing`` (units,
+    which it leads; ``packing`` is the ``exponent_packing`` (units,
     decoder) it was packed with.  The graded leads are (d - |e|, e) for
     every d from b to the bound: ``leading_exponents``, decoded on first
     read, and ``matrix_rank`` counts them.  A birth above the bound, which
@@ -85,42 +85,6 @@ def _monomials_up_to(width, total):
         yield tuple(map(sub, sums, (0,) + sums))
 
 
-def _pack(units, e):
-    """The packed int of exponent ``e``: the sum of e_i * units[i] over its
-    nonzero entries only."""
-    return sum(map(mul, compress(units, e), filter(None, e)))
-
-
-def _exponent_packing(ctx, bound):
-    """The units u_i that pack a plain exponent e of degree at most
-    ``bound`` as the int sum of e_i * u_i, and the decoder of a packed int.
-
-    u_i = (c_i << H) + (1 << s*i).  c_i is ``ctx.weighted_key`` of the
-    i-th unit exponent read as balanced digits in radix R = 2^r, built
-    from its nonzero entries (``ctx.unit_key_columns``).  The key is
-    linear in e, so c.e is the key of e read in that radix; each of its
-    digits is at most the bound times the largest key entry in size,
-    below R/2, so c.e orders exponents exactly as the key does, and so
-    does the packed int.  Its low H = s*2n bits hold e itself in s-bit
-    fields, which only the decoder reads."""
-    width = 2 * ctx.n
-    columns = ctx.unit_key_columns()
-    top = len(ctx.weighted_key((0,) * width)) - 1  # the place of the key's first entry
-    r = (2 * bound * max(abs(v) for column in columns for _, v in column)).bit_length()
-    w = (bound.bit_length() + 7) // 8 or 1  # bytes per field of e, s = 8w
-    low_bits = 8 * w * width
-    units = [
-        (sum(v << r * (top - k) for k, v in column) << low_bits) + (1 << 8 * w * i)
-        for i, column in enumerate(columns)
-    ]
-
-    def unpack(packed):
-        low = (packed & ((1 << low_bits) - 1)).to_bytes(w * width, "little")
-        return tuple(low) if w == 1 else tuple(int.from_bytes(low[j:j + w], "little") for j in range(0, len(low), w))
-
-    return units, unpack
-
-
 def truncation_witness(ctx, ops, degree_bound) -> TruncationWitness:
     """Echelonize all monomial multiples of the homogenized generators
     with product degree at most ``degree_bound``, and return the birth
@@ -134,7 +98,7 @@ def truncation_witness(ctx, ops, degree_bound) -> TruncationWitness:
     t.  The rows run in increasing degree through one pivot map, and a
     pivot of plain lead e born at degree b gives the lead (d - |e|, e) at
     every degree d from b to the bound.  Columns are plain exponents
-    packed into ints (``_exponent_packing``) whose int order is the
+    packed into ints (``exponent_packing``) whose int order is the
     weighted order, so a row maps ints to int coefficients, its lead is
     ``max(row)`` and nothing is decoded here.
 
@@ -212,11 +176,11 @@ def truncation_witness(ctx, ops, degree_bound) -> TruncationWitness:
             "lower the degree bound"
         )
 
-    units, unpack = _exponent_packing(ctx, degree_bound)
+    units, unpack = exponent_packing(ctx, degree_bound)
     x_units = units[:n]
     monomials = []  # (a, packed x^a, packed x^(a - e_j) for each a_j > 0), a in lex order
     for a in _monomials_up_to(n, degree_bound - min(map(graded_degree, gens), default=degree_bound)):
-        packed = _pack(x_units, a)
+        packed = pack_exponent(x_units, a)
         monomials.append((a, packed, [packed - x_units[j] for j in compress(range(n), a)]))
     shifts = [[] for _ in range(degree_bound + 1)]  # |a| -> (packed x^a, its x-parents)
     for a, packed, below in monomials:
@@ -243,7 +207,7 @@ def truncation_witness(ctx, ops, degree_bound) -> TruncationWitness:
             if top == degree and all(map(heads.__contains__, d_parents)):
                 # beta comes from _monomials_up_to, so the key is well formed
                 made = HomogOperator._trusted(n, {(0,) + no_d + beta: one}, fld) * g
-                terms = product[5] = [(_pack(units, e[1:]), c.numerator) for e, c in made.terms.items()]
+                terms = product[5] = [(pack_exponent(units, e[1:]), c.numerator) for e, c in made.terms.items()]
             if terms is None:
                 continue  # made at a later degree, or skipped with a D-parent's a = 0 row
             reduced = product[6] = {}  # packed x^a -> pivot of the row x^a (D^beta g), at this degree
@@ -340,7 +304,7 @@ def oracle_pipeline_agree(ctx, ops, report, degree_bound) -> AgreementReport:
     steps = [list(map(sum, combinations_with_replacement(units, j))) for j in range(reach + 1)]
     least = {}  # packed plain multiple e of a basis lead -> k_e + |e|
     for lead in sorted(leads, reverse=True):
-        base = _pack(units, lead[1:])
+        base = pack_exponent(units, lead[1:])
         for birth, step in zip(range(sum(lead), degree_bound + 1), steps):
             least.update(dict.fromkeys(map(base.__add__, step), birth))
 
@@ -358,22 +322,23 @@ def oracle_pipeline_agree(ctx, ops, report, degree_bound) -> AgreementReport:
     return AgreementReport(not mismatches, tuple(mismatches), witness)
 
 
-def random_weyl(rng, n, terms=3, degree=3, coeff=5, fld=QQ):
-    """Random operator with up to ``terms`` monomials; may be zero."""
+def _random_terms(cls, rng, n, terms, degree, coeff, fld):
+    """Random ``cls`` element with up to ``terms`` monomials, each exponent drawn first; may be zero."""
     out = {}
     for _ in range(rng.randint(0, terms)):
-        m = _random_exponent(rng, 2 * n, degree)
+        m = _random_exponent(rng, cls._width(n), degree)
         out[m] = fld.from_int(rng.randint(-coeff, coeff))
-    return WeylOperator(n, out, fld)
+    return cls(n, out, fld)
+
+
+def random_weyl(rng, n, terms=3, degree=3, coeff=5, fld=QQ):
+    """Random operator with up to ``terms`` monomials; may be zero."""
+    return _random_terms(WeylOperator, rng, n, terms, degree, coeff, fld)
 
 
 def random_homog(rng, n, terms=3, degree=3, coeff=5, fld=QQ):
     """Random graded-algebra element, not necessarily homogeneous."""
-    out = {}
-    for _ in range(rng.randint(0, terms)):
-        m = _random_exponent(rng, 2 * n + 1, degree)
-        out[m] = fld.from_int(rng.randint(-coeff, coeff))
-    return HomogOperator(n, out, fld)
+    return _random_terms(HomogOperator, rng, n, terms, degree, coeff, fld)
 
 
 def random_homogeneous(rng, n, degree, terms=3, coeff=5, fld=QQ):
@@ -386,7 +351,8 @@ def random_homogeneous(rng, n, degree, terms=3, coeff=5, fld=QQ):
 
 
 def random_polynomial(rng, n, terms=3, degree=3, coeff=5, fld=QQ):
-    """Random polynomial with up to ``terms`` monomials; may be zero."""
+    """Random polynomial with up to ``terms`` monomials; may be zero.  Unlike
+    ``_random_terms``, the assignment draws each coefficient first."""
     out = {}
     for _ in range(rng.randint(0, terms)):
         out[_random_exponent(rng, n, degree)] = fld.from_int(rng.randint(-coeff, coeff))

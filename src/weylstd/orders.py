@@ -1,4 +1,4 @@
-"""Weight forms, tiebreak orders, and leading terms.
+"""Weight forms, tiebreak orders, leading terms, and packed exponents.
 
 A weight form assigns the value sum(p_i*a_i + q_i*b_i) to the exponent
 (a, b) of a normal-ordered monomial x^a D^b.  Admissibility means
@@ -8,16 +8,28 @@ product (the commutator [D_i, x_i] = 1 lives in weight -(p_i + q_i)
 relative to x_i D_i).
 
 The weight alone does not order monomials, so a classical monomial well
-order breaks ties.  On the graded companion algebra the pair (graded
-degree, weighted order on the x/D part) is a well order, which is what
-makes division terminate there.
+order breaks ties.  Each order is a list of integer rows read against
+the exponent, compared first row first (a matrix order):
+
+- the weight row (p, q);
+- the total degree, a row of ones, unless the tiebreak is lex;
+- one signed unit row per variable: the exponents from the largest
+  variable down for lex and deglex, negated from the smallest up for
+  degrevlex, where the variables run from smallest to largest in the
+  tiebreak's ``perm``.
+
+The key is linear in the exponent, which is what ``exponent_packing``
+uses to pack an exponent into one int of the same order.  On the graded
+companion algebra the graded degree k + |a| + |b| comes first, and the
+pair (graded degree, weighted order on the x/D part) is a well order,
+which is what makes division terminate there.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
+from itertools import compress
 from operator import itemgetter, mul, neg
 
 from .weyl import NEG_INF, HomogOperator, Polynomial, WeylOperator, degree_lex_key
@@ -45,6 +57,7 @@ class LinearForm:
                 raise ValueError(
                     f"weight form not admissible: p[{i}] + q[{i}] = {pi + qi} < 0"
                 )
+        object.__setattr__(self, "row", p + q)
 
     @property
     def n(self):
@@ -77,24 +90,13 @@ class LinearForm:
 
     def value(self, m):
         """Weight of a flat exponent (a_1..a_n, b_1..b_n)."""
-        return sum(map(mul, self.p + self.q, m))
+        return sum(map(mul, self.row, m))
 
     def weight(self, op: WeylOperator):
         """Max weight over the support; -inf for the zero operator."""
         if op.is_zero():
             return NEG_INF
         return max(self.value(m) for m in op.terms)
-
-
-@lru_cache(maxsize=256)
-def _picker(kind, perm, shift):
-    """An ``itemgetter`` of the exponents at ``perm`` shifted by ``shift``,
-    in the order ``TieBreak.shape`` reads them: from the largest variable
-    down for lex and deglex, from the smallest up for degrevlex.  Equal
-    tiebreaks share it."""
-    if kind != "degrevlex":
-        perm = perm[::-1]
-    return itemgetter(*(i + shift for i in perm))
 
 
 @dataclass(frozen=True)
@@ -104,6 +106,10 @@ class TieBreak:
     ``perm`` lists flat key positions from the smallest variable to the
     largest.  The default order is x1 < ... < xn < D1 < ... < Dn, i.e.
     the identity permutation.
+
+    ``kind`` is read once, into the order's rows: a degree row when
+    ``graded`` (every kind but lex), then the unit rows of ``positions``,
+    most significant first, each times ``sign``.
     """
 
     kind: str
@@ -117,31 +123,22 @@ class TieBreak:
             raise ValueError(f"tiebreak positions must be ints, got {self.perm!r}")
         if len(self.perm) < 2 or sorted(self.perm) != list(range(len(self.perm))):
             raise ValueError("perm must list every flat key position exactly once (at least two)")
-        object.__setattr__(self, "_pick", _picker(self.kind, self.perm, 0))
+        revlex = self.kind == "degrevlex"
+        object.__setattr__(self, "graded", self.kind != "lex")
+        object.__setattr__(self, "positions", self.perm if revlex else self.perm[::-1])
+        object.__setattr__(self, "sign", -1 if revlex else 1)
+        object.__setattr__(self, "_pick", itemgetter(*self.positions))
 
     @classmethod
     def default(cls, n):
         return cls("degrevlex", tuple(range(2 * n)))
 
-    def shape(self, w):
-        """The key of the exponents ``w`` that ``_picker`` picks: the one
-        place each kind's rule is written."""
-        if self.kind == "lex":
-            return w
-        if self.kind == "deglex":
-            return (sum(w),) + w
-        return (sum(w), *map(neg, w))
-
     def key(self, m):
         """Sort key: bigger tuple = bigger monomial.  Injective on exponents."""
-        return self.shape(self._pick(m))
-
-
-@lru_cache(maxsize=256)
-def _graded_weights(p, q):
-    """The weights of a flat (k, a, b) exponent: 0 for t, then p and q.
-    Equal forms share the tuple: a caller may hold many contexts of few forms."""
-    return (0,) + p + q
+        w = self._pick(m)
+        if self.sign < 0:  # negated rows are a well order only below the degree row
+            return (sum(w), *map(neg, w))
+        return (sum(w), *w) if self.graded else w
 
 
 @dataclass(frozen=True)
@@ -153,9 +150,6 @@ class OrderContext:
     p_i + q_i = 0 pairs with a negative entry), which is the whole reason
     the graded companion algebra exists.  ``graded_key`` prepends the
     graded degree k + |a| + |b| and is a well order.
-
-    The graded key reads the flat (k, a, b) exponent in place, through
-    weights and a tiebreak picker shifted past k, built once here.
     """
 
     form: LinearForm
@@ -166,8 +160,6 @@ class OrderContext:
             object.__setattr__(self, "tiebreak", TieBreak.default(self.form.n))
         if len(self.tiebreak.perm) != 2 * self.form.n:
             raise ValueError("tiebreak covers a different number of variables")
-        object.__setattr__(self, "_graded_weights", _graded_weights(self.form.p, self.form.q))
-        object.__setattr__(self, "_graded_pick", _picker(self.tiebreak.kind, self.tiebreak.perm, 1))
 
     @property
     def n(self):
@@ -177,23 +169,48 @@ class OrderContext:
         """Integer tuple key for a flat 2n exponent under the weighted order."""
         return (self.form.value(m),) + self.tiebreak.key(m)
 
-    def unit_key_columns(self):
-        """``weighted_key`` of each unit exponent as its nonzero (index,
-        value) entries, in O(n) all told: the weight, the degree unless the
-        tiebreak is lex, and the one entry ``TieBreak.shape`` gives it."""
-        kind, perm = self.tiebreak.kind, self.tiebreak.perm
-        graded = kind != "lex"
-        place = {i: k for k, i in enumerate(perm if kind == "degrevlex" else perm[::-1], 1 + graded)}
-        last = -1 if kind == "degrevlex" else 1
-        return [
-            ((0, w),) * (w != 0) + ((1, 1),) * graded + ((place[i], last),)
-            for i, w in enumerate(self.form.p + self.form.q)
-        ]
-
     def graded_key(self, m):
         """Integer tuple key for a flat (k, a, b) exponent: degree first."""
-        weight = sum(map(mul, self._graded_weights, m))
-        return (sum(m), weight) + self.tiebreak.shape(self._graded_pick(m))
+        return (sum(m),) + self.weighted_key(m[1:])
+
+
+def pack_exponent(units, e):
+    """The packed int of exponent ``e``: the sum of e_i * units[i] over its
+    nonzero entries only."""
+    return sum(map(mul, compress(units, e), filter(None, e)))
+
+
+def exponent_packing(ctx, bound):
+    """The units u_i that pack a plain exponent e of degree at most
+    ``bound`` as the int sum of e_i * u_i (``pack_exponent``), and the
+    decoder of a packed int.
+
+    u_i = (c_i << H) + (1 << s*i).  c_i is ``ctx.weighted_key`` of the
+    i-th unit exponent read as balanced digits in radix R = 2^r, one
+    digit per row of the order: its weight, 1 in the degree digit unless
+    the tiebreak is lex, and the tiebreak's sign in the digit of its own
+    unit row.  The key is linear in e, so c.e is the key of e read in
+    that radix; each of its digits is at most the bound times the largest
+    row entry in size, below R/2, so c.e orders exponents exactly as the
+    key does, and so does the packed int.  Its low H = s*2n bits hold e
+    itself in s-bit fields, which only the decoder reads."""
+    width = 2 * ctx.n
+    tie = ctx.tiebreak
+    weights = ctx.form.row
+    r = (2 * bound * max(1, *map(abs, weights))).bit_length()
+    w = (bound.bit_length() + 7) // 8 or 1  # bytes per field of e, s = 8w
+    low_bits = 8 * w * width
+    degree = tie.graded << r * width  # the digit above the unit rows
+    units = [0] * width
+    for j, i in enumerate(tie.positions):  # the digits of the unit rows, most significant first
+        digits = (weights[i] << r * (width + tie.graded)) + degree + (tie.sign << r * (width - 1 - j))
+        units[i] = (digits << low_bits) + (1 << 8 * w * i)
+
+    def unpack(packed):
+        low = (packed & ((1 << low_bits) - 1)).to_bytes(w * width, "little")
+        return tuple(low) if w == 1 else tuple(int.from_bytes(low[j:j + w], "little") for j in range(0, len(low), w))
+
+    return units, unpack
 
 
 def check_n(ctx, op):

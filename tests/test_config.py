@@ -117,8 +117,12 @@ def test_bad_tiebreak_and_var_order(tmp_path):
         load_config(_write(tmp_path, 'n = 1\ntiebreak = "grlex"'))
     with pytest.raises(ConfigError, match="var_order"):
         load_config(_write(tmp_path, 'n = 1\nvar_order = ["x1"]'))
-    with pytest.raises(ConfigError, match="exactly once"):
+    # a variable named twice is refused by the config, naming it, not by
+    # the tiebreak's "perm must list every flat key position exactly once"
+    with pytest.raises(ConfigError, match=re.escape('var_order lists x1 twice ("x1", "x1")')):
         load_config(_write(tmp_path, 'n = 1\nvar_order = ["x1", "x1"]'))
+    with pytest.raises(ConfigError, match=re.escape('var_order lists D1 twice ("D1", "d1")')):
+        load_config(_write(tmp_path, 'n = 1\nvar_order = ["D1", "d1"]'))
     with pytest.raises(ConfigError, match="not a variable"):
         load_config(_write(tmp_path, 'n = 1\nvar_order = ["x1", "D2"]'))
 

@@ -31,14 +31,12 @@ from weylstd import oracle
 from weylstd.homogenize import graded_degree, homogenize, project_exponent
 from weylstd.oracle import (
     MAX_WITNESS_ROWS,
-    _exponent_packing,
     _monomials_up_to,
-    _pack,
     random_linear_form,
     random_tiebreak,
     random_weyl,
 )
-from weylstd.orders import TIEBREAK_KINDS
+from weylstd.orders import TIEBREAK_KINDS, exponent_packing, pack_exponent
 
 
 def _gens(n, *texts, fld=QQ):
@@ -162,8 +160,8 @@ def test_monomials_are_every_exponent_in_lexicographic_order():
 
 def _assert_packing_is_the_weighted_order(ctx, bound):
     exps = list(_monomials_up_to(2 * ctx.n, bound))
-    units, unpack = _exponent_packing(ctx, bound)
-    packed = [_pack(units, e) for e in exps]
+    units, unpack = exponent_packing(ctx, bound)
+    packed = [pack_exponent(units, e) for e in exps]
     assert [e for _, e in sorted(zip(packed, exps))] == sorted(exps, key=ctx.weighted_key)
     assert list(map(unpack, packed)) == exps
 
@@ -171,13 +169,17 @@ def _assert_packing_is_the_weighted_order(ctx, bound):
 @pytest.mark.parametrize("kind", TIEBREAK_KINDS)
 def test_packed_exponents_sort_by_the_weighted_key_and_decode(kind):
     rng = random.Random(f"packing:{kind}")
-    for n in (1, 2, 3):
+    negative = 0
+    for n, bound in ((1, 8), (2, 8), (3, 8), (200, 1)):
         forms = [LinearForm.order(n), LinearForm.bernstein(n), LinearForm.v_form(n), LinearForm.l_form(n, 1, 2)]
-        forms += [random_linear_form(rng, n, bound=3) for _ in range(3)]
-        for form in forms:
+        drawn = [random_linear_form(rng, n, bound=3) for _ in range(3)]
+        negative += sum(min(form.p + form.q) < 0 for form in drawn)
+        for form in forms + drawn:
             perm = list(range(2 * n))
             rng.shuffle(perm)
-            _assert_packing_is_the_weighted_order(OrderContext(form, TieBreak(kind, tuple(perm))), 8)
+            # at bound 1 the exponents are zero and every unit
+            _assert_packing_is_the_weighted_order(OrderContext(form, TieBreak(kind, tuple(perm))), bound)
+    assert negative  # a weight row with a negative entry packs too
 
 
 def test_packed_exponents_at_the_largest_bounds():

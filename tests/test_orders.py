@@ -132,22 +132,6 @@ def test_keys_equal_the_reference_formulas():
                     assert ctx.graded_key(m) == (sum(m),) + _reference_weighted_key(ctx, m[1:])
 
 
-@pytest.mark.parametrize("kind", ["lex", "deglex", "degrevlex"])
-def test_unit_key_columns_are_the_keys_of_the_unit_exponents(kind):
-    rng = random.Random(f"columns:{kind}")
-    negative = 0
-    for n in (1, 2, 3, 200):
-        for _ in range(4 if n < 200 else 1):
-            perm = list(range(2 * n))
-            rng.shuffle(perm)
-            ctx = OrderContext(random_linear_form(rng, n, bound=3), TieBreak(kind, tuple(perm)))
-            negative += min(ctx.form.p + ctx.form.q) < 0
-            for i, column in enumerate(ctx.unit_key_columns()):
-                key = ctx.weighted_key(tuple(int(j == i) for j in range(2 * n)))
-                assert column == tuple((k, v) for k, v in enumerate(key) if v)
-    assert negative
-
-
 def test_keys_are_injective_and_translation_invariant():
     rng = random.Random(5)
     for _ in range(200):
