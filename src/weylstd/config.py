@@ -37,6 +37,7 @@ from .errors import ConfigError, ParseError
 from .expressions import read_lines, variable_position
 from .orders import LinearForm, OrderContext, TieBreak
 from .scalars import QQ, PrimeField
+from .standard_basis import DEFAULT_DEGREE_CAP
 
 MAX_N = 1000
 
@@ -49,7 +50,7 @@ class RunConfig:
     tiebreak: str = "degrevlex"
     var_order: tuple = None
     field: str = "rational"
-    degree_cap: int = 64
+    degree_cap: int = DEFAULT_DEGREE_CAP
     output: str = "text"
 
     def __post_init__(self):

@@ -100,12 +100,20 @@ class _Parser:
     def peek(self):
         return self.tokens[self.pos]
 
-    def take(self, kind=None):
+    def take(self):
         tok = self.tokens[self.pos]
-        if kind is not None and tok[0] != kind:
-            raise ParseError(f"expected {kind}, found {tok[1]!r}", tok[2], tok[3])
         self.pos += 1
         return tok
+
+    def natural(self):
+        if self.peek()[0] != "INT":
+            raise self.expected("a natural number")
+        return self.take()[1]
+
+    def expected(self, what):
+        kind, value, line, col = self.peek()
+        found = "end of input" if kind == "END" else repr(value)
+        return ParseError(f"expected {what}, found {found}", line, col)
 
     def expr(self):
         acc = self.term()
@@ -132,8 +140,7 @@ class _Parser:
         acc = self.atom()
         if self.peek()[0] == "^":
             self.take()
-            tok = self.take("INT")
-            acc = acc ** tok[1]
+            acc = acc ** self.natural()
         return acc
 
     def atom(self):
@@ -143,7 +150,7 @@ class _Parser:
             numer, denom = value, 1
             if self.peek()[0] == "/":
                 self.take()
-                denom = self.take("INT")[1]
+                denom = self.natural()
             try:
                 c = self.field.from_int(numer, denom)
             except ZeroDivisionError:
@@ -157,12 +164,11 @@ class _Parser:
         if kind == "(":
             self.take()
             inner = self.expr()
-            tok = self.peek()
+            tok = self.take()
             if tok[0] != ")":
                 raise ParseError("unbalanced parenthesis", tok[2], tok[3])
-            self.take()
             return inner
-        raise ParseError(f"expected a coefficient, symbol or parenthesis, found {value!r}", line, col)
+        raise self.expected("a coefficient, symbol or parenthesis")
 
     def symbol(self, name, line, col):
         try:
@@ -176,7 +182,10 @@ class _Parser:
 def parse_operator(text, n, field=QQ) -> WeylOperator:
     """Evaluate an expression to a normal-ordered operator."""
     parser = _Parser(_tokenize(text), n, field)
-    op = parser.expr()
+    try:
+        op = parser.expr()
+    except RecursionError:  # the descent recurses once per parenthesis or sign
+        raise ParseError("expression nested too deeply", *parser.peek()[2:]) from None
     tok = parser.peek()
     if tok[0] != "END":
         raise ParseError(f"unexpected trailing input {tok[1]!r}", tok[2], tok[3])

@@ -22,18 +22,18 @@ final ones of smaller lead (the tail pass below), so this is a standard
 representation in final elements too.
 
 At degree d the loop makes that one division, with ``divide``, of each
-input of degree d and each semisyzygy of that degree's forest pairs; a
-zero remainder records its pair as certified.  A kept element's lead is
-divisible by no lower lead, and same-degree leads divide only equal
-monomials, so it eliminates only its own lead, at offset 0: linear
-algebra among the degree's remainders.  A nonzero remainder is kept,
-with its cofactor row folded once, and made monic.  A tail pass
-(``_interreduce``) reduces the kept ones against each other, they enter
-in graded-key order, and each pair whose remainder was kept is
-certified by dividing that remainder by the basis so far.  Since
-every new element has the degree of its pair, a degree cap bounds the
-run: a degree above the cap that keeps a forest pair raises rather than
-returning a silently incomplete basis.
+input of degree d and each ``semisyzygy`` of that degree's forest pairs,
+the combination the certificate forms; a zero remainder records its pair
+as certified.  A kept element's lead is divisible by no lower lead, and
+same-degree leads divide only equal monomials, so it eliminates only its
+own lead, at offset 0: linear algebra among the degree's remainders.  A
+nonzero remainder is kept, with its cofactor row built and folded once,
+and made monic.  A tail pass (``_interreduce``) reduces the kept ones
+against each other, they enter in graded-key order, and each pair whose
+remainder was kept is certified by dividing that remainder by the basis
+so far.  Since every new element has the degree of its pair, a degree
+cap bounds the run: a degree above the cap that keeps a forest pair
+raises rather than returning a silently incomplete basis.
 
 Every public entry point re-verifies its own output.  The certificate
 has four parts: the final basis is reduced (each element monic, no lead
@@ -75,14 +75,9 @@ def _pair_factors(ctx, h1: HomogOperator, h2: HomogOperator):
 
 
 def semisyzygy(ctx, h1: HomogOperator, h2: HomogOperator) -> HomogOperator:
-    """The cancelling combination f1*h1 - f2*h2 of two elements at their
-    lcm exponent; zero or with strictly smaller lead."""
-    return _cancel_leads(ctx, h1, h2, *_pair_factors(ctx, h1, h2))
-
-
-def _cancel_leads(ctx, h1, h2, lcm, f1, f2):
-    """f1*h1 - f2*h2 for the ``_pair_factors`` of (h1, h2), checked to
-    fall below the lcm."""
+    """The cancelling combination f1*h1 - f2*h2 of two elements for their
+    ``_pair_factors``, checked to be zero or to lead below their lcm."""
+    lcm, f1, f2 = _pair_factors(ctx, h1, h2)
     s = f1 * h1 - f2 * h2
     if not s.is_zero() and ctx.graded_key(leading_term(ctx, s).exponent) >= ctx.graded_key(lcm):
         raise InvariantViolation("semisyzygy failed to cancel the leading terms")
@@ -125,7 +120,7 @@ def buchberger(ctx, gens, degree_cap=DEFAULT_DEGREE_CAP) -> CompletionResult:
     rows = []  # rows[i][j]: cofactor of gens[j] in basis[i]
     leads = []
     lcm = {}  # (i, j) -> lcm of leads[i] and leads[j], for i < j
-    pending = {d: {} for d in inputs}  # degree -> {lcm of that degree: its pairs (i, j)}
+    pending = {d: set() for d in inputs}  # degree -> the pair lcms of that degree
     certified = set()  # pairs whose semisyzygy reduced to zero in checked divisions
 
     max_degree = max(inputs, default=0)
@@ -134,17 +129,13 @@ def buchberger(ctx, gens, degree_cap=DEFAULT_DEGREE_CAP) -> CompletionResult:
     while pending:
         degree = min(pending)
         pairs = sorted(_forest_pairs(leads, lcm, pending.pop(degree)), key=lambda ij: (ij[1], ij[0]))
-        if not pairs and degree not in inputs:
-            continue
         if pairs:
             if degree > degree_cap:
                 raise DegreeCapExceeded(degree, degree_cap)
             max_degree = max(max_degree, degree)
         processed += len(pairs)
         candidates = [(gens[j], None, _unit_row(gens, j)) for j in inputs.pop(degree, ())]
-        for i, j in pairs:
-            lcm_ij, f_i, f_j = _pair_factors(ctx, basis[i], basis[j])
-            candidates.append((_cancel_leads(ctx, basis[i], basis[j], lcm_ij, f_i, f_j), (i, j), (f_i, f_j)))
+        candidates += [(semisyzygy(ctx, basis[i], basis[j]), (i, j), None) for i, j in pairs]
 
         new, new_rows, open_pairs = [], [], []
         for h, pair, start in candidates:
@@ -157,7 +148,8 @@ def buchberger(ctx, gens, degree_cap=DEFAULT_DEGREE_CAP) -> CompletionResult:
             if pair:
                 open_pairs.append((pair, r))
                 added += 1
-                (i, j), (f_i, f_j) = pair, start
+                i, j = pair
+                _, f_i, f_j = _pair_factors(ctx, basis[i], basis[j])
                 start = tuple(f_i * a - f_j * b for a, b in zip(rows[i], rows[j]))
             h, row = _monic(ctx, r, _fold(start, division.quotients, rows + new_rows))
             new.append(h)
@@ -169,7 +161,7 @@ def buchberger(ctx, gens, degree_cap=DEFAULT_DEGREE_CAP) -> CompletionResult:
             j = len(leads)
             for i, e in enumerate(leads):
                 m = lcm[i, j] = vec_max(e, lead)
-                pending.setdefault(sum(m), {}).setdefault(m, []).append((i, j))
+                pending.setdefault(sum(m), set()).add(m)
             basis.append(h)
             rows.append(row)
             leads.append(lead)
@@ -268,34 +260,28 @@ def _minimal_pairs(leads):
     certified or divides: ``_forest_pairs`` over every pair lcm of the final leads,
     read from the leads alone, with nothing taken from the completion's
     own pair bookkeeping."""
-    lcm = {}
-    by_lcm = {}
-    for i, a in enumerate(leads):
-        for j in range(i + 1, len(leads)):
-            m = lcm[i, j] = vec_max(a, leads[j])
-            by_lcm.setdefault(m, []).append((i, j))
-    return sorted(_forest_pairs(leads, lcm, by_lcm))
+    lcm = {(i, j): vec_max(a, leads[j]) for i, a in enumerate(leads) for j in range(i + 1, len(leads))}
+    return sorted(_forest_pairs(leads, lcm, set(lcm.values())))
 
 
-def _forest_pairs(leads, lcm, by_lcm):
-    """The pairs to reduce at the lcms in ``by_lcm``: one spanning forest
+def _forest_pairs(leads, lcm, lcms):
+    """The pairs to reduce at the lcms in ``lcms``: one spanning forest
     per lcm m, where ``lcm[i, j]`` (i < j) holds the lcm of every pair of
-    ``leads`` and ``by_lcm[m]`` the pairs of lcm m.
+    ``leads``.
 
-    The vertices at m are the leads that divide m.  Two of them are
-    joined when their lcm lies strictly below m; a pair whose lcm equals
-    m joins nothing.  The pairs of lcm m, taken in (i, j) order whatever
-    order ``by_lcm[m]`` lists them in, are kept when they join two
-    components not joined yet.  A pair that is not kept has its ends linked by a path of
-    kept pairs of lcm m and of pairs of strictly smaller lcm, and its
-    syzygy of leading monomials is the sum of theirs, each lifted by a
-    monomial onto m.  So the kept pairs generate the syzygies of the
-    leads (for minimal leads, as a reduced basis has, the count per m is
-    the first Betti number of the lead ideal there: Miller and
-    Sturmfels, Combinatorial Commutative Algebra, Thm 1.34), and by
-    induction on lcm divisibility every pair has a standard
-    representation once the kept ones reduce to zero, the same argument
-    as the chain criterion's, which is sound in a G-algebra such as
+    The vertices at m are the leads that divide m.  Two of them are joined
+    when their lcm lies strictly below m; a pair whose lcm equals m joins
+    nothing.  The pairs of lcm m, taken in (i, j) order, are kept when they
+    join two components not joined yet.  A pair that is not kept has its
+    ends linked by a path of kept pairs of lcm m and of pairs of strictly
+    smaller lcm, and its syzygy of leading monomials is the sum of theirs,
+    each lifted by a monomial onto m.  So the kept pairs generate the
+    syzygies of the leads (for minimal leads, as a reduced basis has, the
+    count per m is the first Betti number of the lead ideal there: Miller
+    and Sturmfels, Combinatorial Commutative Algebra, Thm 1.34), and by
+    induction on lcm divisibility every pair has a standard representation
+    once the kept ones reduce to zero, the same argument as the chain
+    criterion's, which is sound in a G-algebra such as
     A_n[t] (forests of pairs: Caboara, Kreuzer and Robbiano, JSC 2004)."""
 
     def find(k):
@@ -304,14 +290,17 @@ def _forest_pairs(leads, lcm, by_lcm):
         return k
 
     kept = []
-    for m, pairs in by_lcm.items():
+    for m in lcms:
         below = [k for k, e in enumerate(leads) if vec_leq(e, m)]
         root = {k: k for k in below}
+        pairs = []  # the pairs of lcm m, in (i, j) order
         for pos, a in enumerate(below):
             for b in below[pos + 1 :]:
-                if lcm[a, b] != m:
+                if lcm[a, b] == m:
+                    pairs.append((a, b))
+                else:
                     root[find(a)] = find(b)
-        for i, j in sorted(pairs):
+        for i, j in pairs:
             ri, rj = find(i), find(j)
             if ri != rj:
                 root[ri] = rj

@@ -313,6 +313,19 @@ def test_file_parse_error_names_the_file(capsys, order_cfg, tmp_path):
     assert "gens.txt" in err and "line 2" in err
 
 
+@pytest.mark.parametrize(
+    "body", ["(" * 2000 + "x1" + ")" * 2000, "-" * 5000 + "x1"], ids=["parentheses", "signs"]
+)
+def test_deep_nesting_in_a_file_is_a_parse_error(capsys, tmp_path, body):
+    gens = tmp_path / "gens.txt"
+    gens.write_text(f"x1\n{body}\n")
+    status, out, _ = _run(capsys, "--output", "json", "normalize", str(gens))
+    assert status == 2
+    error = json.loads(out)["error"]
+    assert error["code"] == "parse-error"
+    assert error["message"].startswith(f"{gens}: expression nested too deeply (line 2, column ")
+
+
 def test_config_error_exit_code(capsys, tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("n = 1\np = [-2]\nq = [1]\n")

@@ -65,7 +65,10 @@ def test_parse_errors_carry_position():
     for text, frag in [
         ("x1 + ", "expected"),
         ("(x1", "unbalanced"),
-        ("x1 ^ -1", "expected INT"),
+        ("x1 ^ -1", "expected a natural number, found '-'"),
+        ("x1 +", "expected a coefficient, symbol or parenthesis, found end of input"),
+        ("2/", "expected a natural number, found end of input"),
+        ("x1^", "expected a natural number, found end of input"),
         ("1/0", "division by zero"),
         ("x1 ~ D1", "unexpected character"),
         ("x1 x1", "trailing"),
@@ -78,6 +81,22 @@ def test_parse_errors_carry_position():
         with pytest.raises(ParseError) as info:
             parse_operator(text, 2)
         assert frag in str(info.value), text
+
+
+@pytest.mark.parametrize(
+    "text", ["(" * 2000 + "x1" + ")" * 2000, "-" * 5000 + "x1"], ids=["parentheses", "signs"]
+)
+def test_deep_nesting_is_a_parse_error(text):
+    # the descent recurses once per parenthesis or sign, so past the
+    # interpreter's recursion limit the text is refused where it stopped
+    with pytest.raises(ParseError, match="expression nested too deeply") as info:
+        parse_operator(text, 1)
+    assert info.value.line == 1 and 1 < info.value.column <= len(text)
+
+
+def test_moderate_nesting_parses():
+    assert parse_operator("(" * 50 + "x1" + ")" * 50, 1) == parse_operator("x1", 1)
+    assert parse_operator("-" * 50 + "x1", 1) == parse_operator("x1", 1)
 
 
 def test_prime_field_coefficients():

@@ -206,18 +206,20 @@ GKZ4 = (
 
 def _self_divided_pairs(monkeypatch, ctx, ops, certified=None):
     """Run ``compute_standard_basis`` on ``ops`` and return the report and
-    the number of pairs the certificate divided itself.  The loop cancels
-    leads through ``_pair_factors`` and ``_cancel_leads``, so only the
-    certificate calls ``semisyzygy``.  With ``certified`` given, the
-    certificate reads it in place of the loop's records."""
-    calls = []
+    the number of pairs the certificate divided itself: the ``semisyzygy``
+    calls made inside ``_check_completion``, not the loop's.  With
+    ``certified`` given, the certificate reads it in place of the loop's
+    records."""
+    calls, checking = [], []
     original, check = standard_basis.semisyzygy, standard_basis._check_completion
 
     def counting(*args):
-        calls.append(args)
+        if checking:
+            calls.append(args)
         return original(*args)
 
     def with_records(ctx, gens, result, loop_records):
+        checking.append(True)
         return check(ctx, gens, result, loop_records if certified is None else certified)
 
     monkeypatch.setattr(standard_basis, "semisyzygy", counting)
@@ -335,25 +337,28 @@ def test_gkz5_certificate_pair_count_is_pinned():
 
 def _loop_pairs(monkeypatch, ctx, gens):
     """Run ``buchberger`` on ``gens`` and return the (lcm degree, i, j) of
-    each pair its loop reduced, in order, where i and j index the returned
-    basis: the loop appends each element to it once it is final."""
-    reduced, in_loop = [], [True]
-    pair_factors, check = standard_basis._pair_factors, standard_basis._check_completion
+    each pair its loop formed with ``semisyzygy`` before the certificate
+    ran, in order, where i and j index the returned basis: the loop
+    appends each element to it once it is final."""
+    formed, in_loop = [], [True]
+    original, check = standard_basis.semisyzygy, standard_basis._check_completion
 
     def recording(ctx, h1, h2):
-        out = pair_factors(ctx, h1, h2)
         if in_loop:
-            reduced.append((sum(out[0]), h1, h2))
-        return out
+            formed.append((h1, h2))
+        return original(ctx, h1, h2)
 
     def leaving(*args):
         in_loop.clear()
         return check(*args)
 
-    monkeypatch.setattr(standard_basis, "_pair_factors", recording)
+    monkeypatch.setattr(standard_basis, "semisyzygy", recording)
     monkeypatch.setattr(standard_basis, "_check_completion", leaving)
-    index = {id(b): k for k, b in enumerate(buchberger(ctx, gens).basis)}
-    return [(d, index[id(h1)], index[id(h2)]) for d, h1, h2 in reduced]
+    basis = buchberger(ctx, gens).basis
+    index = {id(b): k for k, b in enumerate(basis)}
+    leads = [leading_term(ctx, b).exponent for b in basis]
+    pairs = [(index[id(h1)], index[id(h2)]) for h1, h2 in formed]
+    return [(sum(vec_max(leads[i], leads[j])), i, j) for i, j in pairs]
 
 
 def test_loop_reduces_forest_pairs_by_degree_then_arrival(monkeypatch):
@@ -370,6 +375,17 @@ def test_loop_reduces_forest_pairs_by_degree_then_arrival(monkeypatch):
         (3, 0, 2), (4, 0, 1), (4, 1, 2), (4, 0, 3), (4, 1, 3),
         (5, 0, 4), (5, 1, 4), (5, 2, 4), (6, 0, 5), (6, 3, 5),
     ]
+
+
+@pytest.mark.parametrize("kind, pairs", [("degrevlex", 79), ("lex", 141)])
+def test_loop_forms_every_pair_with_semisyzygy(monkeypatch, kind, pairs):
+    # the loop builds each forest pair's candidate with the same
+    # ``semisyzygy`` the certificate calls, once per pair it counts
+    ctx = OrderContext(LinearForm.order(4), TieBreak(kind, tuple(range(8))))
+    gens = [homogenize(parse_operator(text, 4)) for text in GKZ4]
+    formed = _loop_pairs(monkeypatch, ctx, gens)
+    assert len(formed) == len(set(formed)) == pairs
+    assert buchberger(ctx, gens).stats.s_pairs_processed == pairs
 
 
 def test_dehomogenized_basis_keeps_leads():
@@ -461,8 +477,8 @@ def test_injected_dropped_pair_is_caught(monkeypatch):
     original = standard_basis._forest_pairs
     fired = []
 
-    def dropping_once(leads, lcm, by_lcm):
-        pairs = original(leads, lcm, by_lcm)
+    def dropping_once(leads, lcm, lcms):
+        pairs = original(leads, lcm, lcms)
         if not fired and (0, 1) in pairs:
             fired.append(True)
             pairs.remove((0, 1))
@@ -485,10 +501,10 @@ def test_a_fault_in_the_shared_pair_rule_is_caught_outside_the_certificate(monke
     # certificate passes.
     original = standard_basis._forest_pairs
 
-    def dropping_the_first_at_each_lcm(leads, lcm, by_lcm):
+    def dropping_the_first_at_each_lcm(leads, lcm, lcms):
         seen = set()
         kept = []
-        for i, j in original(leads, lcm, by_lcm):
+        for i, j in original(leads, lcm, lcms):
             if lcm[i, j] in seen:
                 kept.append((i, j))
             seen.add(lcm[i, j])
@@ -511,11 +527,11 @@ def test_a_record_for_a_dropped_remainder_passes_the_certificate_and_fails_the_o
     # recorded as certified and the element of degree 4 never enters.
     # The certificate divides no recorded pair, and every other part
     # holds, so the truncation oracle is what refuses the basis.
-    original, cancel_leads = standard_basis.divide, standard_basis._cancel_leads
+    original, pair_semisyzygy = standard_basis.divide, standard_basis.semisyzygy
     semisyzygies, fired = [], []
 
     def recording(*args):
-        semisyzygies.append(cancel_leads(*args))
+        semisyzygies.append(pair_semisyzygy(*args))
         return semisyzygies[-1]
 
     def losing_once(ctx, h, divisors):
@@ -525,7 +541,7 @@ def test_a_record_for_a_dropped_remainder_passes_the_certificate_and_fails_the_o
         fired.append(h)
         return DivisionResult(out.quotients, HomogOperator.zero(h.n, h.field))
 
-    monkeypatch.setattr(standard_basis, "_cancel_leads", recording)
+    monkeypatch.setattr(standard_basis, "semisyzygy", recording)
     monkeypatch.setattr(standard_basis, "divide", losing_once)
     ctx = _ctx()
     ops = [parse_operator(t, 1) for t in TWO_GENERATORS]
