@@ -53,7 +53,7 @@ from .homogenize import (
     is_homogeneous,
     project_exponent,
 )
-from .division import DivisionResult, RegionPartition, divide, reduces_to_zero
+from .division import DivisionResult, divide, region
 from .standard_basis import (
     DEFAULT_DEGREE_CAP,
     CompletionResult,
@@ -98,7 +98,6 @@ __all__ = [
     "PrimeField",
     "QQ",
     "RationalField",
-    "RegionPartition",
     "RunConfig",
     "StandardBasisReport",
     "TieBreak",
@@ -124,7 +123,7 @@ __all__ = [
     "parse_operator",
     "principal_symbol",
     "project_exponent",
-    "reduces_to_zero",
+    "region",
     "semisyzygy",
     "truncation_witness",
     "weyl_from_obj",

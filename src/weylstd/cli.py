@@ -20,7 +20,7 @@ import os
 import sys
 from dataclasses import replace
 
-from .config import RunConfig, load_config
+from .config import RunConfig, _json_value, load_config
 from .division import divide
 from .errors import (
     ConfigError,
@@ -35,6 +35,7 @@ from .jsonio import operator_to_obj
 from .oracle import algebra_fuzz, oracle_pipeline_agree
 from .orders import leading_term, principal_symbol
 from .standard_basis import compute_standard_basis
+from .weyl import HomogOperator
 
 _ERROR_CODES = {
     ParseError: ("parse-error", 2),
@@ -52,8 +53,14 @@ def main(argv=None) -> int:
         config_path = getattr(args, "config", None)
         cfg = load_config(config_path) if config_path else RunConfig(n=1)
         output = output or cfg.output
-        # flags override the file through the dataclass, so they are
-        # validated exactly as the file's own values are
+        # a number flag's text is read as a file value is, one JSON value,
+        # and the flags override the file through the dataclass, so they
+        # are validated exactly as the file's own values are
+        for key in ("degree_cap", "seed"):
+            if hasattr(args, key):
+                setattr(args, key, _json_value(getattr(args, key), "--" + key.replace("_", "-")))
+        if type(getattr(args, "seed", 0)) is not int:
+            raise ConfigError(f"--seed must be an integer, got {args.seed!r}")
         flags = {key: getattr(args, key) for key in ("output", "degree_cap") if hasattr(args, key)}
         cfg = replace(cfg, **flags)
         status = _dispatch(args, cfg)
@@ -82,8 +89,8 @@ def _build_parser():
     common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     common.add_argument("--config", metavar="PATH", help="key = value configuration file")
     common.add_argument("--output", choices=("text", "json"), help="override the output mode")
-    common.add_argument("--degree-cap", type=int, metavar="N", help="override the completion degree cap")
-    common.add_argument("--seed", type=int, metavar="N", help="seed for verify")
+    common.add_argument("--degree-cap", metavar="N", help="override the completion degree cap")
+    common.add_argument("--seed", metavar="N", help="seed for verify")
     parser = argparse.ArgumentParser(
         prog="weylstd",
         parents=[common],
@@ -157,8 +164,9 @@ def _run_command(command, ops, ctx, cap):
     if command == "divide":
         if len(ops) < 2:
             raise ValueError("divide needs a dividend and at least one divisor")
-        dividend, divisors = homogenize(ops[0]), [homogenize(op) for op in ops[1:]]
-        res = divide(ctx, dividend, divisors)
+        # zero lifts to zero, which divide takes as a dividend and refuses as a divisor
+        lifted = [HomogOperator.zero(op.n, op.field) if op.is_zero() else homogenize(op) for op in ops]
+        res = divide(ctx, lifted[0], lifted[1:])
         doc = {
             "quotients": [operator_to_obj(q, ctx) for q in res.quotients],
             "remainder": operator_to_obj(res.remainder, ctx),

@@ -36,7 +36,7 @@ from dataclasses import dataclass, fields
 from .errors import ConfigError, ParseError
 from .expressions import read_lines, variable_position
 from .orders import LinearForm, OrderContext, TieBreak
-from .scalars import QQ, PrimeField
+from .scalars import QQ, PrimeField, read_natural
 from .standard_basis import DEFAULT_DEGREE_CAP
 
 MAX_N = 1000
@@ -89,8 +89,12 @@ class RunConfig:
             ctx = OrderContext(LinearForm(self.p, self.q), TieBreak(self.tiebreak, perm))
         except ValueError as e:
             raise ConfigError(str(e)) from None
+        try:
+            fld = PrimeField(read_natural(prime.group(1))) if prime else QQ
+        except ValueError as e:  # more digits than an int reads
+            raise ConfigError(f"field modulus: {e}") from None
         object.__setattr__(self, "_context", ctx)
-        object.__setattr__(self, "_field", PrimeField(int(prime.group(1))) if prime else QQ)
+        object.__setattr__(self, "_field", fld)
 
     def scalar_field(self):
         return self._field

@@ -4,8 +4,9 @@ Dividing H by P_1..P_r produces quotients and a remainder with
 H = Q_1 P_1 + ... + Q_r P_r + R such that every monomial of Q_i, shifted
 by the leading exponent of P_i, lands in the region claimed by P_i, and
 no monomial of R is divisible by any leading exponent.  The regions
-partition the exponent lattice by first match, which pins the result
-down uniquely; this only works because the graded order is a well order,
+partition the exponent lattice by first match (``region``: the first
+lead that divides a monomial claims it), which pins the result down
+uniquely; this only works because the graded order is a well order,
 so repeatedly rewriting the largest term terminates.
 
 The division is fraction-free (pseudo-division with a running
@@ -40,21 +41,14 @@ from .orders import leading_term, term_key
 from .weyl import HomogOperator, _graded_product, add_terms, vec_add, vec_leq, vec_sub
 
 
-@dataclass(frozen=True)
-class RegionPartition:
-    """First-match partition of the exponent lattice by divisibility.
-
-    Exponent m belongs to region i when exponents[i] <= m componentwise
-    and no earlier exponent does; to no region when none divides it.
-    """
-
-    exponents: tuple
-
-    def classify(self, m):
-        for i, e in enumerate(self.exponents):
-            if vec_leq(e, m):
-                return i
-        return None
+def region(leads, m):
+    """The first-match region of exponent ``m``: the index of the first
+    lead that divides it (leads[i] <= m componentwise), or None when
+    none does.  The regions partition the exponent lattice."""
+    for i, e in enumerate(leads):
+        if vec_leq(e, m):
+            return i
+    return None
 
 
 @dataclass(frozen=True)
@@ -78,7 +72,6 @@ def divide(ctx, h: HomogOperator, divisors) -> DivisionResult:
     sort_key = term_key(ctx, h)
 
     leads = tuple(leading_term(ctx, d).exponent for d in divisors)
-    partition = RegionPartition(leads)
     forms = tuple(d.integer_form() for d in divisors)
     int_leads = tuple(t[e] for (_, t), e in zip(forms, leads))
 
@@ -103,7 +96,7 @@ def divide(ctx, h: HomogOperator, divisors) -> DivisionResult:
         w = work.pop(m, None)
         if w is None:
             continue
-        i = partition.classify(m)
+        i = region(leads, m)
         if i is None:
             rem_terms[m] = field.from_scaled(w, den)
             continue
@@ -135,7 +128,7 @@ def divide(ctx, h: HomogOperator, divisors) -> DivisionResult:
 
     quotients = tuple(HomogOperator._trusted(n, t, field) for t in quot_terms)
     remainder = HomogOperator._trusted(n, rem_terms, field)
-    _check_division(ctx, h, divisors, partition, quotients, remainder)
+    _check_division(h, divisors, leads, quotients, remainder)
     return DivisionResult(quotients, remainder)
 
 
@@ -157,7 +150,7 @@ def _eliminate(quotient, offset, f, form, den, n, field):
     return _graded_product(n, field.characteristic, {offset: f}, terms)
 
 
-def _check_division(ctx, h, divisors, partition, quotients, remainder):
+def _check_division(h, divisors, leads, quotients, remainder):
     """Refuse a division whose output is not h = sum_i Q_i*P_i + R with
     every Q_i and R over the field, each Q_i inside its region and no
     term of R divisible by a lead."""
@@ -166,14 +159,14 @@ def _check_division(ctx, h, divisors, partition, quotients, remainder):
         if not all(c in field for c in op.terms.values()):
             raise InvariantViolation("division output holds a coefficient outside its field")
     check_sum_of_products(h, zip(quotients, divisors), remainder, "division reconstruction failed")
-    for i, (q, lead) in enumerate(zip(quotients, partition.exponents)):
+    for i, (q, lead) in enumerate(zip(quotients, leads)):
         for m in q.terms:
-            if partition.classify(vec_add(lead, m)) != i:
+            if region(leads, vec_add(lead, m)) != i:
                 raise InvariantViolation(
                     f"quotient {i} holds a monomial outside its region"
                 )
     for m in remainder.terms:
-        if partition.classify(m) is not None:
+        if region(leads, m) is not None:
             raise InvariantViolation("remainder contains a divisible monomial")
 
 
@@ -219,7 +212,3 @@ def _checked_form(op, message):
 def _scaled(terms, s):
     """The int term map ``terms`` times ``s``: the map itself when s is 1."""
     return terms if s == 1 else {k: s * v for k, v in terms.items()}
-
-
-def reduces_to_zero(ctx, h, divisors) -> bool:
-    return divide(ctx, h, divisors).remainder.is_zero()

@@ -22,7 +22,7 @@ import re
 
 from .errors import ParseError
 from .orders import term_key
-from .scalars import QQ
+from .scalars import QQ, read_natural
 from .weyl import WeylOperator, format_terms
 
 _OPERATORS = set("+-*^()/")
@@ -44,7 +44,7 @@ def _tokenize(text):
             while j < len(text) and text[j] in _DIGITS:
                 j += 1
             try:
-                value = _natural(text[i:j]) if ch in _DIGITS else text[i:j]
+                value = read_natural(text[i:j]) if ch in _DIGITS else text[i:j]
             except ValueError as e:
                 raise ParseError(str(e), line, col) from None
             out.append(("INT" if ch in _DIGITS else "SYM", value, line, col))
@@ -57,20 +57,13 @@ def _tokenize(text):
     return out
 
 
-def _natural(digits):
-    try:
-        return int(digits)
-    except ValueError:  # past the interpreter's limit on int digits
-        raise ValueError(f"number of {len(digits)} digits is too long") from None
-
-
 def variable_position(name, n):
     """Flat key position of ``x<i>`` (i - 1) or ``D<i>``/``d<i>`` (n + i - 1),
     1 <= i <= n in ASCII digits; anything else is a ValueError."""
     match = _VARIABLE.fullmatch(name) if type(name) is str else None
     if match is None:
         raise ValueError(f"unknown symbol {name!r}")
-    i = _natural(match[2])
+    i = read_natural(match[2])
     if not 1 <= i <= n:
         raise ValueError(f"symbol {name!r} is out of range for {n} variable(s)")
     return i - 1 if match[1] == "x" else n + i - 1

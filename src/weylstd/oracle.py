@@ -38,7 +38,7 @@ from math import comb, gcd
 from operator import itemgetter, mul, sub
 
 from .errors import InvariantViolation, OracleSizeError
-from .division import RegionPartition, divide
+from .division import divide, region
 from .homogenize import dehomogenize, graded_degree, homogenize, is_homogeneous, project_exponent
 from .orders import LinearForm, OrderContext, TieBreak, TIEBREAK_KINDS, check_n, exponent_packing, leading_term, pack_exponent, principal_symbol, is_graded_commutative
 from .scalars import QQ, PrimeField
@@ -323,7 +323,9 @@ def oracle_pipeline_agree(ctx, ops, report, degree_bound) -> AgreementReport:
 
 
 def _random_terms(cls, rng, n, terms, degree, coeff, fld):
-    """Random ``cls`` element with up to ``terms`` monomials, each exponent drawn first; may be zero."""
+    """Random ``cls`` element (operator, graded element or polynomial) with
+    up to ``terms`` monomials, each exponent drawn before its coefficient;
+    may be zero.  Every random draw of terms below goes through it."""
     out = {}
     for _ in range(rng.randint(0, terms)):
         m = _random_exponent(rng, cls._width(n), degree)
@@ -351,12 +353,8 @@ def random_homogeneous(rng, n, degree, terms=3, coeff=5, fld=QQ):
 
 
 def random_polynomial(rng, n, terms=3, degree=3, coeff=5, fld=QQ):
-    """Random polynomial with up to ``terms`` monomials; may be zero.  Unlike
-    ``_random_terms``, the assignment draws each coefficient first."""
-    out = {}
-    for _ in range(rng.randint(0, terms)):
-        out[_random_exponent(rng, n, degree)] = fld.from_int(rng.randint(-coeff, coeff))
-    return Polynomial(n, out, fld)
+    """Random polynomial with up to ``terms`` monomials; may be zero."""
+    return _random_terms(Polynomial, rng, n, terms, degree, coeff, fld)
 
 
 def random_linear_form(rng, n, bound=2):
@@ -386,7 +384,7 @@ FUZZ_N_MAX = 2
 FUZZ_TERMS = 3
 FUZZ_DEGREE = 3
 FUZZ_COEFF = 4
-FUZZ_FIELDS = (QQ, PrimeField(7))
+FUZZ_FIELDS = (QQ, PrimeField(7), PrimeField(32003))
 
 
 @dataclass
@@ -620,16 +618,16 @@ def _fuzz_division(rng, rep, ctx, n, fld):
     _note(rep, True, "division certificates verified")
 
     # uniqueness probe: a decomposition that already satisfies the support
-    # conditions is the one divide returns
+    # conditions (each quotient term shifted into its own ``region``) is
+    # the one divide returns
     leads = [leading_term(ctx, d).exponent for d in divisors]
-    partition = RegionPartition(tuple(leads))
     quotients = []
     for i in range(len(divisors)):
         q = random_homog(rng, n, FUZZ_TERMS, FUZZ_DEGREE, FUZZ_COEFF, fld)
         kept = {
             m: c
             for m, c in q.terms.items()
-            if partition.classify(vec_add(leads[i], m)) == i
+            if region(leads, vec_add(leads[i], m)) == i
         }
         quotients.append(HomogOperator(n, kept, fld))
     remainder = divide(ctx, random_homog(rng, n, FUZZ_TERMS, FUZZ_DEGREE, FUZZ_COEFF, fld), divisors).remainder

@@ -30,7 +30,8 @@ through ``from_int``, and ``parse`` reads ``[+-]?[0-9]+(/[0-9]+)?``.
 Anything else is a ``ValueError``, so operators hold only elements of
 their field.  Since an ``int`` is read into either field, nothing infers
 the field from coefficients: an operator is over QQ unless it is given
-its field.
+its field.  Every run of ASCII digits read from text, here and in the
+expression and config readers, goes through ``read_natural``.
 """
 
 from __future__ import annotations
@@ -73,7 +74,16 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-_NUMERAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+def read_natural(digits: str) -> int:
+    """The natural number a run of ASCII digits spells; one past the
+    interpreter's limit on int digits is a ``ValueError`` that says so."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ValueError(f"number of {len(digits)} digits is too long") from None
+
+
+_NUMERAL = re.compile(r"([+-]?)([0-9]+)(?:/([0-9]+))?")
 
 
 class _Field:
@@ -95,8 +105,9 @@ class _Field:
         m = _NUMERAL.fullmatch(text.strip())
         if m is None:
             raise ValueError(f"coefficient {text!r} is not num or num/den")
+        numer, denom = read_natural(m[2]), read_natural(m[3] or "1")
         try:
-            return self.from_int(int(m[1]), int(m[2] or 1))
+            return self.from_int(-numer if m[1] == "-" else numer, denom)
         except ZeroDivisionError:
             raise ValueError(f"coefficient {text!r} has a zero denominator in {self!r}") from None
 

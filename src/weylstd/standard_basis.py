@@ -55,7 +55,7 @@ from dataclasses import dataclass
 
 from .errors import DegreeCapExceeded, InvariantViolation
 from .division import DivisionResult, check_sum_of_products, divide
-from .homogenize import dehomogenize, graded_degree, homogenize, is_homogeneous, project_exponent
+from .homogenize import dehomogenize, graded_degree, homogenize, project_exponent
 from .orders import leading_term, principal_symbol
 from .weyl import HomogOperator, vec_leq, vec_max, vec_sub
 
@@ -112,8 +112,6 @@ def buchberger(ctx, gens, degree_cap=DEFAULT_DEGREE_CAP) -> CompletionResult:
     for j, g in enumerate(gens):
         if g.is_zero():
             raise ValueError("generators must be nonzero")
-        if not is_homogeneous(g):
-            raise ValueError("generators must be homogeneous")
         inputs.setdefault(graded_degree(g), []).append(j)
 
     basis = []  # final elements, in graded-key order

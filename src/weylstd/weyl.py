@@ -298,10 +298,16 @@ class _TermMap:
             raise ValueError(f"operator powers must be natural numbers, got {k!r}")
         if k == 0:
             return type(self).constant(self.n, self.field.one(), self.field)
-        acc = self
-        for _ in range(k - 1):
-            acc = acc * self
-        return acc
+        # square and multiply: fewer than 2*k.bit_length() products, and
+        # every factor is a power of self, so their order does not matter
+        acc, square = None, self
+        while True:
+            if k & 1:
+                acc = square if acc is None else acc * square
+            k >>= 1
+            if not k:
+                return acc
+            square = square * square
 
     def split(self, key):
         """A key as (k, alpha, beta): its t power (0 where the class has

@@ -10,10 +10,12 @@ import time
 from fractions import Fraction
 
 from weylstd import (
+    QQ,
     HomogOperator,
     LinearForm,
     OrderContext,
     Polynomial,
+    PrimeField,
     WeylOperator,
     compute_standard_basis,
     dehomogenize,
@@ -24,10 +26,9 @@ from weylstd import (
     parse_operator,
     principal_symbol,
     project_exponent,
-    reduces_to_zero,
     semisyzygy,
 )
-from weylstd.division import RegionPartition
+from weylstd.division import region
 from weylstd.oracle import random_homog, random_homogeneous, random_polynomial
 from weylstd.weyl import vec_add
 
@@ -78,11 +79,13 @@ _CORPUS = [
 
 
 def _corpus_runs():
+    """Each corpus ideal completed over QQ and over F_32003."""
     if "runs" not in _REPORTED:
         runs = []
-        for n, ctx, texts, bound in _CORPUS:
-            gens = [parse_operator(t, n) for t in texts]
-            runs.append((n, ctx, gens, bound, compute_standard_basis(ctx, gens)))
+        for fld in (QQ, PrimeField(32003)):
+            for n, ctx, texts, bound in _CORPUS:
+                gens = [parse_operator(t, n, fld) for t in texts]
+                runs.append((n, ctx, gens, bound, compute_standard_basis(ctx, gens)))
         _REPORTED["runs"] = runs
     return _REPORTED["runs"]
 
@@ -185,7 +188,6 @@ def test_criterion_05_division():
         if not divisors:
             continue
         leads = [leading_term(ctx, d).exponent for d in divisors]
-        partition = RegionPartition(tuple(leads))
 
         if instances < 100:
             instances += 1
@@ -195,9 +197,9 @@ def test_criterion_05_division():
             for qu, dv in zip(res.quotients, divisors):
                 total = total + qu * dv
             assert total == h
-            assert all(partition.classify(m) is None for m in res.remainder.terms)
+            assert all(region(leads, m) is None for m in res.remainder.terms)
             for i, qu in enumerate(res.quotients):
-                assert all(partition.classify(vec_add(leads[i], m)) == i for m in qu.terms)
+                assert all(region(leads, vec_add(leads[i], m)) == i for m in qu.terms)
             rerun = divide(ctx, h, divisors)
             assert rerun.quotients == res.quotients and rerun.remainder == res.remainder
 
@@ -208,7 +210,7 @@ def test_criterion_05_division():
             quotients = []
             for i in range(len(divisors)):
                 raw = random_homog(rng, n)
-                kept = {m: c for m, c in raw.terms.items() if partition.classify(vec_add(leads[i], m)) == i}
+                kept = {m: c for m, c in raw.terms.items() if region(leads, vec_add(leads[i], m)) == i}
                 quotients.append(HomogOperator(n, kept))
             remainder = divide(ctx, random_homog(rng, n), divisors).remainder
             built = remainder
@@ -228,11 +230,11 @@ def test_criterion_06_pair_criterion_on_corpus():
         for i in range(len(basis)):
             for j in range(i + 1, len(basis)):
                 s = semisyzygy(ctx, basis[i], basis[j])
-                assert s.is_zero() or reduces_to_zero(ctx, s, basis)
+                assert s.is_zero() or divide(ctx, s, basis).remainder.is_zero()
                 pairs += 1
         for g in gens:
-            assert reduces_to_zero(ctx, homogenize(g), basis)
-    _report(6, "pair criterion", f"{pairs} semisyzygies across {len(_CORPUS)} ideals", time.perf_counter() - start)
+            assert divide(ctx, homogenize(g), basis).remainder.is_zero()
+    _report(6, "pair criterion", f"{pairs} semisyzygies across {len(_CORPUS)} ideals, over QQ and F_32003", time.perf_counter() - start)
 
 
 def test_criterion_07_whole_algebra_worked_example():
@@ -261,7 +263,7 @@ def test_criterion_09_oracle_agreement():
     for n, ctx, gens, bound, report in _corpus_runs():
         agreement = oracle_pipeline_agree(ctx, gens, report, bound)
         assert agreement.ok, (gens, agreement.mismatches)
-    _report(9, "oracle agreement", f"{len(_CORPUS)} ideals, bounds <= 8", time.perf_counter() - start, bound=60.0)
+    _report(9, "oracle agreement", f"{len(_CORPUS)} ideals over QQ and F_32003, bounds <= 8", time.perf_counter() - start, bound=60.0)
 
 
 def test_criterion_10_graded_commutativity():

@@ -326,6 +326,14 @@ def test_deep_nesting_in_a_file_is_a_parse_error(capsys, tmp_path, body):
     assert error["message"].startswith(f"{gens}: expression nested too deeply (line 2, column ")
 
 
+def test_divide_a_zero_dividend(capsys):
+    # zero lifts to the zero graded element, and divide takes it
+    zero = {"n": 1, "terms": []}
+    status, out, _ = _run(capsys, "--output", "json", "divide", "0", "x1")
+    assert status == 0
+    assert json.loads(out) == {"quotients": [zero], "remainder": zero}
+
+
 def test_config_error_exit_code(capsys, tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("n = 1\np = [-2]\nq = [1]\n")
@@ -364,6 +372,36 @@ def test_degree_cap_flag_is_validated(capsys, tmp_path, argv):
         assert json.loads(out)["error"] == {"code": "config-error", "message": expected}
     else:
         assert expected in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--degree-cap", "1_0", "std-basis", "x1"), "--degree-cap: cannot parse value '1_0'"),
+        (("--degree-cap", "+3", "std-basis", "x1"), "--degree-cap: cannot parse value '+3'"),
+        (("--degree-cap", "\u0663", "std-basis", "x1"), "--degree-cap: cannot parse value '\u0663'"),
+        (("--degree-cap", "abc", "std-basis", "x1"), "--degree-cap: cannot parse value 'abc'"),
+        (("--degree-cap", "5.0", "std-basis", "x1"), "degree_cap must be a natural number, got 5.0"),
+        (("--seed", "\u0663", "verify"), "--seed: cannot parse value '\u0663'"),
+        (("--seed", "1.5", "verify"), "--seed must be an integer, got 1.5"),
+    ],
+    ids=["underscore", "plus", "arabic-indic-cap", "word", "float", "arabic-indic-seed", "float-seed"],
+)
+def test_number_flags_follow_the_config_grammar(capsys, argv, message):
+    # a flag's text is one JSON value, read as a config file's value is;
+    # what the file refuses is a config error in either output mode
+    status, out, err = _run(capsys, *argv)
+    assert (status, out, err) == (2, "", f"weylstd: {message}\n")
+    status, out, err = _run(capsys, "--output", "json", *argv)
+    assert status == 2 and err == ""
+    assert json.loads(out)["error"] == {"code": "config-error", "message": message}
+
+
+def test_number_flags_take_json_integers(capsys):
+    status, out, _ = _run(capsys, "--degree-cap", "5", "std-basis", "x1", "D1")
+    assert status == 0 and "staircase: (0, 0)" in out
+    status, out, _ = _run(capsys, "--seed", "-1", "--output", "json", "verify")
+    assert status == 0 and json.loads(out)["ok"]
 
 
 def test_invariant_violation_exit_code(capsys, order_cfg, monkeypatch):
@@ -407,10 +445,11 @@ def test_usage_error(capsys, order_cfg):
     "argv, message",
     [
         (("divide", "x1"), "divide needs a dividend and at least one divisor"),
+        (("divide", "x1", "0"), "cannot divide by the zero operator"),
         (("symbol", "0"), "the zero operator has no principal symbol"),
         (("exp", "0"), "the zero operator has no leading term"),
     ],
-    ids=["divide", "symbol", "exp"],
+    ids=["divide", "zero-divisor", "symbol", "exp"],
 )
 def test_usage_errors_have_their_own_code(capsys, argv, message):
     status, out, _ = _run(capsys, "--output", "json", *argv)
@@ -450,8 +489,10 @@ def test_operand_file_that_is_not_utf8(capsys, tmp_path):
          "var_order entry is not a variable: unknown symbol 'x\u00b2'"),
         (b'n = 1\nfield = "\xe9"\n', "not valid UTF-8 (line 2, column 10)"),
         (b"n = 1001\n", "n must be at most 1000, got 1001"),
+        (f'n = 1\nfield = "fp({"1" * 5000})"\n'.encode(),
+         "field modulus: number of 5000 digits is too long"),
     ],
-    ids=["superscript-name", "not-utf8", "n-too-large"],
+    ids=["superscript-name", "not-utf8", "n-too-large", "modulus-too-long"],
 )
 def test_config_text_errors_are_config_errors(capsys, tmp_path, data, message):
     bad = tmp_path / "bad.cfg"

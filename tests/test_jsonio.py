@@ -136,6 +136,13 @@ FOREIGN_COEFFS = [1.5, True, None, [1], "1.5", "1e2", "1_0", "3/-2", "1/0"]
 
 
 @pytest.mark.parametrize("reader", [weyl_from_obj, homog_from_obj])
+def test_coefficient_of_too_many_digits_says_so(reader):
+    obj = {"n": 1, "terms": [{"alpha": [0], "beta": [1], "coeff": "1" * 5000}]}
+    with pytest.raises(ValueError, match="^number of 5000 digits is too long$"):
+        reader(obj, 1)
+
+
+@pytest.mark.parametrize("reader", [weyl_from_obj, homog_from_obj])
 @pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["QQ", "F_7"])
 def test_coefficients_enter_through_the_field(reader, field):
     for coeff in FOREIGN_COEFFS:

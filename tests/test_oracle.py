@@ -751,7 +751,7 @@ def test_fuzz_catches_zero_sums_kept(monkeypatch):
 
 def test_fuzz_runs_prime_field_trials(monkeypatch):
     # each trial draws its field; an add_terms that never reduces mod p is
-    # harmless over QQ, so only the F_7 trials can catch it, through field
+    # harmless over QQ, so only the F_p trials can catch it, through field
     # membership of the stored residues
     import weylstd.weyl as weyl
 
@@ -817,7 +817,7 @@ def test_zero_ideal_agreement():
 
 def test_fuzz_catches_coefficients_outside_the_field(monkeypatch):
     # a sum that stores an integral Fraction as an int breaks no equality
-    # identity (2 == Fraction(2)), only field membership; over F_7 the
+    # identity (2 == Fraction(2)), only field membership; over F_p the
     # mutant reduces as add_terms does, so only the QQ trials can fail
     import weylstd.weyl as weyl
 

@@ -46,6 +46,11 @@ def test_both_fields_parse_one_grammar(fld):
     for text in ["1/0", "-5/00"]:
         with pytest.raises(ValueError, match="zero denominator"):
             fld.parse(text)
+    # int() refuses more than 4300 digits with a message about
+    # sys.set_int_max_str_digits; the one digit reader says what is wrong
+    for text in ["1" * 5000, "-" + "1" * 5000, "1/" + "1" * 5000]:
+        with pytest.raises(ValueError, match="^number of 5000 digits is too long$"):
+            fld.parse(text)
 
 
 def test_parse_rejects_denominators_vanishing_mod_p():

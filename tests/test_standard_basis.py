@@ -19,6 +19,7 @@ from weylstd import (
     WeylOperator,
     buchberger,
     compute_standard_basis,
+    divide,
     graded_degree,
     homog_from_obj,
     homogenize,
@@ -26,7 +27,6 @@ from weylstd import (
     minimal_staircase,
     oracle_pipeline_agree,
     parse_operator,
-    reduces_to_zero,
     semisyzygy,
 )
 import weylstd.division as division
@@ -464,7 +464,7 @@ def _every_pair_reduces(ctx, basis):
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
             s = semisyzygy(ctx, basis[i], basis[j])
-            if not (s.is_zero() or reduces_to_zero(ctx, s, basis)):
+            if not (s.is_zero() or divide(ctx, s, basis).remainder.is_zero()):
                 return False
     return True
 
@@ -565,12 +565,12 @@ def _complete_with_faulty_division(monkeypatch, fault):
     check = division._check_division
     state = {"interreducing": False, "fired": 0}
 
-    def faulty_check(ctx, h, divisors, partition, quotients, remainder):
+    def faulty_check(h, divisors, leads, quotients, remainder):
         out = fault(state, h, divisors, quotients, remainder)
         if out is not None:
             state["fired"] += 1
             quotients, remainder = out
-        return check(ctx, h, divisors, partition, quotients, remainder)
+        return check(h, divisors, leads, quotients, remainder)
 
     interreduce = standard_basis._interreduce
 

@@ -111,6 +111,30 @@ def test_power_of_zero_and_unit():
         x ** (-1)
 
 
+def test_powers_square_and_multiply(monkeypatch):
+    # x1^1000 takes 9 squarings and 5 more products, not 999 products
+    calls = []
+    mul = WeylOperator.__mul__
+
+    def counting(a, b):
+        calls.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(WeylOperator, "__mul__", counting)
+    assert WeylOperator.x(1, 1) ** 1000 == WeylOperator.monomial(1, (1000, 0))
+    assert len(calls) <= 20
+
+
+@pytest.mark.parametrize("fld", [QQ, PrimeField(7)], ids=["QQ", "F_7"])
+@pytest.mark.parametrize("cls", [WeylOperator, HomogOperator])
+def test_powers_equal_repeated_products(cls, fld):
+    a = cls.x(1, 1, field=fld) + cls.d(1, 1, field=fld)
+    acc = cls.constant(1, fld.one(), fld)
+    for k in range(13):
+        assert a**k == acc
+        acc = acc * a
+
+
 def test_powers_and_t_shifts_take_only_natural_ints():
     # a float t shift used to store float exponents (printed t^2.5), and
     # a bool power passed as 1
