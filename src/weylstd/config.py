@@ -3,8 +3,9 @@
 One ``key = value`` per line of UTF-8.  Each value is one JSON value
 (RFC 8259): an integer (ASCII digits, maybe a ``-``; no ``+``, ``_`` or
 leading zero), a double-quoted string, or a flat list of either; ``null``
-is refused.  A ``#`` starts a comment, on a line of its own or after the
-value.  Example:
+is refused.  A ``#`` outside a string starts a comment, on a line of its
+own or after the value; the comment belongs to the line, and the text of
+a ``--degree-cap`` or ``--seed`` flag is one JSON value alone.  Example:
 
     n = 2
     p = [0, -1]
@@ -40,6 +41,9 @@ from .scalars import QQ, PrimeField, read_natural
 from .standard_basis import DEFAULT_DEGREE_CAP
 
 MAX_N = 1000
+
+# a JSON string, kept whole, or a comment: a # outside any string, to the end of the line
+_COMMENT = re.compile(r'("(?:[^"\\]|\\.)*")|#.*')
 
 
 @dataclass(frozen=True)
@@ -116,8 +120,8 @@ def load_config(path) -> RunConfig:
 
     raw = {}
     for lineno, line in lines:
-        line = line.strip()
-        if not line or line.startswith("#"):
+        line = _COMMENT.sub(r"\1", line).strip()
+        if not line:
             continue
         key, eq, text = line.partition("=")
         key = key.strip()
@@ -143,13 +147,11 @@ def load_config(path) -> RunConfig:
 
 
 def _json_value(text, where):
-    """One JSON value, followed by nothing but a comment."""
+    """One JSON value, with nothing but whitespace around it."""
     try:
-        value, end = json.JSONDecoder().raw_decode(text)
+        value = json.loads(text)
     except (ValueError, RecursionError):  # RecursionError: lists nested too deep
-        end = None
-    if end is None or text[end:].strip()[:1] not in ("", "#"):
-        raise ConfigError(f"{where}: cannot parse value {text!r}")
+        raise ConfigError(f"{where}: cannot parse value {text!r}") from None
     if value is None:
         raise ConfigError(f"{where}: null is not a value; leave the key out for its default")
     return value

@@ -19,10 +19,10 @@ the exponent, compared first row first (a matrix order):
   tiebreak's ``perm``.
 
 The key is linear in the exponent, which is what ``exponent_packing``
-uses to pack an exponent into one int of the same order.  On the graded
-companion algebra the graded degree k + |a| + |b| comes first, and the
-pair (graded degree, weighted order on the x/D part) is a well order,
-which is what makes division terminate there.
+uses to pack an exponent into one int: its key, read in radix 2^r.  On
+the graded companion algebra the graded degree k + |a| + |b| comes
+first, and the pair (graded degree, weighted order on the x/D part) is a
+well order, which is what makes division terminate there.
 """
 
 from __future__ import annotations
@@ -185,30 +185,32 @@ def exponent_packing(ctx, bound):
     ``bound`` as the int sum of e_i * u_i (``pack_exponent``), and the
     decoder of a packed int.
 
-    u_i = (c_i << H) + (1 << s*i).  c_i is ``ctx.weighted_key`` of the
-    i-th unit exponent read as balanced digits in radix R = 2^r, one
-    digit per row of the order: its weight, 1 in the degree digit unless
-    the tiebreak is lex, and the tiebreak's sign in the digit of its own
-    unit row.  The key is linear in e, so c.e is the key of e read in
-    that radix; each of its digits is at most the bound times the largest
-    row entry in size, below R/2, so c.e orders exponents exactly as the
-    key does, and so does the packed int.  Its low H = s*2n bits hold e
-    itself in s-bit fields, which only the decoder reads."""
+    u_i is ``ctx.weighted_key`` of the i-th unit exponent read as
+    balanced digits in radix R = 2^r, one digit per row of the order:
+    its weight, 1 in the degree digit unless the tiebreak is lex, and the
+    tiebreak's sign in the digit of its own unit row.  The key is linear
+    in e, so the packed int is the key of e read in that radix, with no
+    other field; each of its digits is at most the bound times the
+    largest row entry in size, below R/2, so it orders exponents exactly
+    as the key does.  The decoder reads the 2n unit-row digits back,
+    least significant first, each times the tiebreak's sign."""
     width = 2 * ctx.n
     tie = ctx.tiebreak
     weights = ctx.form.row
     r = (2 * bound * max(1, *map(abs, weights))).bit_length()
-    w = (bound.bit_length() + 7) // 8 or 1  # bytes per field of e, s = 8w
-    low_bits = 8 * w * width
     degree = tie.graded << r * width  # the digit above the unit rows
     units = [0] * width
     for j, i in enumerate(tie.positions):  # the digits of the unit rows, most significant first
-        digits = (weights[i] << r * (width + tie.graded)) + degree + (tie.sign << r * (width - 1 - j))
-        units[i] = (digits << low_bits) + (1 << 8 * w * i)
+        units[i] = (weights[i] << r * (width + tie.graded)) + degree + (tie.sign << r * (width - 1 - j))
+    half, mask = (1 << r) >> 1, (1 << r) - 1  # half is 0 at bound 0, where every digit is 0
 
     def unpack(packed):
-        low = (packed & ((1 << low_bits) - 1)).to_bytes(w * width, "little")
-        return tuple(low) if w == 1 else tuple(int.from_bytes(low[j:j + w], "little") for j in range(0, len(low), w))
+        e = [0] * width
+        for i in reversed(tie.positions):
+            digit = ((packed + half) & mask) - half
+            e[i] = tie.sign * digit
+            packed = (packed - digit) >> r
+        return tuple(e)
 
     return units, unpack
 

@@ -5,8 +5,8 @@ Over QQ a coefficient is a ``fractions.Fraction``; over F_p it is a plain
 and multiplies coefficients with Python's own operators.  A field adds
 what those lack: its ``characteristic`` (0 for QQ, p for F_p), modulo
 which the arithmetic reduces, and ``div``, the one division.  Residues
-are reduced at exactly four places: ``weyl.add_terms``, which every sum
-of terms goes through, ``_TermMap.scale``, the working-term update of
+are reduced at exactly three places: ``weyl.add_terms``, which every sum
+of terms and every scaling goes through, the working-term update of
 ``division.divide``, and ``div``.  Integer combinatorial
 weights (binomials, factorials) are computed in arbitrary-precision
 ``int`` and reduced only once multiplied into a coefficient, so they
@@ -172,7 +172,7 @@ class PrimeField(_Field):
 
     def __init__(self, p: int):
         if p >= MODULUS_LIMIT:
-            raise ConfigError(f"modulus {p} is too large: it must be below {MODULUS_LIMIT}")
+            raise ConfigError(f"modulus of {p.bit_length()} bits is too large: it must be below {MODULUS_LIMIT}")
         if not _is_prime(p):
             raise ConfigError(f"{p} is not prime")
         self.characteristic = p

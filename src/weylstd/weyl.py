@@ -24,15 +24,15 @@ All three share one sparse term-map core, ``_TermMap``, keyed by flat
 exponent tuples: ``(a, b)`` plain, ``(k, a, b)`` graded, ``(a,)`` for
 polynomials.  Two rules of that core each have one owner.  Term maps
 never hold zero coefficients: every sum of terms, in the kernel, at
-t = 1, in ``+``/``-`` (negation too), in the action and in the JSON
-reader, goes through ``add_terms``, which drops a key whose sum is
-zero.  And ``_TermMap.split`` alone cuts a flat key into
+t = 1, in ``+``/``-``, in ``scale`` (negation too), in the action and
+in the JSON reader, goes through ``add_terms``, which drops a key whose
+sum is zero.  And ``_TermMap.split`` alone cuts a flat key into
 ``(k, alpha, beta)``, for the action, the printers, the JSON writer and
 the CLI.  Values are immutable.  The public constructor checks every key; values the
 arithmetic builds itself skip that check (``_TermMap._trusted``).
 Each value carries its scalar field in ``field``, QQ unless given:
-over F_p a coefficient is an ``int`` in [0, p), and ``add_terms`` and
-``scale`` reduce what they store modulo the field's characteristic.
+over F_p a coefficient is an ``int`` in [0, p), and ``add_terms``
+reduces what it stores modulo the field's characteristic.
 Every scalar from outside, in the constructor and in ``scale`` (so in
 scalar ``*`` too), enters through ``field.coerce``, the one door: an
 element of the field or a plain ``int``, anything else a ``ValueError``.
@@ -268,9 +268,7 @@ class _TermMap:
         return self._plus(other, other.terms.items())
 
     def __neg__(self):
-        negated = ((k, -c) for k, c in self.terms.items())
-        terms = add_terms({}, negated, self.field.characteristic)
-        return type(self)._trusted(self.n, terms, self.field)
+        return self.scale(-1)
 
     def __sub__(self, other):
         if type(other) is not type(self):
@@ -280,13 +278,7 @@ class _TermMap:
     def scale(self, c):
         """This value times the scalar ``c``, reduced mod the characteristic."""
         c = self.field.coerce(c)
-        if c == 0:
-            return type(self).zero(self.n, self.field)
-        p = self.field.characteristic
-        if p:
-            terms = {k: c * v % p for k, v in self.terms.items()}
-        else:
-            terms = {k: c * v for k, v in self.terms.items()}
+        terms = add_terms({}, ((k, c * v) for k, v in self.terms.items()), self.field.characteristic)
         return type(self)._trusted(self.n, terms, self.field)
 
     def __rmul__(self, other):

@@ -201,12 +201,11 @@ def test_std_basis_gkz5_golden_document(capsys, tmp_path):
     assert {key: doc[key] for key in ORDER_UNIQUE_KEYS} == expected
 
 
-# Over F_p a coefficient is an int in [0, p), reduced mod p at four
+# Over F_p a coefficient is an int in [0, p), reduced mod p at three
 # places.  Each entry names one, as (owner, function, the reduction as
 # written there, the same code without it).
 REDUCTIONS = {
     "add_terms": (weyl, "add_terms", "s %= p", "pass"),
-    "scale": (weyl._TermMap, "scale", "c * v % p", "c * v"),
     "division-update": (division, "divide", "s %= p", "pass"),
     "div": (scalars.PrimeField, "div", "a * pow(b, -1, p) % p", "a * pow(b, -1, p)"),
 }
@@ -241,7 +240,7 @@ def _remove_reduction(monkeypatch, owner, name, reduced, unreduced):
 
 @pytest.mark.parametrize("point", sorted(REDUCTIONS))
 def test_each_reduction_mod_p_is_needed(monkeypatch, capsys, tmp_path, point):
-    # Without the reduction at any one of the four places, a run over F_7
+    # Without the reduction at any one of the three places, a run over F_7
     # fails: with an invariant violation, or with a document other than
     # the golden one.
     path = tmp_path / "f7.cfg"
@@ -381,15 +380,18 @@ def test_degree_cap_flag_is_validated(capsys, tmp_path, argv):
         (("--degree-cap", "+3", "std-basis", "x1"), "--degree-cap: cannot parse value '+3'"),
         (("--degree-cap", "\u0663", "std-basis", "x1"), "--degree-cap: cannot parse value '\u0663'"),
         (("--degree-cap", "abc", "std-basis", "x1"), "--degree-cap: cannot parse value 'abc'"),
+        (("--degree-cap", "5 # c", "std-basis", "x1"), "--degree-cap: cannot parse value '5 # c'"),
         (("--degree-cap", "5.0", "std-basis", "x1"), "degree_cap must be a natural number, got 5.0"),
         (("--seed", "\u0663", "verify"), "--seed: cannot parse value '\u0663'"),
         (("--seed", "1.5", "verify"), "--seed must be an integer, got 1.5"),
+        (("--seed", "0 # c", "verify"), "--seed: cannot parse value '0 # c'"),
     ],
-    ids=["underscore", "plus", "arabic-indic-cap", "word", "float", "arabic-indic-seed", "float-seed"],
+    ids=["underscore", "plus", "arabic-indic-cap", "word", "comment-cap", "float", "arabic-indic-seed", "float-seed", "comment-seed"],
 )
 def test_number_flags_follow_the_config_grammar(capsys, argv, message):
-    # a flag's text is one JSON value, read as a config file's value is;
-    # what the file refuses is a config error in either output mode
+    # a flag's text is one JSON value, read as a config file's value is
+    # but with no comment after it; what the file refuses is a config
+    # error in either output mode
     status, out, err = _run(capsys, *argv)
     assert (status, out, err) == (2, "", f"weylstd: {message}\n")
     status, out, err = _run(capsys, "--output", "json", *argv)
@@ -398,8 +400,9 @@ def test_number_flags_follow_the_config_grammar(capsys, argv, message):
 
 
 def test_number_flags_take_json_integers(capsys):
-    status, out, _ = _run(capsys, "--degree-cap", "5", "std-basis", "x1", "D1")
-    assert status == 0 and "staircase: (0, 0)" in out
+    for cap in ("5", " 5\t"):  # whitespace around the value is allowed
+        status, out, _ = _run(capsys, "--degree-cap", cap, "std-basis", "x1", "D1")
+        assert status == 0 and "staircase: (0, 0)" in out
     status, out, _ = _run(capsys, "--seed", "-1", "--output", "json", "verify")
     assert status == 0 and json.loads(out)["ok"]
 
@@ -636,3 +639,10 @@ def test_large_prime_moduli(capsys, tmp_path):
     assert status == 2
     error = json.loads(out)["error"]
     assert error["code"] == "config-error" and "too large" in error["message"]
+    # the most digits a config modulus reads: the error names its size
+    huge.write_text(f'n = 1\nfield = "fp({"1" * 4300})"\n')
+    status, out, _ = _run(capsys, "--config", str(huge), "--output", "json", "normalize", "x1")
+    assert status == 2
+    error = json.loads(out)["error"]
+    assert error["code"] == "config-error" and "too large" in error["message"]
+    assert len(error["message"]) < 200

@@ -73,6 +73,9 @@ def test_comments_and_blank_lines(tmp_path):
     text = 'n = 1\nfield = "fp(7)#" # hi\ntiebreak = "lex"# no space\n'
     with pytest.raises(ConfigError, match="field must be"):
         load_config(_write(tmp_path, text))
+    # so is a # after an escaped quote
+    with pytest.raises(ConfigError, match="field must be"):
+        load_config(_write(tmp_path, 'n = 1\nfield = "fp(7)\\"# x" # hi\n'))
     cfg = load_config(_write(tmp_path, text.replace("fp(7)#", "fp(7)")))
     assert cfg.scalar_field() == PrimeField(7) and cfg.tiebreak == "lex"
 

@@ -183,13 +183,61 @@ def test_packed_exponents_sort_by_the_weighted_key_and_decode(kind):
 
 
 def test_packed_exponents_at_the_largest_bounds():
-    # a constant generator at n = 1 has C(3 + b, 3) candidate rows; past
-    # bound 255, which a generator of high degree admits, each entry of
-    # the decoded exponent takes two bytes
+    # a constant generator at n = 1 has C(3 + b, 3) candidate rows; a
+    # generator of high degree admits a bound past that, such as 300,
+    # whose digits need a wider radix
     largest = max(b for b in range(100) if math.comb(3 + b, 3) <= MAX_WITNESS_ROWS)
     assert largest == 64
     for bound in (largest, 300):
         _assert_packing_is_the_weighted_order(OrderContext(LinearForm.l_form(1, 2, 3), TieBreak("lex", (1, 0))), bound)
+
+
+def _radix(ctx, bound):
+    # the radix 2^r of ``exponent_packing``: r is the bit length of twice
+    # the bound times the largest weight in size (at least 1)
+    return (2 * bound * max(1, *map(abs, ctx.form.row))).bit_length()
+
+
+@pytest.mark.parametrize("kind", TIEBREAK_KINDS)
+def test_packed_int_is_the_weighted_key_in_radix_two_to_the_r(kind):
+    rng = random.Random(f"radix:{kind}")
+    negative = 0
+    for n, bound in ((1, 6), (2, 5), (3, 4), (200, 7)):
+        forms = [LinearForm.order(n), LinearForm.v_form(n), LinearForm.l_form(n, 1, 2)]
+        forms += [random_linear_form(rng, n, bound=3) for _ in range(3)]
+        negative += sum(min(form.row) < 0 for form in forms)
+        for form in forms:
+            perm = list(range(2 * n))
+            rng.shuffle(perm)
+            ctx = OrderContext(form, TieBreak(kind, tuple(perm)))
+            r = _radix(ctx, bound)
+            units, unpack = exponent_packing(ctx, bound)
+            for _ in range(30):
+                e = [0] * (2 * n)
+                for _ in range(rng.randint(0, bound)):
+                    e[rng.randrange(2 * n)] += 1
+                e = tuple(e)
+                key = ctx.weighted_key(e)
+                packed = pack_exponent(units, e)
+                assert packed == sum(k << r * (len(key) - 1 - t) for t, k in enumerate(key))
+                assert unpack(packed) == e
+    assert negative  # v-form and l-form weigh x_n negatively
+
+
+def test_each_unit_is_no_wider_than_its_key_in_radix_two_to_the_r():
+    ctx = OrderContext(LinearForm.order(1000))
+    units, _ = exponent_packing(ctx, 3)
+    width = _radix(ctx, 3) * len(ctx.weighted_key((0,) * 2000))
+    assert width == 6006
+    assert max(abs(u).bit_length() for u in units) <= width
+
+
+@pytest.mark.parametrize("kind", TIEBREAK_KINDS)
+def test_bound_zero_decodes_the_zero_exponent(kind):
+    for form in (LinearForm.order(2), LinearForm.v_form(2)):
+        ctx = OrderContext(form, TieBreak(kind, (3, 0, 2, 1)))
+        units, unpack = exponent_packing(ctx, 0)
+        assert unpack(pack_exponent(units, (0,) * 4)) == (0,) * 4
 
 
 # Over F_2 and F_3 some contraction weights vanish, so a product loses

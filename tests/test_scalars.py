@@ -87,6 +87,9 @@ def test_large_prime_modulus_is_fast_and_limited():
         PrimeField(MODULUS_LIMIT)
     with pytest.raises(ConfigError, match="too large"):
         PrimeField(10**30 + 57)
+    # named by its size: a modulus with more digits than an int formats
+    with pytest.raises(ConfigError, match="^modulus of 16610 bits is too large"):
+        PrimeField(10**5000)
 
 
 def test_prime_field_elements_are_canonical_residues():
