@@ -19,6 +19,8 @@ import json
 import os
 import sys
 from dataclasses import replace
+from functools import reduce
+from operator import mul
 
 from .config import RunConfig, _json_value, load_config
 from .division import divide
@@ -144,23 +146,17 @@ def _run_command(command, ops, ctx, cap):
     if command == "mul":
         if not ops:
             raise ValueError("mul needs at least one operator")
-        acc = ops[0]
-        for op in ops[1:]:
-            acc = acc * op
-        return {"operator": operator_to_obj(acc, ctx)}, format_operator(acc, ctx)
+        return _one_operator(reduce(mul, ops), ctx)
+    if command in ("exp", "symbol", "homogenize") and len(ops) != 1:
+        raise ValueError(f"{command} takes exactly one operator, got {len(ops)}")
     if command == "exp":
-        _expect_single(ops, "exp")
         m = leading_term(ctx, ops[0]).exponent
         _, alpha, beta = ops[0].split(m)
         return {"alpha": list(alpha), "beta": list(beta)}, str(tuple(m))
     if command == "symbol":
-        _expect_single(ops, "symbol")
-        sym = principal_symbol(ctx, ops[0])
-        return {"operator": operator_to_obj(sym, ctx)}, format_operator(sym, ctx)
+        return _one_operator(principal_symbol(ctx, ops[0]), ctx)
     if command == "homogenize":
-        _expect_single(ops, "homogenize")
-        h = homogenize(ops[0])
-        return {"operator": operator_to_obj(h, ctx)}, format_operator(h, ctx)
+        return _one_operator(homogenize(ops[0]), ctx)
     if command == "divide":
         if len(ops) < 2:
             raise ValueError("divide needs a dividend and at least one divisor")
@@ -195,9 +191,8 @@ def _run_command(command, ops, ctx, cap):
     return _report_doc(report, ctx), _report_text(report, ctx)
 
 
-def _expect_single(ops, name):
-    if len(ops) != 1:
-        raise ValueError(f"{name} takes exactly one operator, got {len(ops)}")
+def _one_operator(op, ctx):
+    return {"operator": operator_to_obj(op, ctx)}, format_operator(op, ctx)
 
 
 def _report_doc(report, ctx):
@@ -257,7 +252,11 @@ def _read_operands(tokens, n, fld):
         if not os.path.isfile(token):
             ops.append(parse_operator(token, n, fld))
             continue
-        for lineno, line in read_lines(token):
+        try:
+            lines = read_lines(token)
+        except OSError as e:  # a file that exists but cannot be read
+            raise ValueError(f"cannot read operand file {token}: {e}") from None
+        for lineno, line in lines:
             body = line.split("#", 1)[0].strip()
             if not body:
                 continue

@@ -165,11 +165,10 @@ class _Parser:
 
     def symbol(self, name, line, col):
         try:
-            i = variable_position(name, self.n)
+            position = variable_position(name, self.n)
         except ValueError as e:
             raise ParseError(str(e), line, col) from None
-        make = WeylOperator.x if i < self.n else WeylOperator.d
-        return make(self.n, i % self.n + 1, field=self.field)
+        return WeylOperator._generator(self.n, position, field=self.field)
 
 
 def parse_operator(text, n, field=QQ) -> WeylOperator:

@@ -66,7 +66,7 @@ class LinearForm:
     @classmethod
     def order(cls, n):
         """Total order of the operator: weight |beta|."""
-        return cls((0,) * n, (1,) * n)
+        return cls.l_form(n, 1, 0)
 
     @classmethod
     def bernstein(cls, n):
@@ -76,9 +76,7 @@ class LinearForm:
     @classmethod
     def v_form(cls, n):
         """Weight b_n - a_n along the hyperplane x_n = 0."""
-        p = tuple(-1 if i == n - 1 else 0 for i in range(n))
-        q = tuple(1 if i == n - 1 else 0 for i in range(n))
-        return cls(p, q)
+        return cls.l_form(n, 0, 1)
 
     @classmethod
     def l_form(cls, n, r, s):

@@ -22,14 +22,18 @@ the summed key by k += 2 v_i, a_i -= v_i, b_i -= v_i.
 
 All three share one sparse term-map core, ``_TermMap``, keyed by flat
 exponent tuples: ``(a, b)`` plain, ``(k, a, b)`` graded, ``(a,)`` for
-polynomials.  Two rules of that core each have one owner.  Term maps
+polynomials.  Three rules of that core each have one owner.  Term maps
 never hold zero coefficients: every sum of terms, in the kernel, at
 t = 1, in ``+``/``-``, in ``scale`` (negation too), in the action and
 in the JSON reader, goes through ``add_terms``, which drops a key whose
-sum is zero.  And ``_TermMap.split`` alone cuts a flat key into
+sum is zero.  ``_TermMap.split`` alone cuts a flat key into
 ``(k, alpha, beta)``, for the action, the printers, the JSON writer and
-the CLI.  Values are immutable.  The public constructor checks every key; values the
-arithmetic builds itself skip that check (``_TermMap._trusted``).
+the CLI.  And ``_TermMap._variable`` alone maps a variable to its flat
+key position (x_i at t + i - 1 and D_i at t + n + i - 1, t being 1 in
+graded keys and 0 otherwise), for ``x``, ``d`` and ``t`` of every
+class; an index outside 1..n is a ValueError.  Values are immutable.
+The public constructor checks every key; values the arithmetic builds
+itself skip that check (``_TermMap._trusted``).
 Each value carries its scalar field in ``field``, QQ unless given:
 over F_p a coefficient is an ``int`` in [0, p), and ``add_terms``
 reduces what it stores modulo the field's characteristic.
@@ -222,10 +226,34 @@ class _TermMap:
         return cls(n, {tuple(key): coeff}, field)
 
     @classmethod
-    def _generator(cls, n, position, coeff, field, power=1):
+    def _generator(cls, n, position, coeff=1, field=QQ, power=1):
+        """coeff times the variable at flat key ``position``, to ``power``."""
         key = [0] * cls._width(n)
         key[position] = power
         return cls.monomial(n, key, coeff, field)
+
+    @classmethod
+    def _variable(cls, n, name, i, coeff, field, power=1):
+        """coeff * v^power for the variable v named ``name`` ("t", "x" or
+        "D") and ``i``: the one rule from a variable to its flat key
+        position.  With t = 1 for HomogOperator and 0 otherwise, x_i is at
+        t + i - 1 and D_i at t + n + i - 1; t itself, index 1, is at 0.
+        An index that is not an ``int`` in 1..n, and a D for a class
+        without D variables (Polynomial), is a ValueError."""
+        if type(i) is not int or not 1 <= i <= n or name == "D" and cls._SHAPE[0] == 1:
+            raise ValueError(f"{cls.__name__} has no variable {name}_{i!r} in {n} variable(s)")
+        t = cls._SHAPE[1]
+        return cls._generator(n, {"t": 0, "x": t, "D": t + n}[name] + i - 1, coeff, field, power)
+
+    @classmethod
+    def x(cls, n, i, coeff=1, field=QQ):
+        """The generator x_i (1-based i)."""
+        return cls._variable(n, "x", i, coeff, field)
+
+    @classmethod
+    def d(cls, n, i, coeff=1, field=QQ):
+        """The generator D_i (1-based i)."""
+        return cls._variable(n, "D", i, coeff, field)
 
     def is_zero(self):
         return not self.terms
@@ -320,16 +348,6 @@ class WeylOperator(_TermMap):
     __slots__ = ()
     _SHAPE = (2, 0)  # key width 2 * n
 
-    @classmethod
-    def x(cls, n, i, coeff=1, field=QQ):
-        """The generator x_i (1-based i)."""
-        return cls._generator(n, i - 1, coeff, field)
-
-    @classmethod
-    def d(cls, n, i, coeff=1, field=QQ):
-        """The generator D_i (1-based i)."""
-        return cls._generator(n, n + i - 1, coeff, field)
-
     def total_degree(self):
         """Max of |alpha|+|beta| over the support; -inf for the zero operator."""
         if not self.terms:
@@ -347,6 +365,8 @@ class WeylOperator(_TermMap):
 
     def apply(self, f: "Polynomial") -> "Polynomial":
         """Act on a polynomial: D_i differentiates, x_i multiplies."""
+        if not isinstance(f, Polynomial):
+            raise ValueError(f"apply takes a Polynomial, not {type(f).__name__}")
         self._same_algebra(f)
         out = {}
         for key, c in self.terms.items():
@@ -367,15 +387,7 @@ class HomogOperator(_TermMap):
 
     @classmethod
     def t(cls, n, k=1, coeff=1, field=QQ):
-        return cls._generator(n, 0, coeff, field, power=k)
-
-    @classmethod
-    def x(cls, n, i, coeff=1, field=QQ):
-        return cls._generator(n, i, coeff, field)
-
-    @classmethod
-    def d(cls, n, i, coeff=1, field=QQ):
-        return cls._generator(n, n + i, coeff, field)
+        return cls._variable(n, "t", 1, coeff, field, k)
 
     def t_shift(self, j):
         """Multiply by t^j (t is central, so this just raises every k)."""
@@ -403,7 +415,7 @@ class Polynomial(_TermMap):
 
     @classmethod
     def x(cls, n, i, power=1, coeff=1, field=QQ):
-        return cls._generator(n, i - 1, coeff, field, power)
+        return cls._variable(n, "x", i, coeff, field, power)
 
 
 def degree_lex_key(key):

@@ -485,6 +485,28 @@ def test_operand_file_that_is_not_utf8(capsys, tmp_path):
     }
 
 
+@pytest.mark.parametrize("output", ["text", "json"])
+def test_operand_file_that_cannot_be_read(capsys, monkeypatch, tmp_path, output):
+    # the file exists but its read fails, as reading /proc/self/mem does;
+    # a patched read, since a root user reads a file that chmod 000 denies
+    import weylstd.cli as cli
+
+    gens = tmp_path / "gens.txt"
+    gens.write_text("x1\n")
+
+    def denied(path):
+        raise PermissionError(13, "Permission denied", str(path))
+
+    monkeypatch.setattr(cli, "read_lines", denied)
+    status, out, err = _run(capsys, "--output", output, "normalize", str(gens))
+    assert status == 2
+    message = f"cannot read operand file {gens}: [Errno 13] Permission denied: '{gens}'"
+    if output == "json":
+        assert json.loads(out)["error"] == {"code": "usage-error", "message": message}
+    else:
+        assert (out, err) == ("", f"weylstd: {message}\n")
+
+
 @pytest.mark.parametrize(
     "data, message",
     [

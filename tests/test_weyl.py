@@ -211,6 +211,17 @@ def test_mixed_variable_count_rejected():
         WeylOperator.x(2, 1).apply(Polynomial.x(1, 1))
 
 
+def test_apply_takes_only_polynomials():
+    # an operator of the same n used to pass the algebra check, and its
+    # keys were then read as polynomial exponents: D1 applied to the graded
+    # x1 gave 0, and applied to x1*D1 gave 1
+    D1 = WeylOperator.d(1, 1)
+    for f in (HomogOperator.x(1, 1), WeylOperator.x(1, 1) * D1, D1):
+        with pytest.raises(ValueError, match=f"apply takes a Polynomial, not {type(f).__name__}"):
+            D1.apply(f)
+    assert D1.apply(Polynomial.x(1, 1)) == Polynomial.constant(1, 1)
+
+
 def test_operators_carry_their_field():
     f7 = PrimeField(7)
     # given, never read off the coefficients: an int is a residue in F_7
@@ -311,3 +322,45 @@ def test_every_scalar_door_rejects_foreign_values(cls, name, fld):
     with pytest.raises(ValueError, match="float is not in RationalField"):
         cls(1, {(0,) * cls._width(1): 1.5})
     assert cls(1, {(0,) * cls._width(1): 2}).terms == {(0,) * cls._width(1): Fraction(2)}
+
+
+def _flat_key(cls, n, position, power=1):
+    key = [0] * cls._width(n)
+    key[position] = power
+    return tuple(key)
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("cls", [WeylOperator, HomogOperator, Polynomial])
+def test_variable_rule_refuses_indices_outside_one_to_n(cls, n):
+    # x(1, 0) used to give D1 for a WeylOperator, t for a HomogOperator and
+    # x1 for a Polynomial, and x(1, 5) an IndexError
+    for i in (0, n + 1, -1, True):
+        with pytest.raises(ValueError, match="has no variable"):
+            cls.x(n, i)
+        with pytest.raises(ValueError, match="has no variable"):
+            cls.d(n, i)
+    if cls is Polynomial:
+        with pytest.raises(ValueError, match="Polynomial has no variable D_1"):
+            Polynomial.d(n, 1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_generators_sit_at_their_flat_positions(n):
+    # x_i at t + i - 1 and D_i at t + n + i - 1, with t = 1 in graded keys
+    for i in range(1, n + 1):
+        for cls in (WeylOperator, HomogOperator):
+            t = cls._SHAPE[1]
+            assert cls.x(n, i, 3).terms == {_flat_key(cls, n, t + i - 1): 3}
+            assert cls.d(n, i, 3).terms == {_flat_key(cls, n, t + n + i - 1): 3}
+        assert Polynomial.x(n, i, power=4, coeff=3).terms == {_flat_key(Polynomial, n, i - 1, 4): 3}
+    assert HomogOperator.t(n, 5, 3).terms == {_flat_key(HomogOperator, n, 0, 5): 3}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_parsed_symbols_are_the_generators(n):
+    for i in range(1, n + 1):
+        assert parse_operator(f"x{i}", n) == WeylOperator.x(n, i)
+        for name in (f"D{i}", f"d{i}"):
+            assert parse_operator(name, n) == WeylOperator.d(n, i)
+        assert parse_operator(f"D{i}", n, PrimeField(7)) == WeylOperator.d(n, i, field=PrimeField(7))
